@@ -1,7 +1,8 @@
 """Vandermonde [[n, k, d]]_q quantum MDS codes over prime fields.
 
-Exact subsystem entropies by the subspace-intersection rank identity, a
-brute-force state-vector oracle with partial traces and a Jacobi
+Exact subsystem entropies from one table of GF(q) ranks per code (the
+rank identity H(S) = rank(G_S) + rank(G_S^c) - m), a brute-force
+state-vector oracle with partial traces and a Jacobi
 eigensolver, erasure decoding by basis permutations, and verification
 suites for the size-pyramid entropy characterization.
 """
@@ -10,6 +11,7 @@ from .gf import Field, FieldElement, FieldMismatchError, is_prime
 from .linalg import (
     MatrixGF,
     SingularMatrixError,
+    batched_rank,
     intersection_dim,
     invert,
     mat_vec,
@@ -32,6 +34,7 @@ from .entropy import (
     SubsystemSpec,
     check_decoding_condition,
     check_entropy_inequalities,
+    entropy_table,
     expected_subsystem_entropy,
     extended_profile,
     full_profile,
@@ -63,6 +66,7 @@ __all__ = [
     "SingularMatrixError",
     "rref",
     "rank",
+    "batched_rank",
     "invert",
     "intersection_dim",
     "mat_vec",
@@ -80,6 +84,7 @@ __all__ = [
     "subsystem_entropy",
     "register_subset_entropy",
     "expected_subsystem_entropy",
+    "entropy_table",
     "full_profile",
     "extended_profile",
     "check_decoding_condition",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field, is_prime
+from .gf import MAX_Q, Field, check_modulus, is_prime
 from .linalg import MatrixGF, rank
 from .reporting import CheckReport
 
@@ -35,7 +35,8 @@ class CodeParams:
     Invariants enforced at construction:
       * k >= 1, d >= 2;
       * n = k + 2(d - 1)  (MDS equality of the quantum Singleton bound);
-      * q prime and q >= n (so n distinct evaluation points exist).
+      * q prime, q >= n (so n distinct evaluation points exist) and
+        q < 2^31 (so GF(q) products fit in int64).
     """
 
     n: int
@@ -53,8 +54,7 @@ class CodeParams:
                 f"n must equal k+2(d-1): got n={self.n}, k={self.k}, d={self.d} "
                 f"(expected n={self.k + 2 * (self.d - 1)})"
             )
-        if not is_prime(self.q):
-            raise ValueError(f"q must be prime: got q={self.q}")
+        check_modulus(self.q)
         if self.q < self.n:
             raise ValueError(f"q must be at least n: got q={self.q} < n={self.n}")
 
@@ -257,7 +257,12 @@ def from_descriptor(descriptor: dict) -> QuantumMdsCode:
 
 
 def smallest_prime_at_least(n: int) -> int:
-    """The least prime >= n (Bertrand guarantees one below 2n)."""
+    """The least prime >= n (Bertrand guarantees one below 2n).
+
+    2^31 - 1 is prime, so one below MAX_Q exists exactly when n < MAX_Q.
+    """
+    if n >= MAX_Q:
+        raise ValueError(f"no prime q below 2^31 is at least n={n}")
     candidate = max(n, 2)
     while not is_prime(candidate):
         candidate += 1

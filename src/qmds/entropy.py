@@ -1,31 +1,43 @@
 """Exact subsystem entropies of the joint reference-plus-coded state.
 
-For a pure state built as a uniform superposition over the row space of a
-full-row-rank generator H over GF(q), the entropy (in q-ary units) of the
-qudits belonging to a column subset equals the dimension of the
-intersection of the two column spans of the bipartition.  That rank
-identity is the exact oracle used throughout this module; every entropy it
-returns is a nonnegative integer.
+The joint state of an [[n, k, d]]_q code is the uniform superposition over
+the row space of its full-row-rank generator G (m = k + d - 1 rows, one
+column per register: the k-qudit reference block R, then Q1..Qn).  Such a
+state's entropy vector is a linear rank function: the entropy (in q-ary
+units) of the registers in a column set S is
 
-The joint state of an [[n, k, d]]_q code has k + n registers: the k-qudit
-reference block R (treated as atomic here) followed by the coded qudits
-Q1..Qn.  Every subsystem entropy should match the size pyramid
+    H(S) = rank(G_S) + rank(G_{S^c}) - m,
 
-    H(S) = min(|S|, (k + n) - |S|),
+the dimension of the intersection of the two column spans of the
+bipartition.  Every entropy is therefore a nonnegative integer read off
+one table of ranks, one per union of atomic parts, indexed by bitmask.
 
-peaking at k + d - 1; the profile and check functions verify exactly that,
-plus the decoding / no-leakage conditions, product-state identities, and
-the standard quantum entropy inequalities.
+With R atomic the n + 1 parts are Q1..Qn (bits 0..n-1) and R (bit n), so
+the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
+``SubsystemSpec.sort_key`` order.  The ranks come from one lockstep GF(q)
+elimination (``linalg.batched_rank``) over chunks of the column-masked
+generator; the table's last rank is rank(G) and must equal m.  The profile
+and the check suites (size pyramid H(S) = min(|S|, (k + n) - |S|),
+decoding / no-leakage conditions, product-state identities and the
+standard quantum entropy inequalities) all index that table.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .code import CodeParams, QuantumMdsCode, to_descriptor
-from .linalg import intersection_dim, rank
+import numpy as np
+from numpy.typing import NDArray
+
+from .code import CodeParams, QuantumMdsCode
+from .linalg import MatrixGF, batched_rank
 from .reporting import CheckReport
+
+# masks per lockstep elimination, and the inequality sweep works in blocks
+# of 3^BLOCK_DIGITS assignments; both bound the memory of one code's work
+CHUNK_MASKS = 256
+BLOCK_DIGITS = 8
 
 
 @dataclass(frozen=True)
@@ -41,8 +53,8 @@ class SubsystemSpec:
 
     def __init__(self, include_R: bool, q_indices=()):
         object.__setattr__(self, "include_R", bool(include_R))
-        idx = frozenset(int(i) for i in q_indices)
-        if any(i < 1 for i in idx):
+        idx = frozenset(map(int, q_indices))
+        if idx and min(idx) < 1:
             raise ValueError(f"coded-qudit indices are 1-based: got {sorted(idx)}")
         object.__setattr__(self, "q_indices", idx)
 
@@ -78,6 +90,43 @@ def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
         raise ValueError(f"subsystem indices out of range 1..{n}: {sorted(bad)}")
 
 
+def _rank_table(G: MatrixGF, parts) -> NDArray[np.int64]:
+    """rank(G_S) for every union S of ``parts``, indexed by bitmask.
+
+    ``parts`` lists disjoint column groups covering every column of G;
+    part j is bit j.  A mask's excluded columns are zeroed rather than
+    sliced out, so every matrix in a chunk has the same shape.
+    """
+    part_of = np.empty(G.cols, dtype=np.int64)
+    for bit, columns in enumerate(parts):
+        part_of[list(columns)] = bit
+    masks = np.arange(1 << len(parts), dtype=np.int64)
+    ranks = np.empty(masks.size, dtype=np.int64)
+    for start in range(0, masks.size, CHUNK_MASKS):
+        chunk = masks[start : start + CHUNK_MASKS]
+        keep = (chunk[:, None] >> part_of[None, :]) & 1
+        ranks[start : start + chunk.size] = batched_rank(
+            G.array[None, :, :] * keep[:, None, :], G.field.q
+        )
+    return ranks
+
+
+def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int64]:
+    """H[mask] = r[mask] + r[full ^ mask] - m over unions of ``parts``."""
+    ranks = _rank_table(code.G, parts)
+    m = code.params.generator_rank
+    if ranks[-1] != m:
+        raise ValueError("generator must have full row rank")
+    # masks run 0..full, so full ^ mask = full - mask is the reversed index
+    return ranks + ranks[::-1] - m
+
+
+def entropy_table(code: QuantumMdsCode) -> NDArray[np.int64]:
+    """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask."""
+    k, n = code.params.k, code.params.n
+    return _entropy_table(code, [[k + i] for i in range(n)] + [list(range(k))])
+
+
 def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
     """Entropy (q-ary units) of an arbitrary register subset via the rank identity.
 
@@ -92,11 +141,15 @@ def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
     if any(not 0 <= r < total for r in positions):
         raise ValueError(f"register positions must lie in 0..{total - 1}: {positions}")
     m = code.params.generator_rank
-    if rank(code.G) != m:
+    keep = np.zeros(total, dtype=np.int64)
+    keep[positions] = 1
+    g = code.G.array
+    inside, outside, full = batched_rank(
+        np.stack((g * keep, g * (1 - keep), g)), code.field.q
+    )
+    if full != m:
         raise ValueError("generator must have full row rank")
-    inside = code.G.column_submatrix(positions)
-    outside = code.G.column_submatrix([p for p in range(total) if p not in positions])
-    return intersection_dim(inside, outside)
+    return int(inside + outside - m)
 
 
 def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
@@ -140,22 +193,47 @@ class ProfileEntry:
 
 @dataclass
 class EntropyProfile:
-    """All subsystem entropies of one code, with expectations attached."""
+    """All subsystem entropies of one code, with expectations attached.
+
+    ``table`` holds the entropy of every R-atomic subsystem, indexed
+    R * 2^n + Q-bitmask; ``entropy_of`` and the check suites read it.
+    """
 
     params: CodeParams
     alphas: tuple[int, ...]
     entries: list[ProfileEntry]
+    table: NDArray[np.int64] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        self._lookup = {
-            (e.spec.include_R, e.spec.q_indices): e.entropy
-            for e in self.entries
-            if e.spec is not None
-        }
+    @classmethod
+    def from_table(cls, params: CodeParams, alphas, table) -> "EntropyProfile":
+        """The R-atomic profile whose entries are read off ``table``."""
+        n, k, d = params.n, params.k, params.d
+        table = np.asarray(table, dtype=np.int64)
+        if table.shape != (1 << (n + 1),):
+            raise ValueError(f"entropy table must have 2^(n+1) = {1 << (n + 1)} entries")
+        q_parts = [
+            tuple(i + 1 for i in range(n) if qmask >> i & 1) for qmask in range(1 << n)
+        ]
+        q_labels = [tuple(f"Q{i}" for i in part) for part in q_parts]
+        entries = []
+        for mask, h in enumerate(table.tolist()):
+            include_r, qmask = mask >> n, mask & ((1 << n) - 1)
+            spec = SubsystemSpec(include_r, q_parts[qmask])
+            size = k * include_r + len(q_parts[qmask])
+            expected = expected_subsystem_entropy(size, k, d)
+            labels = ("R",) * include_r + q_labels[qmask]
+            entries.append(ProfileEntry(spec, labels, size, h, expected, h == expected))
+        return cls(params, tuple(alphas), entries, table)
 
     def entropy_of(self, include_R: bool, q_indices) -> int:
-        """Entropy of an R-atomic subsystem already present in the profile."""
-        return self._lookup[(bool(include_R), frozenset(q_indices))]
+        """Entropy of an R-atomic subsystem (1-based coded-qudit indices)."""
+        n = self.params.n
+        mask = bool(include_R) << n
+        for i in q_indices:
+            if not 1 <= i <= n:
+                raise KeyError(f"coded-qudit index out of range 1..{n}: {i}")
+            mask |= 1 << (i - 1)
+        return int(self.table[mask])
 
     @property
     def all_match(self) -> bool:
@@ -185,30 +263,13 @@ class EntropyProfile:
         return sorted(pairs)
 
 
-def _entry_for(code: QuantumMdsCode, sub: SubsystemSpec) -> ProfileEntry:
-    p = code.params
-    size = sub.size(p.k)
-    h = subsystem_entropy(code, sub)
-    expected = expected_subsystem_entropy(size, p.k, p.d)
-    return ProfileEntry(sub, sub.labels(), size, h, expected, h == expected)
-
-
 def full_profile(code: QuantumMdsCode) -> EntropyProfile:
     """Entropies of all 2 * 2^n subsystems (R in or out, every Q subset).
 
-    Entries are sorted canonically by the (R flag, Q bitmask) encoding so
-    output is deterministic and order-independent of evaluation.
+    Entries follow the table's (R flag, Q bitmask) order, so output is
+    deterministic.
     """
-    n = code.params.n
-    subs = [
-        SubsystemSpec(inc, combo)
-        for inc in (False, True)
-        for size in range(n + 1)
-        for combo in itertools.combinations(range(1, n + 1), size)
-    ]
-    subs.sort(key=SubsystemSpec.sort_key)
-    entries = [_entry_for(code, sub) for sub in subs]
-    return EntropyProfile(code.params, code.alphas, entries)
+    return EntropyProfile.from_table(code.params, code.alphas, entropy_table(code))
 
 
 def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
@@ -217,23 +278,28 @@ def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
     Partial-R rows are labeled R1..Rk per reference qudit and carry no
     expected value (expected and match are null): the size-pyramid formula
     treats R as atomic, so nothing is asserted for its proper subsets.
+    Their entropies come from a second table with every register its own
+    part (register r = bit r).
     """
     profile = full_profile(code)
     k, n = code.params.k, code.params.n
+    if k == 1:
+        return profile
+    table = _entropy_table(code, [[r] for r in range(k + n)])
     extra: list[ProfileEntry] = []
     for r_size in range(1, k):
         for r_part in itertools.combinations(range(k), r_size):
             for q_size in range(n + 1):
                 for q_part in itertools.combinations(range(1, n + 1), q_size):
                     registers = list(r_part) + [k + i - 1 for i in q_part]
-                    h = register_subset_entropy(code, registers)
+                    h = int(table[sum(1 << r for r in registers)])
                     labels = tuple(f"R{r + 1}" for r in r_part) + tuple(
                         f"Q{i}" for i in q_part
                     )
                     extra.append(
                         ProfileEntry(None, labels, len(registers), h, None, None)
                     )
-    return EntropyProfile(code.params, code.alphas, profile.entries + extra)
+    return EntropyProfile(code.params, code.alphas, profile.entries + extra, profile.table)
 
 
 def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
@@ -267,61 +333,80 @@ def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
     return report
 
 
+INEQUALITY_FAMILIES = (
+    "subadditivity H(AB) <= H(A)+H(B)",
+    "triangle |H(A)-H(B)| <= H(AB)",
+    "strong subadditivity H(AB)+H(BC) >= H(ABC)+H(B)",
+    "weak monotonicity H(AB)+H(BC) >= H(A)+H(C)",
+)
+
+
 def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     """Subadditivity, triangle, strong subadditivity, weak monotonicity.
 
-    Runs over every assignment of the n + 1 atomic parts {R, Q1..Qn} to
+    Runs over every assignment of the n + 1 atomic parts (R, Q1..Qn) to
     three disjoint groups (A, B, C) -- 3^(n+1) assignments, each checked
     exactly -- which covers every inequality instance over atomic-part
-    unions the entropy characterization relies on.
+    unions the entropy characterization relies on.  An assignment is a
+    tuple of group digits in ``itertools.product`` order; each group's
+    bitmask indexes the profile table.  The sweep runs in blocks of
+    3^BLOCK_DIGITS assignments that share their leading digits.
     """
     p = profile.params
     n = p.n
-    H = profile.entropy_of
+    table = profile.table
+    # assignment position 0 is R (bit n); position i is Q_i (bit i - 1)
+    bits = [1 << n] + [1 << (i - 1) for i in range(1, n + 1)]
+    low = min(BLOCK_DIGITS, n + 1)
+    high = n + 1 - low
+    digits = np.indices((3,) * low, dtype=np.int8).reshape(low, -1).T
+    low_masks = [(digits == g) @ np.array(bits[high:], dtype=np.int64) for g in range(3)]
 
-    def h(group):
-        include_r, qs = group
-        return H(include_r, qs)
+    counts = [0] * len(INEQUALITY_FAMILIES)
+    first: list[tuple | None] = [None] * len(INEQUALITY_FAMILIES)
+    for prefix in itertools.product((0, 1, 2), repeat=high):
+        a, b, c = (
+            low_masks[g] | sum(bit for bit, digit in zip(bits, prefix) if digit == g)
+            for g in range(3)
+        )
+        ha, hb, hc = table[a], table[b], table[c]
+        hab, hbc, habc = table[a | b], table[b | c], table[a | b | c]
+        holds = (
+            hab <= ha + hb,
+            np.abs(ha - hb) <= hab,
+            hab + hbc >= habc + hb,
+            hab + hbc >= ha + hc,
+        )
+        for family, ok in enumerate(holds):
+            violated = int(ok.size - np.count_nonzero(ok))
+            if violated and first[family] is None:
+                where = int(np.argmin(ok))
+                first[family] = prefix + tuple(int(x) for x in digits[where])
+            counts[family] += violated
 
-    def union(g1, g2):
-        return (g1[0] or g2[0], g1[1] | g2[1])
-
-    families = {
-        "subadditivity H(AB) <= H(A)+H(B)": [],
-        "triangle |H(A)-H(B)| <= H(AB)": [],
-        "strong subadditivity H(AB)+H(BC) >= H(ABC)+H(B)": [],
-        "weak monotonicity H(AB)+H(BC) >= H(A)+H(C)": [],
-    }
     total = 3 ** (n + 1)
-    for assign in itertools.product((0, 1, 2), repeat=n + 1):
-        groups = []
-        for which in (0, 1, 2):
-            include_r = assign[0] == which
-            qs = frozenset(i for i in range(1, n + 1) if assign[i] == which)
-            groups.append((include_r, qs))
-        a, b, c = groups
-        ha, hb, hc = h(a), h(b), h(c)
-        hab, hbc = h(union(a, b)), h(union(b, c))
-        habc = h(union(union(a, b), c))
-        checks = [
-            ("subadditivity H(AB) <= H(A)+H(B)", hab <= ha + hb),
-            ("triangle |H(A)-H(B)| <= H(AB)", abs(ha - hb) <= hab),
-            ("strong subadditivity H(AB)+H(BC) >= H(ABC)+H(B)", hab + hbc >= habc + hb),
-            ("weak monotonicity H(AB)+H(BC) >= H(A)+H(C)", hab + hbc >= ha + hc),
-        ]
-        for name, ok in checks:
-            if not ok:
-                families[name].append(assign)
-
     report = CheckReport(
         f"entropy inequalities for [[{n},{p.k},{p.d}]]_{p.q}"
     )
-    for name, violations in families.items():
-        detail = f"{total} assignments, {len(violations)} violations"
-        if violations:
-            detail += f"; first violating assignment {violations[0]}"
-        report.add(name, not violations, detail)
+    for name, violated, assign in zip(INEQUALITY_FAMILIES, counts, first):
+        detail = f"{total} assignments, {violated} violations"
+        if violated:
+            detail += f"; first violating assignment {assign}"
+        report.add(name, not violated, detail)
     return report
+
+
+def _q_groups(n: int, max_size: int) -> list[tuple[int, ...]]:
+    """Coded-qudit groups of size <= max_size, by size then lexicographically."""
+    return [
+        group
+        for size in range(max_size + 1)
+        for group in itertools.combinations(range(1, n + 1), size)
+    ]
+
+
+def _q_mask(group) -> int:
+    return sum(1 << (i - 1) for i in group)
 
 
 def product_state_checks(profile: EntropyProfile) -> CheckReport:
@@ -330,49 +415,55 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     Any group of at most k coded qudits is in a product state with any
     disjoint group of at most d-1 coded qudits (entropies add), and any
     group of at most k coded qudits is itself fully product (entropy is
-    the sum of single-qudit entropies).
+    the sum of single-qudit entropies).  Groups are bitmasks into the
+    profile table (R excluded), taken by size and then lexicographically;
+    the first violation reported is the first in that order.
     """
     p = profile.params
     n, k, d = p.n, p.k, p.d
-    H = profile.entropy_of
+    table = profile.table
     report = CheckReport(f"product-state identities for [[{n},{k},{d}]]_{p.q}")
 
-    pair_violations = []
+    firsts = _q_groups(n, k)
+    first_masks = np.array([_q_mask(g) for g in firsts], dtype=np.int64)
+    seconds = _q_groups(n, d - 1)
+    second_masks = np.array([_q_mask(g) for g in seconds], dtype=np.int64)
+
     pair_count = 0
-    for s1 in range(k + 1):
-        for first in itertools.combinations(range(1, n + 1), s1):
-            rest = [i for i in range(1, n + 1) if i not in first]
-            for s2 in range(d):
-                for second in itertools.combinations(rest, s2):
-                    pair_count += 1
-                    joint = H(False, first + second)
-                    split = H(False, first) + H(False, second)
-                    if joint != split:
-                        pair_violations.append((first, second, joint, split))
-    detail = f"{pair_count} disjoint pairs, {len(pair_violations)} violations"
+    pair_violations = 0
+    pair_first = None
+    for first, mask in zip(firsts, first_masks):
+        disjoint = np.flatnonzero((second_masks & mask) == 0)
+        joint = table[second_masks[disjoint] | mask]
+        split = table[mask] + table[second_masks[disjoint]]
+        bad = np.flatnonzero(joint != split)
+        pair_count += disjoint.size
+        pair_violations += bad.size
+        if bad.size and pair_first is None:
+            at = bad[0]
+            second = seconds[disjoint[at]]
+            pair_first = (first, second, int(joint[at]), int(split[at]))
+    detail = f"{pair_count} disjoint pairs, {pair_violations} violations"
     if pair_violations:
-        detail += f"; first: {pair_violations[0]}"
+        detail += f"; first: {pair_first}"
     report.add(
         "H(K1 u K2) = H(K1)+H(K2) for |K1| <= k, |K2| <= d-1 disjoint",
         not pair_violations,
         detail,
     )
 
-    sum_violations = []
-    sum_count = 0
-    for size in range(k + 1):
-        for group in itertools.combinations(range(1, n + 1), size):
-            sum_count += 1
-            joint = H(False, group)
-            split = sum(H(False, (i,)) for i in group)
-            if joint != split:
-                sum_violations.append((group, joint, split))
-    detail = f"{sum_count} groups, {len(sum_violations)} violations"
-    if sum_violations:
-        detail += f"; first: {sum_violations[0]}"
+    singles = table[1 << np.arange(n)]
+    members = (first_masks[:, None] >> np.arange(n)) & 1
+    joint = table[first_masks]
+    split = members @ singles
+    bad = np.flatnonzero(joint != split)
+    detail = f"{len(firsts)} groups, {bad.size} violations"
+    if bad.size:
+        at = bad[0]
+        detail += f"; first: {(firsts[at], int(joint[at]), int(split[at]))}"
     report.add(
         "H(K) = sum_i H(Qi) for |K| <= k",
-        not sum_violations,
+        not bad.size,
         detail,
     )
     return report

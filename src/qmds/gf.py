@@ -5,8 +5,27 @@ from __future__ import annotations
 import math
 
 
+# Largest modulus plus one.  Below it a product of two residues is below
+# 2^62, so the int64 eliminations never overflow; above it they would
+# return wrong ranks without any error.
+MAX_Q = 1 << 31
+
+
 class FieldMismatchError(ValueError):
     """Raised when an operation mixes elements of different fields."""
+
+
+def check_modulus(q: int) -> None:
+    """Reject a modulus that is not a prime below MAX_Q.
+
+    The size bound is checked first: trial division stalls on large inputs.
+    """
+    if q >= MAX_Q:
+        raise ValueError(
+            f"q must be below 2^31 so GF(q) products fit in int64: got q={q}"
+        )
+    if not is_prime(q):
+        raise ValueError(f"q must be prime: got q={q}")
 
 
 def is_prime(n: int) -> bool:
@@ -25,15 +44,15 @@ class Field:
     Parameters
     ----------
     q : int
-        Prime modulus, q >= 2.  Primality is verified by trial division;
-        extension fields GF(p^m), m > 1, are deliberately unsupported.
+        Prime modulus, 2 <= q < 2^31.  Primality is verified by trial
+        division; extension fields GF(p^m), m > 1, are deliberately
+        unsupported.
     """
 
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"q must be prime: got q={q}")
+        check_modulus(q)
         self.q = q
 
     def element(self, value) -> "FieldElement":

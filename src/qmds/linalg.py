@@ -2,13 +2,16 @@
 
 Matrices are stored as immutable row-major numpy integer arrays together
 with their field.  Everything here is exact: Gauss-Jordan elimination,
-rank, inverse, and the column-span intersection dimension computed with
-the rank identity
+rank, inverse, the ranks of a whole stack of matrices in one lockstep
+elimination (``batched_rank``), and the column-span intersection
+dimension computed with the rank identity
 
     dim(<U> n <V>) = rank(U) + rank(V) - rank([U | V]).
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
-floating point.
+floating point.  Entries are int64 residues of q < 2^31 (see gf.MAX_Q), so
+each product of two residues is below 2^62; matrix products reduce after
+every inner index to stay there.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ class MatrixGF:
             raise ValueError(
                 f"dimension mismatch: ({self.rows}x{self.cols}) @ ({other.rows}x{other.cols})"
             )
-        return MatrixGF(self.array @ other.array % self.field.q, self.field)
+        return MatrixGF(_matmul_mod(self.array, other.array, self.field.q), self.field)
 
     def _check_field(self, other: "MatrixGF") -> None:
         if self.field != other.field:
@@ -144,6 +147,18 @@ class MatrixGF:
 
     def __repr__(self) -> str:
         return f"MatrixGF({self.tolist()}, GF({self.field.q}))"
+
+
+def _matmul_mod(a: NDArray[np.int64], b: NDArray[np.int64], q: int) -> NDArray[np.int64]:
+    """``a @ b mod q`` for residue arrays, reduced after each inner index.
+
+    A plain int64 ``a @ b`` sums several products near q^2 and wraps
+    around for large q; here every partial sum stays below 2q.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(a.shape[1]):
+        out = (out + np.outer(a[:, j], b[j]) % q) % q
+    return out
 
 
 def rref(m: MatrixGF) -> tuple[MatrixGF, list[int]]:
@@ -204,6 +219,51 @@ def invert(m: MatrixGF) -> MatrixGF:
     return MatrixGF(reduced.array[:, n:], m.field)
 
 
+def batched_rank(stack, q: int) -> NDArray[np.int64]:
+    """Ranks over GF(q) of a ``(B, m, w)`` stack of matrices.
+
+    One Gaussian elimination runs on all B matrices in lockstep, column by
+    column: each matrix swaps its first nonzero candidate row into its next
+    pivot slot and clears the rows below it.  The elimination is
+    fraction-free (row_i <- p * row_i - a_ic * pivot_row with the pivot p
+    nonzero), so no inverses are needed and the rank is unchanged.  It
+    runs along the shorter matrix side, since rank(A) = rank(A^T).
+
+    Returns:
+        int64 array of the B ranks.
+    """
+    a = np.asarray(stack, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a (B, m, w) stack, got ndim={a.ndim}")
+    if a.shape[2] > a.shape[1]:
+        a = a.transpose(0, 2, 1)
+    a = a % q
+    count, rows, cols = a.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    row_idx = np.arange(rows)
+    batch = np.arange(count)
+    for col in range(cols):
+        if (ranks == rows).all():
+            break
+        open_rows = row_idx[None, :] >= ranks[:, None]
+        candidates = (a[:, :, col] != 0) & open_rows
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        b, slot = batch[found], ranks[found]
+        piv = candidates[found].argmax(axis=1)
+        a[b, slot], a[b, piv] = a[b, piv], a[b, slot]
+        # matrices without a pivot here get p = 1 and zero factors: unchanged
+        pivot_rows = a[batch, np.minimum(ranks, rows - 1)]
+        pivots = np.where(found, pivot_rows[:, col], 1)
+        factors = np.where(
+            (row_idx[None, :] > ranks[:, None]) & found[:, None], a[:, :, col], 0
+        )
+        a = (a * pivots[:, None, None] - factors[:, :, None] * pivot_rows[:, None, :]) % q
+        ranks += found
+    return ranks
+
+
 def intersection_dim(u: MatrixGF, v: MatrixGF) -> int:
     """Dimension of the intersection of the column spans of ``u`` and ``v``.
 
@@ -236,4 +296,4 @@ def mat_vec(x, m: MatrixGF) -> NDArray[np.int64]:
     vec = np.array([int(e) for e in x], dtype=np.int64) % m.field.q
     if vec.shape[0] != m.rows:
         raise ValueError(f"vector length {vec.shape[0]} != matrix rows {m.rows}")
-    return vec @ m.array % m.field.q
+    return _matmul_mod(vec[None, :], m.array, m.field.q)[0]

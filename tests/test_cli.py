@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmds
 from qmds.cli import main
 
 from conftest import REFERENCE_PARAMS
@@ -122,6 +127,24 @@ class TestVerify:
         )
         assert code_exit == 0
         assert "state-vector" not in out
+
+    def test_q_too_large_for_int64_exits_2(self, capsys):
+        code_exit, out, err = run_cli(
+            capsys, "verify", "--n", "5", "--k", "1", "--d", "3",
+            "--q", "4294967311", "--oracle", "lemma",
+        )
+        assert code_exit == 2
+        assert out == ""
+        assert "below 2^31" in err
+
+    def test_largest_accepted_q_passes(self, capsys):
+        code_exit, out, _ = run_cli(
+            capsys, "verify", "--n", "5", "--k", "1", "--d", "3",
+            "--q", str(2**31 - 1), "--alphas", "2147483646,1073741824,7,3,2147483638",
+            "--oracle", "lemma", "--inequalities",
+        )
+        assert code_exit == 0
+        assert out.endswith("result: PASS\n")
 
     def test_tampered_descriptor_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -249,3 +272,14 @@ class TestExitCodeContract:
     def test_missing_file_exits_2(self, capsys):
         code_exit, _, _ = run_cli(capsys, "profile", "--code", "/nonexistent.json")
         assert code_exit == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(qmds.__file__).resolve().parents[1]))
+    argv = ["figure", "--k", "1", "--d", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "qmds", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == run_cli(capsys, *argv)[1]

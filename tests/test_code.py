@@ -36,6 +36,19 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="prime"):
             CodeParams(n=4, k=2, d=2, q=4)
 
+    def test_q_bounded_below_2_31(self):
+        for q in (2**31, 4294967311):
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                CodeParams(n=5, k=1, d=3, q=q)
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            smallest_prime_at_least(2**31)
+
+    def test_largest_accepted_q_gives_exact_ranks(self):
+        # q = 2^31 - 1: residue products come close to 2^62 and must not wrap
+        code = make_code(5, 1, 3, 2**31 - 1, alphas=[2**31 - 2, 2**30, 7, 3, 2**31 - 9])
+        assert validate(code).ok
+        assert smallest_prime_at_least(2**31 - 10) == 2**31 - 1
+
     def test_q_must_cover_n(self):
         with pytest.raises(ValueError, match="at least n"):
             CodeParams(n=5, k=1, d=3, q=3)

@@ -1,7 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmds import entropy
 from qmds import (
     SubsystemSpec,
     check_decoding_condition,
@@ -14,7 +18,9 @@ from qmds import (
     subsystem_entropy,
 )
 
-from conftest import make_code
+from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, entropy_table
+
+from conftest import DESK_PARAMS, make_code
 
 
 class TestSubsystemSpec:
@@ -251,3 +257,171 @@ class TestChecks:
     def test_product_state_checks_on_desk_codes(self, desk_codes):
         for code in desk_codes:
             assert product_state_checks(full_profile(code)).ok
+
+
+def registers_of(entry, k):
+    if entry.spec is not None:
+        return entry.spec.registers(k)
+    return [int(lbl[1:]) - 1 if lbl[0] == "R" else k + int(lbl[1:]) - 1 for lbl in entry.labels]
+
+
+class TestTable:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(DESK_PARAMS), st.data())
+    def test_profiles_match_register_oracle(self, params, data):
+        n, k, d, q = params
+        alphas = data.draw(st.permutations(range(q)))[:n]
+        code = make_code(n, k, d, q, alphas)
+        profile = extended_profile(code)
+        # R in or out, plus every proper nonempty part of R
+        assert len(profile.entries) == 2 ** (n + 1) + (2**k - 2) * 2**n
+        for entry in profile.entries:
+            assert entry.entropy == register_subset_entropy(code, registers_of(entry, k))
+        atomic = [e for e in profile.entries if e.spec is not None]
+        assert atomic == full_profile(code).entries
+
+    def test_table_is_indexed_by_sort_key(self):
+        code = make_code(5, 1, 3, 5)
+        table = entropy_table(code)
+        n = code.params.n
+        for entry in full_profile(code).entries:
+            include_r, qmask = entry.spec.sort_key()
+            assert table[include_r * 2**n + qmask] == entry.entropy
+
+    def test_chunk_size_does_not_change_table(self, monkeypatch):
+        code = make_code(6, 2, 3, 7, alphas=[6, 0, 3, 1, 5, 2])
+        expected = entropy_table(code)
+        monkeypatch.setattr(entropy, "CHUNK_MASKS", 5)
+        assert entropy_table(code).tolist() == expected.tolist()
+
+    def test_entropy_of_rejects_out_of_range_index(self):
+        profile = full_profile(make_code(3, 1, 2, 3))
+        assert profile.entropy_of(False, (1, 1)) == 1
+        with pytest.raises(KeyError):
+            profile.entropy_of(False, (4,))
+        with pytest.raises(KeyError):
+            profile.entropy_of(False, (0,))
+
+    def test_from_table_checks_length(self):
+        code = make_code(3, 1, 2, 3)
+        with pytest.raises(ValueError, match="2\\^\\(n\\+1\\)"):
+            EntropyProfile.from_table(code.params, code.alphas, np.zeros(8, dtype=np.int64))
+
+
+def brute_force_inequalities(profile):
+    """Violation count and first violating assignment per family, by a
+    plain loop over itertools.product and a dict of the profile entries."""
+    n = profile.params.n
+    h = {(e.spec.include_R, e.spec.q_indices): e.entropy for e in profile.entries}
+
+    def H(*groups):
+        return h[(any(g[0] for g in groups), frozenset().union(*(g[1] for g in groups)))]
+
+    found = {name: [] for name in INEQUALITY_FAMILIES}
+    for assign in itertools.product((0, 1, 2), repeat=n + 1):
+        a, b, c = (
+            (assign[0] == g, frozenset(i for i in range(1, n + 1) if assign[i] == g))
+            for g in range(3)
+        )
+        holds = (
+            H(a, b) <= H(a) + H(b),
+            abs(H(a) - H(b)) <= H(a, b),
+            H(a, b) + H(b, c) >= H(a, b, c) + H(b),
+            H(a, b) + H(b, c) >= H(a) + H(c),
+        )
+        for name, ok in zip(INEQUALITY_FAMILIES, holds):
+            if not ok:
+                found[name].append(assign)
+    return {name: (len(v), v[0] if v else None) for name, v in found.items()}
+
+
+def fabricated_profile(raise_at, params=(5, 1, 3, 5)):
+    """A valid code's profile with the entropy at each (R flag, Q indices)
+    raised by one; the result breaks the size-pyramid law."""
+    n = params[0]
+    profile = full_profile(make_code(*params))
+    table = profile.table.copy()
+    for include_r, qs in raise_at:
+        table[(include_r << n) + sum(1 << (i - 1) for i in qs)] += 1
+    return EntropyProfile.from_table(profile.params, profile.alphas, table)
+
+
+def brute_force_product_details(profile):
+    """Detail lines of the two product-state checks, by the plain loops over
+    itertools.combinations and a dict of the profile entries."""
+    p = profile.params
+    n, k, d = p.n, p.k, p.d
+    h = {e.spec.q_indices: e.entropy for e in profile.entries if not e.spec.include_R}
+
+    def H(group):
+        return h[frozenset(group)]
+
+    pairs, count = [], 0
+    for s1 in range(k + 1):
+        for first in itertools.combinations(range(1, n + 1), s1):
+            rest = [i for i in range(1, n + 1) if i not in first]
+            for s2 in range(d):
+                for second in itertools.combinations(rest, s2):
+                    count += 1
+                    if H(first + second) != H(first) + H(second):
+                        pairs.append((first, second, H(first + second), H(first) + H(second)))
+    pair_detail = f"{count} disjoint pairs, {len(pairs)} violations"
+    if pairs:
+        pair_detail += f"; first: {pairs[0]}"
+    sums, count = [], 0
+    for size in range(k + 1):
+        for group in itertools.combinations(range(1, n + 1), size):
+            count += 1
+            split = sum(H((i,)) for i in group)
+            if H(group) != split:
+                sums.append((group, H(group), split))
+    sum_detail = f"{count} groups, {len(sums)} violations"
+    if sums:
+        sum_detail += f"; first: {sums[0]}"
+    return [pair_detail, sum_detail]
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize(
+        "params, raise_at",
+        [
+            ((6, 2, 3, 7), [(False, (2,)), (False, (1, 3))]),
+            ((5, 3, 2, 7), [(False, (4, 5)), (False, (1, 2, 5))]),
+            ((5, 1, 3, 5), [(False, (3,))]),
+        ],
+    )
+    def test_product_violations_match_brute_force(self, params, raise_at):
+        profile = fabricated_profile(raise_at, params)
+        report = product_state_checks(profile)
+        assert not report.ok
+        assert [r.detail for r in report.results] == brute_force_product_details(profile)
+
+    @pytest.mark.parametrize("block_digits", [8, 2])
+    @pytest.mark.parametrize(
+        "raise_at",
+        [[(False, (1,))], [(True, (2, 3))], [(False, (1, 2)), (True, ())]],
+    )
+    def test_inequality_violations_match_brute_force(self, monkeypatch, raise_at, block_digits):
+        monkeypatch.setattr(entropy, "BLOCK_DIGITS", block_digits)
+        profile = fabricated_profile(raise_at)
+        report = check_entropy_inequalities(profile)
+        expected = brute_force_inequalities(profile)
+        assert not report.ok
+        for result in report.results:
+            count, first = expected[result.name]
+            detail = f"729 assignments, {count} violations"
+            if count:
+                detail += f"; first violating assignment {first}"
+            assert result.detail == detail
+            assert result.passed == (count == 0)
+
+    def test_raised_single_qudits_break_product_and_pyramid(self):
+        profile = fabricated_profile([(False, (2,)), (False, (3,))], params=(6, 2, 3, 7))
+        assert [list(e.labels) for e in profile.mismatches()] == [["Q2"], ["Q3"]]
+        report = product_state_checks(profile)
+        pair, group = report.results
+        assert not pair.passed and not group.passed
+        # groups run by size, then lexicographically.  K1 = () always holds;
+        # the first violation is K1 = (1,), K2 = (2,): H(Q1 Q2) = 2 vs 1 + 2
+        assert pair.detail.endswith("violations; first: ((1,), (2,), 2, 3)")
+        assert group.detail.endswith("violations; first: ((1, 2), 2, 3)")

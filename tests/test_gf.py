@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qmds import Field, FieldElement, FieldMismatchError, is_prime
+from qmds.gf import MAX_Q
 
 PRIMES_TO_13 = [2, 3, 5, 7, 11, 13]
 
@@ -11,6 +12,18 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(-3, 25):
         assert is_prime(n) == (n in primes)
+
+
+def test_field_rejects_modulus_too_large_for_int64_products():
+    # 4294967311 is prime; its residue products overflow int64, and the
+    # bound is checked before the (slow) trial division
+    for q in (MAX_Q, 4294967311, (1 << 61) - 1):
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            Field(q)
+
+
+def test_field_accepts_largest_prime_below_bound():
+    assert Field(MAX_Q - 1).q == 2**31 - 1
 
 
 def test_field_rejects_non_prime():

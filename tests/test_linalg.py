@@ -1,5 +1,10 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qmds import (
     Field,
@@ -11,6 +16,7 @@ from qmds import (
     rank,
     rref,
 )
+from qmds.linalg import batched_rank
 
 from conftest import brute_force_subspace_dim, make_code, span_vectors
 
@@ -198,3 +204,72 @@ def test_matrix_getitem_returns_field_element():
     element = m[0, 1]
     assert element.value == 2
     assert element.field == GF3
+
+
+BIG_Q = 2**31 - 1
+
+
+@lru_cache(maxsize=None)
+def field_of(q):
+    return Field(q)
+
+
+def test_products_exact_at_largest_q():
+    # residues near 2^31: each product is near 2^62, a plain int64 dot
+    # product of two of them would wrap
+    rng = np.random.default_rng(7)
+    field = field_of(BIG_Q)
+    identity = MatrixGF.identity(3, field)
+    m = MatrixGF(rng.integers(BIG_Q - 1000, BIG_Q, size=(3, 3)), field)
+    assert rank(m) == 3
+    assert invert(m) @ m == identity
+    x = [BIG_Q - 1, BIG_Q - 2, BIG_Q - 3]
+    expected = [sum(a * b for a, b in zip(x, col)) % BIG_Q for col in zip(*m.tolist())]
+    assert mat_vec(x, m).tolist() == expected
+
+
+@st.composite
+def low_rank_stacks(draw):
+    """(q, stack): B matrices m x w, each a product (m x r)(r x w) mod q, so
+    rank <= r with forced dependencies; some columns zeroed like a mask."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, BIG_Q]))
+    count = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(m, w)))
+    entries = st.integers(0, q - 1)
+    left = draw(arrays(np.int64, (count, m, r), elements=entries))
+    right = draw(arrays(np.int64, (count, r, w), elements=entries))
+    keep = draw(arrays(np.int64, (count, 1, w), elements=st.integers(0, 1)))
+    # exact object-integer product: int64 would wrap at BIG_Q
+    stack = np.zeros((count, m, w), dtype=object)
+    for b in range(count):
+        stack[b] = left[b].astype(object) @ right[b].astype(object) % q if r else 0
+    return q, (stack * keep).astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(low_rank_stacks())
+def test_batched_rank_matches_rank(case):
+    q, stack = case
+    expected = [rank(MatrixGF(matrix, field_of(q))) for matrix in stack]
+    assert batched_rank(stack, q).tolist() == expected
+
+
+def test_batched_rank_against_span_enumeration():
+    rng = np.random.default_rng(3)
+    stack = rng.integers(0, 3, size=(40, 3, 4))
+    stack[::3, 2] = (stack[::3, 0] + 2 * stack[::3, 1]) % 3
+    for matrix, r in zip(stack, batched_rank(stack, 3)):
+        size = len(span_vectors(MatrixGF(matrix, GF3)))
+        assert r == brute_force_subspace_dim(size, 3)
+
+
+def test_batched_rank_edge_shapes():
+    assert batched_rank(np.zeros((0, 3, 4), dtype=np.int64), 5).tolist() == []
+    assert batched_rank(np.zeros((2, 0, 4), dtype=np.int64), 5).tolist() == [0, 0]
+    assert batched_rank(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]
+    # entries are reduced mod q first: a multiple of q is zero
+    assert batched_rank([[[5, 10], [0, 1]]], 5).tolist() == [1]
+    with pytest.raises(ValueError, match="stack"):
+        batched_rank(np.zeros((3, 4), dtype=np.int64), 5)

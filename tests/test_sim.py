@@ -311,3 +311,28 @@ class TestFidelity:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             fidelity(basis_state(3, 2, 0), basis_state(3, 3, 0))
+
+
+def test_statevector_oracle_uses_no_rank_code(monkeypatch):
+    # the two oracles must stay independent: entropies from the simulator
+    # may not go through any GF(q) rank routine
+    import qmds.entropy
+    import qmds.linalg
+
+    code = make_code(4, 2, 2, 5)
+    expected = full_profile(code).table
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the state-vector oracle called GF(q) rank code")
+
+    for module, name in (
+        (qmds.linalg, "rank"),
+        (qmds.linalg, "rref"),
+        (qmds.linalg, "batched_rank"),
+        (qmds.entropy, "batched_rank"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    psi = encode_state(code)
+    for mask, h in enumerate(expected):
+        spec = SubsystemSpec(mask >> 4, [i + 1 for i in range(4) if mask >> i & 1])
+        assert von_neumann_entropy(psi, spec) == pytest.approx(h, abs=1e-9)
