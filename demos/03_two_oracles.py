@@ -5,7 +5,7 @@ The rank-identity oracle never leaves integer arithmetic: the entropy of
 a bipartition of a uniform-superposition code state is the dimension of
 the intersection of the two column spans of the generator.  The
 state-vector oracle knows nothing about that identity; it builds the
-dense state, partial-traces, and diagonalizes with a Jacobi sweep.  They
+dense state, partial-traces, and diagonalizes the reduced states.  They
 must agree to float precision on every subsystem.
 """
 

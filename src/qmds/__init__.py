@@ -1,27 +1,18 @@
 """Vandermonde [[n, k, d]]_q quantum MDS codes over prime fields.
 
-Exact subsystem entropies from one table of GF(q) ranks per code (the
-rank identity H(S) = rank(G_S) + rank(G_S^c) - m), a brute-force
-state-vector oracle with partial traces and a Jacobi
-eigensolver, erasure decoding by basis permutations, and verification
-suites for the size-pyramid entropy characterization.
+GF(q) matrices are plain int64 residue arrays with q passed alongside.
+Exact subsystem entropies come from one table of GF(q) ranks per code (the
+rank identity H(S) = rank(G_S) + rank(G_S^c) - m); a brute-force
+state-vector oracle re-derives them with partial traces and numpy's
+Hermitian eigensolver.  Also: erasure decoding by basis permutations, and
+verification suites for the size-pyramid entropy characterization.
 """
 
-from .gf import Field, FieldElement, FieldMismatchError, is_prime
-from .linalg import (
-    MatrixGF,
-    SingularMatrixError,
-    batched_rank,
-    intersection_dim,
-    invert,
-    mat_vec,
-    rank,
-    rref,
-)
+from .gf import is_prime
+from .linalg import SingularMatrixError, batched_rank, invert, rank, rref
 from .code import (
     CodeParams,
     QuantumMdsCode,
-    construct,
     erasure_submatrices,
     from_descriptor,
     smallest_prime_at_least,
@@ -58,21 +49,14 @@ from .reporting import CheckReport, CheckResult
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field",
-    "FieldElement",
-    "FieldMismatchError",
     "is_prime",
-    "MatrixGF",
     "SingularMatrixError",
     "rref",
     "rank",
     "batched_rank",
     "invert",
-    "intersection_dim",
-    "mat_vec",
     "CodeParams",
     "QuantumMdsCode",
-    "construct",
     "erasure_submatrices",
     "validate",
     "to_descriptor",

@@ -42,8 +42,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers; an empty field is an error, not skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{what} must be a comma-separated list of integers: {text!r}")
 
@@ -66,7 +67,7 @@ def _load_code(args) -> QuantumMdsCode:
         raise ValueError("provide either --code PATH or all of --n, --k, --d")
     q = args.q if args.q is not None else smallest_prime_at_least(args.n)
     params = CodeParams(n=args.n, k=args.k, d=args.d, q=q)
-    alphas = _parse_int_list(args.alphas, "--alphas") if args.alphas else None
+    alphas = None if args.alphas is None else _parse_int_list(args.alphas, "--alphas")
     return QuantumMdsCode(params, alphas)
 
 
@@ -75,10 +76,7 @@ def _csv_text(rows) -> str:
 
 
 def cmd_construct(args) -> int:
-    q = args.q if args.q is not None else smallest_prime_at_least(args.n)
-    params = CodeParams(n=args.n, k=args.k, d=args.d, q=q)
-    alphas = _parse_int_list(args.alphas, "--alphas") if args.alphas else None
-    code = QuantumMdsCode(params, alphas)
+    code = _load_code(args)
     _emit(json.dumps(to_descriptor(code), indent=2) + "\n", args.out)
     return 0
 
@@ -139,12 +137,13 @@ def cmd_verify(args) -> int:
         )
         lines.extend(bad)
 
-    for report in (check_decoding_condition(profile),):
-        failed |= not report.ok
-        counts = f"{len(report.results)} checks"
-        lines.append(f"[{'ok' if report.ok else 'FAIL'}] {report.title} ({counts})")
-        for result in report.failures():
-            lines.append("  " + result.line())
+    report = check_decoding_condition(profile)
+    failed |= not report.ok
+    lines.append(
+        f"[{'ok' if report.ok else 'FAIL'}] {report.title} ({len(report.results)} checks)"
+    )
+    for result in report.failures():
+        lines.append("  " + result.line())
 
     if args.inequalities:
         for report in (check_entropy_inequalities(profile), product_state_checks(profile)):
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--q", type=int)
     p_construct.add_argument("--alphas")
     p_construct.add_argument("--out")
-    p_construct.set_defaults(func=cmd_construct)
+    p_construct.set_defaults(func=cmd_construct, code=None)
 
     p_profile = sub.add_parser(
         "profile", help="entropy of every subsystem via the exact rank oracle"

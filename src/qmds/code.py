@@ -19,13 +19,24 @@ message-plus-seed vector (a, b) lands on the basis state |a, (a, b) AB>.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import MAX_Q, Field, check_modulus, is_prime
-from .linalg import MatrixGF, rank
+from .gf import MAX_Q, check_modulus, is_prime
+from .linalg import rank
 from .reporting import CheckReport
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; floats, strings and bools are refused, not coerced."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, not a bool: got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer: got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -74,28 +85,29 @@ class QuantumMdsCode:
 
     Attributes:
         params: the validated CodeParams.
-        field: GF(q).
         alphas: the n distinct evaluation points (ints in [0, q-1]).
         AB: (k+d-1) x n matrix whose row r holds alpha_i ** (k+d-2-r);
-            the bottom row is all ones (0**0 = 1).
+            the bottom row is all ones, since pow gives 0**0 = 1 and an
+            evaluation point of 0 keeps its 1 there.
         A: first k rows of AB.
         B: last d-1 rows of AB.
         G: (k+d-1) x (k+n) joint-state generator [E | AB], E the first k
            standard basis columns (the reference block R).
 
-    Construction is deterministic: identical parameters and evaluation
-    points always produce identical matrices.  Instances are immutable.
+    The matrices are read-only int64 residue arrays over GF(q), q =
+    params.q.  Construction is deterministic: identical parameters and
+    evaluation points always produce identical matrices.  Instances are
+    immutable.
     """
 
     def __init__(self, params: CodeParams, alphas=None):
         self.params = params
-        self.field = Field(params.q)
         n, k, d, q = params.n, params.k, params.d, params.q
 
         if alphas is None:
             alphas = tuple(range(n))
         else:
-            alphas = tuple(int(a) for a in alphas)
+            alphas = tuple(_as_int(a, "evaluation point") for a in alphas)
             if len(alphas) != n:
                 raise ValueError(
                     f"need exactly n={n} evaluation points, got {len(alphas)}"
@@ -113,17 +125,16 @@ class QuantumMdsCode:
             [[pow(a, m - 1 - r, q) for a in alphas] for r in range(m)],
             dtype=np.int64,
         )
-        self.AB = MatrixGF(ab, self.field)
-        self.A = MatrixGF(ab[:k, :], self.field)
-        self.B = MatrixGF(ab[k:, :], self.field)
-
         ref_block = np.zeros((m, k), dtype=np.int64)
         ref_block[:k, :k] = np.eye(k, dtype=np.int64)
-        self.G = MatrixGF(np.hstack((ref_block, ab)), self.field)
+        g = np.hstack((ref_block, ab))
+        for matrix in (ab, g):
+            matrix.flags.writeable = False
+        self.AB, self.A, self.B, self.G = ab, ab[:k], ab[k:], g
 
         # distinct points make AB full rank; guard anyway, the entropy
         # oracle's rank hypothesis rests on it
-        if rank(self.AB) != m:
+        if rank(self.AB, q) != m:
             raise ValueError("generator is rank-deficient; evaluation points invalid")
 
     def __repr__(self) -> str:
@@ -139,11 +150,6 @@ class QuantumMdsCode:
 
     def __hash__(self):
         return hash((self.params, self.alphas))
-
-
-def construct(params: CodeParams, alphas=None) -> QuantumMdsCode:
-    """Build the code for ``params``; default evaluation points are 0..n-1."""
-    return QuantumMdsCode(params, alphas)
 
 
 def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
@@ -162,7 +168,7 @@ def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
     return idx
 
 
-def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[MatrixGF, MatrixGF]:
+def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
     """Column submatrices of AB for a surviving set and its complement.
 
     ``surviving`` is the set of n-(d-1) coded-qudit indices (1-based) that
@@ -172,16 +178,15 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[MatrixGF, Matr
     is itself square Vandermonde; both invertibility facts are asserted
     here because the decoding unitaries depend on them.
     """
+    p = code.params
     idx = _check_surviving(code, surviving)
-    erased = [i for i in range(1, code.params.n + 1) if i not in idx]
-    ab_s = code.AB.column_submatrix([i - 1 for i in idx])
-    ab_e = code.AB.column_submatrix([i - 1 for i in erased])
+    erased = [i for i in range(1, p.n + 1) if i not in idx]
+    ab_s = code.AB[:, [i - 1 for i in idx]]
+    ab_e = code.AB[:, [i - 1 for i in erased]]
 
-    m = code.params.generator_rank
-    if rank(ab_s) != m:
+    if rank(ab_s, p.q) != p.generator_rank:
         raise ValueError(f"surviving-column block {idx} is not invertible")
-    b_e = ab_e.row_submatrix(range(code.params.k, m))
-    if rank(b_e) != code.params.d - 1:
+    if rank(ab_e[p.k :], p.q) != p.d - 1:
         raise ValueError(f"erased-column seed block {erased} is not invertible")
     return ab_s, ab_e
 
@@ -203,10 +208,10 @@ def validate(code: QuantumMdsCode) -> CheckReport:
         len(set(code.alphas)) == p.n,
         f"alphas={list(code.alphas)}",
     )
-    report.add(f"rank(AB) = {m}", rank(code.AB) == m)
-    report.add(f"rank(G) = {m}", rank(code.G) == m)
+    report.add(f"rank(AB) = {m}", rank(code.AB, p.q) == m)
+    report.add(f"rank(G) = {m}", rank(code.G, p.q) == m)
 
-    ref = code.G.array[:, : p.k]
+    ref = code.G[:, : p.k]
     expected_ref = np.zeros((m, p.k), dtype=np.int64)
     expected_ref[: p.k, : p.k] = np.eye(p.k, dtype=np.int64)
     report.add(
@@ -215,16 +220,14 @@ def validate(code: QuantumMdsCode) -> CheckReport:
     )
 
     for cols in itertools.combinations(range(p.n), m):
-        sub = code.AB.column_submatrix(cols)
         report.add(
             f"AB columns {[c + 1 for c in cols]} invertible",
-            rank(sub) == m,
+            rank(code.AB[:, cols], p.q) == m,
         )
     for cols in itertools.combinations(range(p.n), p.d - 1):
-        sub = code.B.column_submatrix(cols)
         report.add(
             f"B columns {[c + 1 for c in cols]} invertible",
-            rank(sub) == p.d - 1,
+            rank(code.B[:, cols], p.q) == p.d - 1,
         )
     return report
 
@@ -232,7 +235,8 @@ def validate(code: QuantumMdsCode) -> CheckReport:
 # JSON code descriptor: {"q":, "n":, "k":, "d":, "alphas": [...]} -- accepted
 # as CLI input and emitted by the construct command.
 
-def to_descriptor(code: QuantumMdsCode) -> dict:
+def to_descriptor(code) -> dict:
+    """Descriptor of anything with ``params`` and ``alphas``: a code or its profile."""
     p = code.params
     return {"q": p.q, "n": p.n, "k": p.k, "d": p.d, "alphas": list(code.alphas)}
 
@@ -245,8 +249,7 @@ def from_descriptor(descriptor: dict) -> QuantumMdsCode:
     if missing:
         raise ValueError(f"code descriptor missing keys: {missing}")
     for key in ("q", "n", "k", "d"):
-        if not isinstance(descriptor[key], int):
-            raise ValueError(f"descriptor field {key!r} must be an integer")
+        _as_int(descriptor[key], f"descriptor field {key!r}")
     params = CodeParams(
         n=descriptor["n"], k=descriptor["k"], d=descriptor["d"], q=descriptor["q"]
     )

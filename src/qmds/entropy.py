@@ -30,14 +30,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .code import CodeParams, QuantumMdsCode
-from .linalg import MatrixGF, batched_rank
+from .code import CodeParams, QuantumMdsCode, to_descriptor
+from .linalg import batched_rank
 from .reporting import CheckReport
 
 # masks per lockstep elimination, and the inequality sweep works in blocks
 # of 3^BLOCK_DIGITS assignments; both bound the memory of one code's work
 CHUNK_MASKS = 256
 BLOCK_DIGITS = 8
+# most masks one rank table may have: 2^(n+1) admits n <= 17 for the
+# R-atomic profile, and the extended profile needs k + n <= 18
+MAX_MASKS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -90,14 +93,23 @@ def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
         raise ValueError(f"subsystem indices out of range 1..{n}: {sorted(bad)}")
 
 
-def _rank_table(G: MatrixGF, parts) -> NDArray[np.int64]:
-    """rank(G_S) for every union S of ``parts``, indexed by bitmask.
+def _rank_table(G: NDArray[np.int64], q: int, parts) -> NDArray[np.int64]:
+    """rank(G_S) over GF(q) for every union S of ``parts``, indexed by bitmask.
 
     ``parts`` lists disjoint column groups covering every column of G;
     part j is bit j.  A mask's excluded columns are zeroed rather than
     sliced out, so every matrix in a chunk has the same shape.
+
+    Raises:
+        ValueError: if there are more than MAX_MASKS masks, before any
+            table is allocated.
     """
-    part_of = np.empty(G.cols, dtype=np.int64)
+    if 1 << len(parts) > MAX_MASKS:
+        raise ValueError(
+            f"the exact oracle would rank 2^{len(parts)} column subsets, beyond "
+            f"the {MAX_MASKS} guard"
+        )
+    part_of = np.empty(G.shape[1], dtype=np.int64)
     for bit, columns in enumerate(parts):
         part_of[list(columns)] = bit
     masks = np.arange(1 << len(parts), dtype=np.int64)
@@ -106,14 +118,14 @@ def _rank_table(G: MatrixGF, parts) -> NDArray[np.int64]:
         chunk = masks[start : start + CHUNK_MASKS]
         keep = (chunk[:, None] >> part_of[None, :]) & 1
         ranks[start : start + chunk.size] = batched_rank(
-            G.array[None, :, :] * keep[:, None, :], G.field.q
+            G[None, :, :] * keep[:, None, :], q
         )
     return ranks
 
 
 def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int64]:
     """H[mask] = r[mask] + r[full ^ mask] - m over unions of ``parts``."""
-    ranks = _rank_table(code.G, parts)
+    ranks = _rank_table(code.G, code.params.q, parts)
     m = code.params.generator_rank
     if ranks[-1] != m:
         raise ValueError("generator must have full row rank")
@@ -143,9 +155,9 @@ def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
     m = code.params.generator_rank
     keep = np.zeros(total, dtype=np.int64)
     keep[positions] = 1
-    g = code.G.array
+    g = code.G
     inside, outside, full = batched_rank(
-        np.stack((g * keep, g * (1 - keep), g)), code.field.q
+        np.stack((g * keep, g * (1 - keep), g)), code.params.q
     )
     if full != m:
         raise ValueError("generator must have full row rank")
@@ -243,14 +255,10 @@ class EntropyProfile:
         return [e for e in self.entries if e.match is False]
 
     def to_dict(self) -> dict:
-        descriptor = {
-            "q": self.params.q,
-            "n": self.params.n,
-            "k": self.params.k,
-            "d": self.params.d,
-            "alphas": list(self.alphas),
+        return {
+            "code": to_descriptor(self),
+            "entries": [e.to_dict() for e in self.entries],
         }
-        return {"code": descriptor, "entries": [e.to_dict() for e in self.entries]}
 
     def csv_rows(self) -> list[tuple[int, int]]:
         """Size-aggregated (size, entropy) pairs for figure reproduction.

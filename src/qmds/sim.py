@@ -2,9 +2,10 @@
 
 Everything the exact rank-identity oracle claims is re-derived here the
 hard way: build the dense joint state, reduce it by partial trace, and
-diagonalize the reduced density matrix to get Von Neumann entropies in
-q-ary units.  The two paths share no machinery beyond the generator
-matrix itself.
+diagonalize the reduced density matrix (read off its diagonal when it is
+already diagonal, else numpy's Hermitian eigensolver) to get Von Neumann
+entropies in q-ary units.  The two entropy paths share no machinery beyond
+the generator matrix itself.
 
 Conventions: a state of r registers with local dimension q is a dense
 complex vector of length q**r; basis index i encodes the register values
@@ -19,8 +20,6 @@ belong to the exact oracle in the entropy module.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .code import QuantumMdsCode, erasure_submatrices, _check_surviving
@@ -33,7 +32,6 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 OFF_NORM_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
-MAX_SWEEPS = 500
 
 
 class StateVector:
@@ -100,10 +98,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         self.entries = mat
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def _guard_size(q: int, registers: int) -> None:
     if q**registers > MAX_AMPLITUDES:
@@ -137,7 +131,7 @@ def encode_state(code: QuantumMdsCode) -> StateVector:
     q, total, m = p.q, p.num_registers, p.generator_rank
     _guard_size(q, total)
     rows = _all_vectors(q, m)
-    images = rows @ code.G.array % q
+    images = rows @ code.G % q
     indices = images @ _radix_powers(q, total)
     amps = np.zeros(q**total, dtype=np.complex128)
     amps[indices] = q ** (-m / 2)
@@ -184,65 +178,26 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> DensityMatrix:
 
 
 def hermitian_eigenvalues(rho) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix via cyclic Jacobi rotations.
+    """All real eigenvalues of a Hermitian matrix.
 
-    Accepts a DensityMatrix or a plain Hermitian ndarray.  Sweeps pivot
-    pairs in a fixed row-major order (deterministic output) and stops when
-    the off-diagonal Frobenius norm drops below 1e-12; a cap of 500 sweeps
-    guards against non-convergence.  Eigenvalues within 1e-10 of 0 or 1
-    are clamped onto the boundary.  Returned sorted in descending order.
+    Accepts a DensityMatrix or a plain Hermitian ndarray.  A matrix whose
+    off-diagonal Frobenius norm is below 1e-12 is read off its diagonal
+    (the smaller side of a valid code's bipartition is maximally mixed, so
+    every state von_neumann_entropy reduces to is diagonal); any other goes
+    to numpy's Hermitian solver.  Eigenvalues within 1e-10 of 0 or 1 are
+    clamped onto the boundary.  Returned sorted in descending order.
     """
-    a = np.array(rho.entries if isinstance(rho, DensityMatrix) else rho,
-                 dtype=np.complex128)
+    a = np.asarray(rho.entries if isinstance(rho, DensityMatrix) else rho,
+                   dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
-    n = a.shape[0]
 
-    def off_norm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(MAX_SWEEPS):
-        if off_norm() < OFF_NORM_TOL:
-            converged = True
-            break
-        for p in range(n - 1):
-            for s in range(p + 1, n):
-                z = a[p, s]
-                r = abs(z)
-                if r == 0.0:
-                    continue
-                alpha = a[p, p].real
-                beta = a[s, s].real
-                tau = (beta - alpha) / (2.0 * r)
-                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sc = (t * c) * (z / r)
-                col_p = a[:, p].copy()
-                col_s = a[:, s].copy()
-                a[:, p] = c * col_p - np.conj(sc) * col_s
-                a[:, s] = sc * col_p + c * col_s
-                row_p = a[p, :].copy()
-                row_s = a[s, :].copy()
-                a[p, :] = c * row_p - sc * row_s
-                a[s, :] = np.conj(sc) * row_p + c * row_s
-                a[p, s] = 0.0
-                a[s, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[s, s] = a[s, s].real
+    if float(np.linalg.norm(a - np.diag(np.diag(a)))) < OFF_NORM_TOL:
+        values = np.real(np.diag(a)).copy()
     else:
-        converged = off_norm() < OFF_NORM_TOL
-    if not converged:
-        raise RuntimeError(
-            f"Jacobi eigensolver did not converge within {MAX_SWEEPS} sweeps"
-        )
-
-    values = np.real(np.diag(a)).copy()
+        values = np.linalg.eigvalsh(a)
     near_zero = (values < 0.0) & (values >= -EIGENVALUE_CLAMP)
     values[near_zero] = 0.0
     near_one = (values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)
@@ -284,10 +239,10 @@ def _block_permutation(code: QuantumMdsCode, surviving: list[int]) -> np.ndarray
     p = code.params
     q, k, m = p.q, p.k, p.generator_rank
     ab_s, ab_e = erasure_submatrices(code, surviving)
-    unscramble = invert(ab_s).array
+    unscramble = invert(ab_s, q)
     ys = _all_vectors(q, m)
     xs = ys @ unscramble % q
-    reencoded = xs @ ab_e.array % q
+    reencoded = xs @ ab_e % q
     targets = np.hstack((xs[:, :k], reencoded))
     return targets @ _radix_powers(q, m)
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -39,19 +37,16 @@ def desk_codes():
     return [make_code(*p) for p in DESK_PARAMS]
 
 
-def span_vectors(matrix) -> set:
-    """Brute-force column span of a MatrixGF as a set of coordinate tuples.
+def span_vectors(matrix, q: int) -> set:
+    """Brute-force column span over GF(q) of a residue array, as a set of tuples.
 
     Enumerates every coefficient vector; only usable for q**cols small.
     Independent of the elimination code under test.
     """
-    q = matrix.field.q
-    cols = matrix.cols
-    span = set()
-    for coeffs in itertools.product(range(q), repeat=cols):
-        vec = matrix.array @ np.array(coeffs, dtype=np.int64) % q
-        span.add(tuple(int(x) for x in vec))
-    return span
+    matrix = np.asarray(matrix, dtype=np.int64)
+    cols = matrix.shape[1]
+    coeffs = np.indices((q,) * cols, dtype=np.int64).reshape(cols, q**cols)
+    return set(map(tuple, (matrix @ coeffs % q).T.tolist()))
 
 
 def brute_force_subspace_dim(size: int, q: int) -> int:

@@ -196,6 +196,69 @@ class TestVerify:
         assert "result: FAIL" in out
 
 
+class TestCoercedInputRejected:
+    """Input that is not exactly an integer (list) exits 2 instead of running."""
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": [0, 1.7, 2]}, "integer"),
+            ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": ["0", "1", "2"]}, "integer"),
+            ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": [False, True, 2]}, "bool"),
+            ({"q": 3, "n": 3, "k": True, "d": 2}, "'k' must be an integer"),
+        ],
+        ids=["float-alpha", "string-alphas", "bool-alphas", "bool-k"],
+    )
+    def test_descriptor_exits_2(self, capsys, tmp_path, descriptor, message):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(descriptor))
+        code_exit, out, err = run_cli(capsys, "verify", "--code", str(path))
+        assert code_exit == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_empty_alphas_field_exits_2(self, capsys, command):
+        code_exit, out, err = run_cli(
+            capsys, command, "--n", "3", "--k", "1", "--d", "2", "--alphas", "0,,1,2"
+        )
+        assert code_exit == 2
+        assert out == ""
+        assert "--alphas" in err
+
+    def test_empty_erasures_field_exits_2(self, capsys):
+        code_exit, out, err = run_cli(
+            capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "5",
+            "--erasures", "2,,4",
+        )
+        assert code_exit == 2
+        assert out == ""
+        assert "--erasures" in err
+
+
+class TestWorkGuard:
+    def test_profile_past_the_mask_guard_exits_2(self, capsys):
+        # 2^19 R-atomic subsystems; refused before the rank table exists
+        code_exit, out, err = run_cli(
+            capsys, "verify", "--n", "18", "--k", "2", "--d", "9", "--q", "19",
+            "--oracle", "lemma",
+        )
+        assert code_exit == 2
+        assert out == ""
+        assert "2^19" in err and "guard" in err
+
+    def test_only_the_extended_table_trips(self, capsys):
+        # 2^12 R-atomic subsystems are fine; splitting R needs 2^20 masks
+        argv = ["profile", "--n", "11", "--k", "9", "--d", "2", "--q", "11"]
+        code_exit, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code_exit == 0
+        assert out.startswith("size,entropy\n0,0\n")
+        code_exit, out, err = run_cli(capsys, *argv, "--extended-R")
+        assert code_exit == 2
+        assert out == ""
+        assert "2^20" in err
+
+
 class TestDecodeTest:
     def test_all_patterns_3_1_2(self, capsys):
         code_exit, out, _ = run_cli(

@@ -7,7 +7,6 @@ import pytest
 from qmds import (
     CodeParams,
     QuantumMdsCode,
-    construct,
     erasure_submatrices,
     from_descriptor,
     rank,
@@ -75,12 +74,19 @@ class TestConstruction:
 
     def test_joint_generator_layout(self):
         code = make_code(4, 2, 2, 5)
-        g = code.G.array
+        g = code.G
         assert g.shape == (3, 6)
         # reference block: first k columns are standard basis vectors
         assert np.array_equal(g[:, :2], [[1, 0], [0, 1], [0, 0]])
-        assert np.array_equal(g[:, 2:], code.AB.array)
-        assert rank(code.G) == 3
+        assert np.array_equal(g[:, 2:], code.AB)
+        assert rank(code.G, 5) == 3
+
+    def test_matrices_are_read_only_int64(self):
+        code = make_code(4, 2, 2, 5)
+        for matrix in (code.AB, code.A, code.B, code.G):
+            assert matrix.dtype == np.int64
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1
 
     def test_all_ones_row_with_zero_point(self):
         # evaluation point 0 must still contribute a 1 in the bottom row
@@ -103,13 +109,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exactly n=3"):
             make_code(3, 1, 2, 3, alphas=[0, 1])
 
+    def test_numpy_integer_alphas_accepted(self):
+        code = make_code(3, 1, 2, 3, alphas=np.arange(3))
+        assert code.alphas == (0, 1, 2)
+        assert all(type(a) is int for a in code.alphas)
+
     def test_construction_deterministic(self):
         params = CodeParams(n=4, k=2, d=2, q=5)
-        first = construct(params)
-        second = construct(first.params, first.alphas)
+        first = QuantumMdsCode(params)
+        second = QuantumMdsCode(first.params, first.alphas)
         assert first == second
-        assert first.AB == second.AB
-        assert first.G == second.G
+        assert np.array_equal(first.AB, second.AB)
+        assert np.array_equal(first.G, second.G)
 
     def test_mds_property_all_small_codes(self):
         # every full-size square column submatrix of AB is invertible
@@ -119,7 +130,7 @@ class TestConstruction:
             code = make_code(n, k, d, q)
             m = code.params.generator_rank
             for cols in itertools.combinations(range(n), m):
-                assert rank(code.AB.column_submatrix(cols)) == m, (n, k, d, q, cols)
+                assert rank(code.AB[:, cols], q) == m, (n, k, d, q, cols)
 
 
 class TestErasureSubmatrices:
@@ -129,7 +140,7 @@ class TestErasureSubmatrices:
         assert surviving_block.tolist() == [[0, 1], [1, 1]]
         # bottom d-1 rows of the erased block form the seed-facing square
         assert erased_block.tolist() == [[2], [1]]
-        assert erased_block.row_submatrix([1]).tolist() == [[1]]
+        assert erased_block[1:].tolist() == [[1]]
 
     def test_wrong_size_rejected(self):
         code = make_code(3, 1, 2, 3)
@@ -150,8 +161,8 @@ class TestErasureSubmatrices:
         code = make_code(4, 2, 2, 5)
         for surviving in itertools.combinations(range(1, 5), 3):
             block, _ = erasure_submatrices(code, surviving)
-            assert block.rows == block.cols == 3
-            assert rank(block) == 3
+            assert block.shape == (3, 3)
+            assert rank(block, 5) == 3
 
 
 class TestValidate:
@@ -174,7 +185,7 @@ class TestValidate:
         # constructor guard, so the validator's own checks are exercised
         good = make_code(3, 1, 2, 3)
         bad = object.__new__(QuantumMdsCode)
-        for attr in ("params", "field", "alphas", "AB", "A", "B", "G"):
+        for attr in ("params", "alphas", "AB", "A", "B", "G"):
             setattr(bad, attr, getattr(good, attr))
         bad.alphas = (0, 1, 1)
         report = validate(bad)
@@ -198,6 +209,9 @@ class TestDescriptor:
     def test_non_integer_field_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             from_descriptor({"q": "3", "n": 3, "k": 1, "d": 2})
+        # bool is an int subclass; True must not stand in for 1
+        with pytest.raises(ValueError, match="'k' must be an integer"):
+            from_descriptor({"q": 3, "n": 3, "k": True, "d": 2})
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="prime"):

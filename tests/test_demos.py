@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qmds
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(Path(qmds.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

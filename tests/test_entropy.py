@@ -1,4 +1,5 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -7,20 +8,23 @@ from hypothesis import strategies as st
 
 from qmds import entropy
 from qmds import (
+    CodeParams,
     SubsystemSpec,
     check_decoding_condition,
     check_entropy_inequalities,
     expected_subsystem_entropy,
     extended_profile,
     full_profile,
+    encode_state,
     product_state_checks,
     register_subset_entropy,
     subsystem_entropy,
+    von_neumann_entropy,
 )
 
 from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, entropy_table
 
-from conftest import DESK_PARAMS, make_code
+from conftest import DESK_PARAMS, brute_force_subspace_dim, make_code, span_vectors
 
 
 class TestSubsystemSpec:
@@ -88,6 +92,35 @@ class TestOracle:
                     assert subsystem_entropy(code, spec) == register_subset_entropy(
                         code, spec.registers(2)
                     )
+
+
+class TestRankIdentityBruteForce:
+    """Every entropy equals log_q |span(G_S) n span(G_{S^c})|, by enumeration.
+
+    The spans are listed vector by vector (conftest.span_vectors), so this
+    checks the rank identity H(S) = rank(G_S) + rank(G_{S^c}) - m without
+    any elimination code.
+    """
+
+    def test_every_register_subset(self):
+        for params in ((3, 1, 2, 3), (4, 2, 2, 5)):
+            code = make_code(*params)
+            n, k, q = code.params.n, code.params.k, code.params.q
+            table = entropy_table(code)
+            all_r = (1 << k) - 1
+            for regmask in range(1 << (k + n)):
+                inside = [r for r in range(k + n) if regmask >> r & 1]
+                outside = [r for r in range(k + n) if not regmask >> r & 1]
+                common = span_vectors(code.G[:, inside], q) & span_vectors(
+                    code.G[:, outside], q
+                )
+                expected = brute_force_subspace_dim(len(common), q)
+                r_bits = regmask & all_r
+                if r_bits in (0, all_r):
+                    index = (r_bits == all_r) << n | regmask >> k
+                    assert table[index] == expected, (params, inside)
+                else:
+                    assert register_subset_entropy(code, inside) == expected, (params, inside)
 
 
 class TestExpectedEntropy:
@@ -425,3 +458,55 @@ class TestNegativeControls:
         # the first violation is K1 = (1,), K2 = (2,): H(Q1 Q2) = 2 vs 1 + 2
         assert pair.detail.endswith("violations; first: ((1,), (2,), 2, 3)")
         assert group.detail.endswith("violations; first: ((1, 2), 2, 3)")
+
+
+def non_mds_control():
+    """[[5,1,3]]_5 built on the points (0, 1, 2, 3, 3): a stand-in code.
+
+    The repeated point repeats a column of AB, so the code is not MDS, but
+    G = [E | AB] still has full row rank and its uniform superposition is a
+    valid state that both oracles must describe.
+    """
+    params = CodeParams(n=5, k=1, d=3, q=5)
+    alphas = (0, 1, 2, 3, 3)
+    ab = np.array([[pow(a, 2 - r, 5) for a in alphas] for r in range(3)], dtype=np.int64)
+    g = np.hstack((np.eye(3, 1, dtype=np.int64), ab))
+    return types.SimpleNamespace(params=params, alphas=alphas, G=g)
+
+
+class TestNonMdsControl:
+    """The checkers must fail on a state that breaks the law, not only pass."""
+
+    def test_pyramid_recovery_and_product_checks_fail(self):
+        profile = full_profile(non_mds_control())
+        assert len(profile.mismatches()) == 10
+        assert ["Q4", "Q5"] in [list(e.labels) for e in profile.mismatches()]
+        decoding = check_decoding_condition(profile)
+        assert not decoding.ok
+        assert len(decoding.failures()) == 6
+        assert not product_state_checks(profile).ok
+
+    def test_inequalities_still_hold(self):
+        # they hold for every quantum state, MDS or not
+        report = check_entropy_inequalities(full_profile(non_mds_control()))
+        assert report.ok
+        assert [r.passed for r in report.results] == [True] * 4
+
+    def test_oracles_agree_off_the_diagonal(self, monkeypatch):
+        code = non_mds_control()
+        profile = full_profile(code)
+        general = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            general.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        psi = encode_state(code)
+        delta = max(
+            abs(von_neumann_entropy(psi, e.spec) - e.entropy) for e in profile.entries
+        )
+        assert delta < 1e-12
+        # four reduced states are not diagonal and take the general solver
+        assert len(general) == 4

@@ -164,6 +164,17 @@ class TestJacobiEigenvalues:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_diagonal_states_skip_the_general_solver(self, monkeypatch):
+        # a valid code's half-size reduced state is maximally mixed, so its
+        # spectrum is read off the diagonal without a full eigensolve
+        def forbidden(a):
+            raise AssertionError("diagonal input reached the general solver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        psi = encode_state(make_code(4, 2, 2, 5))
+        rho = partial_trace(psi, SubsystemSpec(True, [2]))
+        assert np.allclose(hermitian_eigenvalues(rho), 1 / 125, atol=1e-12)
+
     def test_clamps_boundary_values(self):
         eps = 5e-11
         values = hermitian_eigenvalues(np.diag([1.0 + eps, -eps, 0.5]))
