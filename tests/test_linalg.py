@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from qmds import SingularMatrixError, invert, rank, rref
 from qmds.linalg import batched_rank
 
-from conftest import brute_force_subspace_dim, span_vectors
+from conftest import brute_force_subspace_dim, make_code, span_vectors
 
 
 def test_rref_identity_fixed_point():
@@ -60,6 +60,30 @@ def test_rank_against_row_space_enumeration():
         for _ in range(10):
             m = rng.integers(0, q, size=(3, 4))
             assert q ** rank(m, q) == len(span_vectors(m.T, q))
+
+
+def intersection_dim(u, v, q):
+    """dim(span u n span v) by the rank identity rank u + rank v - rank [u|v]."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    return rank(u, q) + rank(v, q) - rank(np.hstack([u, v]), q)
+
+
+def test_intersection_dim_code_column_example():
+    # columns of the [[3,1,2]]_3 joint generator: Q1 against {R, Q2, Q3};
+    # ranks are 1, 2 and the stack has rank 2, so the intersection is 1
+    code = make_code(3, 1, 2, 3)
+    assert intersection_dim(code.G[:, [1]], code.G[:, [0, 2, 3]], 3) == 1
+
+
+def test_intersection_dim_against_brute_force_enumeration():
+    rng = np.random.default_rng(23)
+    for q in (2, 3, 5):
+        for _ in range(12):
+            m = int(rng.integers(1, 5))
+            u = rng.integers(0, q, size=(m, int(rng.integers(0, 4))))
+            v = rng.integers(0, q, size=(m, int(rng.integers(0, 4))))
+            common = span_vectors(u, q) & span_vectors(v, q)
+            assert intersection_dim(u, v, q) == brute_force_subspace_dim(len(common), q)
 
 
 def test_matrix_entries_reduced_and_immutable():
