@@ -21,7 +21,6 @@ from .code import (
 )
 from .entropy import (
     EntropyProfile,
-    ProfileEntry,
     SubsystemSpec,
     check_decoding_condition,
     check_entropy_inequalities,
@@ -64,7 +63,6 @@ __all__ = [
     "smallest_prime_at_least",
     "SubsystemSpec",
     "EntropyProfile",
-    "ProfileEntry",
     "subsystem_entropy",
     "register_subset_entropy",
     "expected_subsystem_entropy",

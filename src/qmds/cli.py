@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: construct, profile, verify, decode-test, figure.
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input or out of memory.
 All output is deterministic for identical inputs.
 """
 
@@ -20,6 +20,7 @@ from .code import (
     to_descriptor,
 )
 from .entropy import (
+    SubsystemSpec,
     check_decoding_condition,
     check_entropy_inequalities,
     expected_subsystem_entropy,
@@ -98,18 +99,19 @@ def cmd_verify(args) -> int:
     failed = False
 
     profile = full_profile(code)
+    expected = profile.expected()
     if args.oracle in ("lemma", "both"):
         mismatches = profile.mismatches()
         ok = not mismatches
         failed |= not ok
         lines.append(
             f"[{'ok' if ok else 'FAIL'}] rank-identity profile matches "
-            f"min(size, {p.num_registers} - size) on {len(profile.entries)} subsystems"
+            f"min(size, {p.num_registers} - size) on {profile.table.size} subsystems"
         )
-        for entry in mismatches:
+        for mask in mismatches:
             lines.append(
-                f"  mismatch {list(entry.labels)}: entropy {entry.entropy}, "
-                f"expected {entry.expected}"
+                f"  mismatch {list(profile.labels(mask))}: entropy "
+                f"{profile.table[mask]}, expected {expected[mask]}"
             )
 
     if args.oracle in ("statevec", "both"):
@@ -117,22 +119,23 @@ def cmd_verify(args) -> int:
         # alone, the state vector is compared against the pyramid formula
         psi = sim.encode_state(code)
         against = "rank oracle" if args.oracle == "both" else "expected"
+        references = profile.table if args.oracle == "both" else expected
         max_delta = 0.0
         bad: list[str] = []
-        for entry in profile.entries:
-            value = sim.von_neumann_entropy(psi, entry.spec)
-            reference = entry.entropy if args.oracle == "both" else entry.expected
+        for mask, reference in enumerate(references.tolist()):
+            spec = SubsystemSpec.from_key(*divmod(mask, 1 << p.n))
+            value = sim.von_neumann_entropy(psi, spec)
             delta = abs(value - reference)
             max_delta = max(max_delta, delta)
             if delta > ORACLE_TOL:
                 bad.append(
-                    f"  {list(entry.labels)}: statevec {value!r} vs {against} {reference}"
+                    f"  {list(spec.labels())}: statevec {value!r} vs {against} {reference}"
                 )
         ok = not bad
         failed |= not ok
         lines.append(
             f"[{'ok' if ok else 'FAIL'}] state-vector entropies within {ORACLE_TOL} "
-            f"of the {against} on {len(profile.entries)} subsystems "
+            f"of the {against} on {profile.table.size} subsystems "
             f"(max oracle delta {max_delta:.3e})"
         )
         lines.extend(bad)
@@ -286,6 +289,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

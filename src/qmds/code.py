@@ -155,7 +155,7 @@ class QuantumMdsCode:
 def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
     """Validate a surviving set of 1-based coded-qudit indices."""
     n, d = code.params.n, code.params.d
-    idx = sorted(int(i) for i in surviving)
+    idx = sorted(_as_int(i, "surviving index") for i in surviving)
     if len(set(idx)) != len(idx):
         raise ValueError(f"surviving set has duplicate indices: {idx}")
     if any(not 1 <= i <= n for i in idx):

@@ -17,9 +17,10 @@ the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
 ``SubsystemSpec.sort_key`` order.  The ranks come from one lockstep GF(q)
 elimination (``linalg.batched_rank``) over chunks of the column-masked
 generator; the table's last rank is rank(G) and must equal m.  The profile
-and the check suites (size pyramid H(S) = min(|S|, (k + n) - |S|),
-decoding / no-leakage conditions, product-state identities and the
-standard quantum entropy inequalities) all index that table.
+is that table; sizes, expected values and JSON rows are derived from its
+masks on demand.  The check suites (size pyramid H(S) = min(|S|, (k + n) -
+|S|), decoding / no-leakage conditions, product-state identities and the
+standard quantum entropy inequalities) all index it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .code import CodeParams, QuantumMdsCode, to_descriptor
+from .code import CodeParams, QuantumMdsCode, _as_int, to_descriptor
 from .linalg import batched_rank
 from .reporting import CheckReport
 
@@ -56,7 +57,7 @@ class SubsystemSpec:
 
     def __init__(self, include_R: bool, q_indices=()):
         object.__setattr__(self, "include_R", bool(include_R))
-        idx = frozenset(map(int, q_indices))
+        idx = frozenset(_as_int(i, "coded-qudit index") for i in q_indices)
         if idx and min(idx) < 1:
             raise ValueError(f"coded-qudit indices are 1-based: got {sorted(idx)}")
         object.__setattr__(self, "q_indices", idx)
@@ -78,12 +79,26 @@ class SubsystemSpec:
         )
 
     def labels(self) -> tuple[str, ...]:
-        names = ("R",) if self.include_R else ()
-        return names + tuple(f"Q{i}" for i in sorted(self.q_indices))
+        return _key_labels(*self.sort_key())
 
     def sort_key(self) -> tuple[int, int]:
         """Canonical subset encoding: (R flag, bitmask with Q1 = bit 0)."""
         return (int(self.include_R), sum(1 << (i - 1) for i in self.q_indices))
+
+    @classmethod
+    def from_key(cls, include_R: int, qmask: int) -> "SubsystemSpec":
+        """The subsystem whose ``sort_key`` is (include_R, qmask)."""
+        return cls(include_R, _mask_indices(qmask))
+
+
+def _mask_indices(qmask: int) -> list[int]:
+    """1-based coded-qudit indices of the set bits of a Q-bitmask."""
+    return [i + 1 for i in range(qmask.bit_length()) if qmask >> i & 1]
+
+
+def _key_labels(include_R: int, qmask: int) -> tuple[str, ...]:
+    """Labels of the subsystem with sort key (include_R, qmask)."""
+    return ("R",) * include_R + tuple(f"Q{i}" for i in _mask_indices(qmask))
 
 
 def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
@@ -147,7 +162,7 @@ def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
     reference block, for which no closed-form expectation is asserted.
     """
     total = code.params.num_registers
-    positions = sorted(int(r) for r in registers)
+    positions = sorted(_as_int(r, "register position") for r in registers)
     if len(set(positions)) != len(positions):
         raise ValueError(f"duplicate register positions: {positions}")
     if any(not 0 <= r < total for r in positions):
@@ -182,66 +197,48 @@ def expected_subsystem_entropy(sub_size: int, k: int, d: int) -> int:
     return min(sub_size, total - sub_size)
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    """One profile row; ``spec`` is None for partial-R (extended) rows."""
-
-    spec: SubsystemSpec | None
-    labels: tuple[str, ...]
-    size: int
-    entropy: int
-    expected: int | None
-    match: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "subsystem": list(self.labels),
-            "size": self.size,
-            "entropy": self.entropy,
-            "expected": self.expected,
-            "match": self.match,
-        }
+# keys of one JSON profile row, in output order
+_ROW_KEYS = ("subsystem", "size", "entropy", "expected", "match")
 
 
 @dataclass
 class EntropyProfile:
-    """All subsystem entropies of one code, with expectations attached.
+    """All subsystem entropies of one code, as tables indexed by bitmask.
 
-    ``table`` holds the entropy of every R-atomic subsystem, indexed
-    R * 2^n + Q-bitmask; ``entropy_of`` and the check suites read it.
+    ``table`` holds every R-atomic subsystem, indexed R * 2^n + Q-bitmask.
+    ``register_table``, set only in the split-R profile, holds every
+    register subset (register r = bit r: R1..Rk, then Q1..Qn).
     """
 
     params: CodeParams
     alphas: tuple[int, ...]
-    entries: list[ProfileEntry]
     table: NDArray[np.int64] = field(repr=False, compare=False)
+    register_table: NDArray[np.int64] | None = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def from_table(cls, params: CodeParams, alphas, table) -> "EntropyProfile":
-        """The R-atomic profile whose entries are read off ``table``."""
-        n, k, d = params.n, params.k, params.d
-        table = np.asarray(table, dtype=np.int64)
-        if table.shape != (1 << (n + 1),):
-            raise ValueError(f"entropy table must have 2^(n+1) = {1 << (n + 1)} entries")
-        q_parts = [
-            tuple(i + 1 for i in range(n) if qmask >> i & 1) for qmask in range(1 << n)
-        ]
-        q_labels = [tuple(f"Q{i}" for i in part) for part in q_parts]
-        entries = []
-        for mask, h in enumerate(table.tolist()):
-            include_r, qmask = mask >> n, mask & ((1 << n) - 1)
-            spec = SubsystemSpec(include_r, q_parts[qmask])
-            size = k * include_r + len(q_parts[qmask])
-            expected = expected_subsystem_entropy(size, k, d)
-            labels = ("R",) * include_r + q_labels[qmask]
-            entries.append(ProfileEntry(spec, labels, size, h, expected, h == expected))
-        return cls(params, tuple(alphas), entries, table)
+    def __post_init__(self):
+        if self.table.shape != (1 << (self.params.n + 1),):
+            raise ValueError(f"entropy table must have 2^(n+1) = {2 << self.params.n} entries")
+
+    def sizes(self) -> NDArray[np.int64]:
+        """Qudit count per table index: k * R + popcount(Q-bitmask)."""
+        n, masks = self.params.n, np.arange(self.table.size)
+        return self.params.k * (masks >> n) + sum(masks >> bit & 1 for bit in range(n))
+
+    def expected(self) -> NDArray[np.int64]:
+        """The size pyramid min(size, (k + n) - size) per table index."""
+        sizes = self.sizes()
+        return np.minimum(sizes, self.params.num_registers - sizes)
+
+    def labels(self, mask: int) -> tuple[str, ...]:
+        """Labels of the R-atomic subsystem at a table index."""
+        return _key_labels(*divmod(int(mask), 1 << self.params.n))
 
     def entropy_of(self, include_R: bool, q_indices) -> int:
         """Entropy of an R-atomic subsystem (1-based coded-qudit indices)."""
         n = self.params.n
         mask = bool(include_R) << n
         for i in q_indices:
+            i = _as_int(i, "coded-qudit index")
             if not 1 <= i <= n:
                 raise KeyError(f"coded-qudit index out of range 1..{n}: {i}")
             mask |= 1 << (i - 1)
@@ -249,65 +246,56 @@ class EntropyProfile:
 
     @property
     def all_match(self) -> bool:
-        return all(e.match for e in self.entries if e.match is not None)
+        return not self.mismatches()
 
-    def mismatches(self) -> list[ProfileEntry]:
-        return [e for e in self.entries if e.match is False]
+    def mismatches(self) -> list[int]:
+        """Table indices whose entropy is not the size pyramid's value."""
+        return np.flatnonzero(self.table != self.expected()).tolist()
 
     def to_dict(self) -> dict:
-        return {
-            "code": to_descriptor(self),
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        """The code descriptor and one row per subsystem, R-atomic rows first;
+        rows that split R carry no expected value (expected and match null)."""
+        columns = zip(self.sizes().tolist(), self.table.tolist(), self.expected().tolist())
+        rows = [
+            dict(zip(_ROW_KEYS, (list(self.labels(mask)), size, h, e, h == e)))
+            for mask, (size, h, e) in enumerate(columns)
+        ]
+        if self.register_table is not None:
+            k, n = self.params.k, self.params.n
+            for r_part, q_part in itertools.product(_groups(k, k - 1)[1:], _groups(n, n)):
+                labels = [f"R{r}" for r in r_part] + [f"Q{i}" for i in q_part]
+                h = int(self.register_table[_group_mask(r_part) | _group_mask(q_part) << k])
+                rows.append(dict(zip(_ROW_KEYS, (labels, len(labels), h, None, None))))
+        return {"code": to_descriptor(self), "entries": rows}
 
     def csv_rows(self) -> list[tuple[int, int]]:
         """Size-aggregated (size, entropy) pairs for figure reproduction.
 
-        R-atomic entries only; a valid code yields one row per size.
+        R-atomic subsystems only; a valid code yields one row per size.
         """
-        pairs = {
-            (e.size, e.entropy) for e in self.entries if e.spec is not None
-        }
-        return sorted(pairs)
+        return sorted(set(zip(self.sizes().tolist(), self.table.tolist())))
 
 
 def full_profile(code: QuantumMdsCode) -> EntropyProfile:
-    """Entropies of all 2 * 2^n subsystems (R in or out, every Q subset).
-
-    Entries follow the table's (R flag, Q bitmask) order, so output is
-    deterministic.
-    """
-    return EntropyProfile.from_table(code.params, code.alphas, entropy_table(code))
+    """Entropies of all 2 * 2^n subsystems (R in or out, every Q subset)."""
+    return EntropyProfile(code.params, code.alphas, entropy_table(code))
 
 
 def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
-    """full_profile plus rows for subsets that split the reference block.
+    """full_profile plus the subsets that split the reference block (k > 1).
 
-    Partial-R rows are labeled R1..Rk per reference qudit and carry no
-    expected value (expected and match are null): the size-pyramid formula
-    treats R as atomic, so nothing is asserted for its proper subsets.
-    Their entropies come from a second table with every register its own
-    part (register r = bit r).
+    Ranks one table over all 2^(k+n) register subsets and reads the
+    R-atomic table off it: index R * 2^n + qmask is register mask
+    (R ? 2^k - 1 : 0) | qmask << k.  Nothing is asserted for proper
+    subsets of R; the size-pyramid formula treats R as atomic.
     """
-    profile = full_profile(code)
     k, n = code.params.k, code.params.n
     if k == 1:
-        return profile
-    table = _entropy_table(code, [[r] for r in range(k + n)])
-    extra: list[ProfileEntry] = []
-    for r_size in range(1, k):
-        for r_part in itertools.combinations(range(k), r_size):
-            for q_size in range(n + 1):
-                for q_part in itertools.combinations(range(1, n + 1), q_size):
-                    registers = list(r_part) + [k + i - 1 for i in q_part]
-                    h = int(table[sum(1 << r for r in registers)])
-                    labels = tuple(f"R{r + 1}" for r in r_part) + tuple(
-                        f"Q{i}" for i in q_part
-                    )
-                    extra.append(
-                        ProfileEntry(None, labels, len(registers), h, None, None)
-                    )
-    return EntropyProfile(code.params, code.alphas, profile.entries + extra, profile.table)
+        return full_profile(code)
+    registers = _entropy_table(code, [[r] for r in range(k + n)])
+    masks = np.arange(1 << (n + 1))
+    atomic = (masks >> n) * ((1 << k) - 1) | (masks & ((1 << n) - 1)) << k
+    return EntropyProfile(code.params, code.alphas, registers[atomic], registers)
 
 
 def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
@@ -404,8 +392,9 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     return report
 
 
-def _q_groups(n: int, max_size: int) -> list[tuple[int, ...]]:
-    """Coded-qudit groups of size <= max_size, by size then lexicographically."""
+def _groups(n: int, max_size: int) -> list[tuple[int, ...]]:
+    """Groups of 1-based indices 1..n of size <= max_size, by size then
+    lexicographically."""
     return [
         group
         for size in range(max_size + 1)
@@ -413,7 +402,7 @@ def _q_groups(n: int, max_size: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _q_mask(group) -> int:
+def _group_mask(group) -> int:
     return sum(1 << (i - 1) for i in group)
 
 
@@ -432,10 +421,10 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     table = profile.table
     report = CheckReport(f"product-state identities for [[{n},{k},{d}]]_{p.q}")
 
-    firsts = _q_groups(n, k)
-    first_masks = np.array([_q_mask(g) for g in firsts], dtype=np.int64)
-    seconds = _q_groups(n, d - 1)
-    second_masks = np.array([_q_mask(g) for g in seconds], dtype=np.int64)
+    firsts = _groups(n, k)
+    first_masks = np.array([_group_mask(g) for g in firsts], dtype=np.int64)
+    seconds = _groups(n, d - 1)
+    second_masks = np.array([_group_mask(g) for g in seconds], dtype=np.int64)
 
     pair_count = 0
     pair_violations = 0

@@ -61,10 +61,13 @@ def test_criterion_2_exact_profile_matches_formula_exhaustively(capsys):
     start = time.perf_counter()
     expected_counts = {(3, 1, 2, 3): 16, (4, 2, 2, 5): 32, (5, 1, 3, 5): 64}
     for params in REFERENCE_PARAMS:
+        n, k = params[0], params[1]
         profile = full_profile(make_code(*params))
-        assert len(profile.entries) == expected_counts[params]
-        for entry in profile.entries:
-            assert entry.entropy == entry.expected, (params, entry.labels)
+        assert profile.table.size == expected_counts[params]
+        # table index R * 2^n + Q-bitmask: R counts k qudits, each Q bit one
+        for mask, entropy in enumerate(profile.table.tolist()):
+            size = k * (mask >> n) + bin(mask % 2**n).count("1")
+            assert entropy == min(size, k + n - size), (params, mask)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     with capsys.disabled():

@@ -172,20 +172,14 @@ class TestVerify:
         assert "rank-identity" in err
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        # corrupt one profile entry to drive the (otherwise unreachable
-        # for valid codes) failure reporting path
+        # corrupt one table entry to drive the (otherwise unreachable for
+        # valid codes) failure reporting path
         import qmds.cli as cli_module
-        from qmds.entropy import ProfileEntry
         from qmds.entropy import full_profile as real_full_profile
 
         def corrupted(code):
             profile = real_full_profile(code)
-            profile.entries = [
-                ProfileEntry(e.spec, e.labels, e.size, e.entropy, e.expected, False)
-                if e.labels == ("Q1",)
-                else e
-                for e in profile.entries
-            ]
+            profile.table[0b0001] += 1  # Q1
             return profile
 
         monkeypatch.setattr(cli_module, "full_profile", corrupted)
@@ -193,7 +187,22 @@ class TestVerify:
             capsys, "verify", "--n", "3", "--k", "1", "--d", "2", "--oracle", "lemma"
         )
         assert code_exit == 1
+        assert "  mismatch ['Q1']: entropy 2, expected 1\n" in out
         assert "result: FAIL" in out
+
+    def test_lemma_verify_builds_no_subsystem_spec(self, capsys, monkeypatch):
+        from qmds.entropy import SubsystemSpec
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("SubsystemSpec built on the exact-oracle path")
+
+        monkeypatch.setattr(SubsystemSpec, "__init__", refuse)
+        code_exit, out, _ = run_cli(
+            capsys, "verify", "--n", "5", "--k", "1", "--d", "3", "--q", "5",
+            "--oracle", "lemma", "--inequalities",
+        )
+        assert code_exit == 0
+        assert out.endswith("result: PASS\n")
 
 
 class TestCoercedInputRejected:
@@ -335,6 +344,45 @@ class TestExitCodeContract:
     def test_missing_file_exits_2(self, capsys):
         code_exit, _, _ = run_cli(capsys, "profile", "--code", "/nonexistent.json")
         assert code_exit == 2
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        import qmds.cli as cli_module
+
+        def exhausted(code):
+            raise MemoryError("cannot allocate the rank table")
+
+        monkeypatch.setattr(cli_module, "full_profile", exhausted)
+        code_exit, out, err = run_cli(capsys, "profile", "--n", "3", "--k", "1", "--d", "2")
+        assert code_exit == 2
+        assert out == ""
+        assert err == "error: out of memory: cannot allocate the rank table\n"
+
+
+GOLDEN = Path(__file__).resolve().parent / "data"
+CODE_ARGS = {
+    "4_2_2_5": ["--n", "4", "--k", "2", "--d", "2", "--q", "5"],
+    "5_1_3_5": ["--n", "5", "--k", "1", "--d", "3", "--q", "5"],
+}
+GOLDEN_RUNS = {
+    f"profile_{code}{suffix}": ["profile", *args, *extra]
+    for code, args in CODE_ARGS.items()
+    for suffix, extra in (
+        (".json", []),
+        (".csv", ["--format", "csv"]),
+        ("_extended_R.json", ["--extended-R"]),
+    )
+}
+GOLDEN_RUNS["verify_4_2_2_5_both_inequalities.txt"] = [
+    "verify", *CODE_ARGS["4_2_2_5"], "--oracle", "both", "--inequalities"
+]
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_output_matches_golden_file(capsys, golden):
+    # stdout pinned byte for byte to the captures in tests/data/
+    code_exit, out, err = run_cli(capsys, *GOLDEN_RUNS[golden])
+    assert (code_exit, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -15,6 +15,7 @@ from qmds import (
     expected_subsystem_entropy,
     extended_profile,
     full_profile,
+    decode,
     encode_state,
     product_state_checks,
     register_subset_entropy,
@@ -141,28 +142,36 @@ class TestExpectedEntropy:
 class TestProfiles:
     def test_profile_3_1_2(self):
         profile = full_profile(make_code(3, 1, 2, 3))
-        assert len(profile.entries) == 16
+        assert profile.table.size == 16
         assert profile.all_match
         assert profile.csv_rows() == [(0, 0), (1, 1), (2, 2), (3, 1), (4, 0)]
 
     def test_profile_4_2_2(self):
         profile = full_profile(make_code(4, 2, 2, 5))
-        assert len(profile.entries) == 32
+        assert profile.table.size == 32
         assert profile.all_match
-        for entry in profile.entries:
-            assert entry.entropy == min(entry.size, 6 - entry.size)
+        sizes = [2 * (mask >> 4) + bin(mask % 16).count("1") for mask in range(32)]
+        assert profile.sizes().tolist() == sizes
+        assert profile.table.tolist() == [min(size, 6 - size) for size in sizes]
 
     def test_profile_5_1_3(self):
         profile = full_profile(make_code(5, 1, 3, 5))
-        assert len(profile.entries) == 64
+        assert profile.table.size == 64
         assert profile.all_match
 
     def test_entries_sorted_canonically(self):
+        # JSON rows follow the table: row i is the subsystem at index i
         profile = full_profile(make_code(3, 1, 2, 3))
-        keys = [e.spec.sort_key() for e in profile.entries]
-        assert keys == sorted(keys)
-        assert profile.entries[0].labels == ()
-        assert profile.entries[-1].labels == ("R", "Q1", "Q2", "Q3")
+        rows = profile.to_dict()["entries"]
+        specs = [
+            SubsystemSpec("R" in row["subsystem"],
+                          [int(lbl[1:]) for lbl in row["subsystem"] if lbl != "R"])
+            for row in rows
+        ]
+        assert [spec.sort_key() for spec in specs] == [divmod(i, 8) for i in range(16)]
+        assert [row["entropy"] for row in rows] == profile.table.tolist()
+        assert rows[0]["subsystem"] == []
+        assert rows[-1]["subsystem"] == ["R", "Q1", "Q2", "Q3"]
 
     def test_profile_json_shape(self):
         profile = full_profile(make_code(3, 1, 2, 3))
@@ -175,23 +184,40 @@ class TestProfiles:
 
     def test_extended_profile_adds_partial_reference_rows(self):
         code = make_code(4, 2, 2, 5)
-        extended = extended_profile(code)
-        base = full_profile(code)
-        extra = [e for e in extended.entries if e.spec is None]
+        rows = extended_profile(code).to_dict()["entries"]
+        base = full_profile(code).to_dict()["entries"]
+        assert rows[: len(base)] == base
+        extra = rows[len(base) :]
         # one R qudit of two, with every subset of the 4 coded qudits
-        assert len(extended.entries) == len(base.entries) + len(extra)
         assert len(extra) == 2 * 16
-        for entry in extra:
-            assert entry.expected is None and entry.match is None
-            assert entry.labels[0] in ("R1", "R2")
+        for row in extra:
+            assert row["expected"] is None and row["match"] is None
+            assert row["subsystem"][0] in ("R1", "R2")
             # reported value must be the register oracle's, nothing else asserted
-            registers = [int(lbl[1:]) - 1 if lbl[0] == "R" else 2 + int(lbl[1:]) - 1
-                         for lbl in entry.labels]
-            assert entry.entropy == register_subset_entropy(code, registers)
+            registers = registers_of(row["subsystem"], 2)
+            assert row["entropy"] == register_subset_entropy(code, registers)
 
     def test_extended_profile_trivial_for_k1(self):
         code = make_code(3, 1, 2, 3)
-        assert len(extended_profile(code).entries) == len(full_profile(code).entries)
+        extended = extended_profile(code)
+        assert extended.register_table is None
+        assert extended.to_dict() == full_profile(code).to_dict()
+
+    def test_extended_profile_ranks_one_table(self, monkeypatch):
+        code = make_code(5, 3, 2, 7)
+        atomic = entropy_table(code)
+        calls = []
+        rank_table = entropy._rank_table
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return rank_table(*args)
+
+        monkeypatch.setattr(entropy, "_rank_table", counting)
+        profile = extended_profile(code)
+        # one table over the 8 single registers; the R-atomic one is read off it
+        assert calls == [8]
+        assert profile.table.tolist() == atomic.tolist()
 
 
 class TestCharacterization:
@@ -292,10 +318,20 @@ class TestChecks:
             assert product_state_checks(full_profile(code)).ok
 
 
-def registers_of(entry, k):
-    if entry.spec is not None:
-        return entry.spec.registers(k)
-    return [int(lbl[1:]) - 1 if lbl[0] == "R" else k + int(lbl[1:]) - 1 for lbl in entry.labels]
+def registers_of(labels, k):
+    """0-based register positions of a profile row's labels (R, R1..Rk, Q1..Qn)."""
+    positions = []
+    for lbl in labels:
+        if lbl == "R":
+            positions += range(k)
+        else:
+            positions.append(int(lbl[1:]) - 1 + (k if lbl[0] == "Q" else 0))
+    return positions
+
+
+def spec_at(mask, n):
+    """The R-atomic subsystem at a table index."""
+    return SubsystemSpec.from_key(*divmod(mask, 2**n))
 
 
 class TestTable:
@@ -306,20 +342,22 @@ class TestTable:
         alphas = data.draw(st.permutations(range(q)))[:n]
         code = make_code(n, k, d, q, alphas)
         profile = extended_profile(code)
+        rows = profile.to_dict()["entries"]
         # R in or out, plus every proper nonempty part of R
-        assert len(profile.entries) == 2 ** (n + 1) + (2**k - 2) * 2**n
-        for entry in profile.entries:
-            assert entry.entropy == register_subset_entropy(code, registers_of(entry, k))
-        atomic = [e for e in profile.entries if e.spec is not None]
-        assert atomic == full_profile(code).entries
+        assert len(rows) == 2 ** (n + 1) + (2**k - 2) * 2**n
+        for row in rows:
+            registers = registers_of(row["subsystem"], k)
+            assert row["entropy"] == register_subset_entropy(code, registers)
+        assert profile.table.tolist() == full_profile(code).table.tolist()
 
     def test_table_is_indexed_by_sort_key(self):
         code = make_code(5, 1, 3, 5)
         table = entropy_table(code)
         n = code.params.n
-        for entry in full_profile(code).entries:
-            include_r, qmask = entry.spec.sort_key()
-            assert table[include_r * 2**n + qmask] == entry.entropy
+        for mask in range(2 ** (n + 1)):
+            spec = spec_at(mask, n)
+            assert spec.sort_key() == divmod(mask, 2**n)
+            assert table[mask] == subsystem_entropy(code, spec)
 
     def test_chunk_size_does_not_change_table(self, monkeypatch):
         code = make_code(6, 2, 3, 7, alphas=[6, 0, 3, 1, 5, 2])
@@ -335,17 +373,20 @@ class TestTable:
         with pytest.raises(KeyError):
             profile.entropy_of(False, (0,))
 
-    def test_from_table_checks_length(self):
+    def test_profile_checks_table_length(self):
         code = make_code(3, 1, 2, 3)
         with pytest.raises(ValueError, match="2\\^\\(n\\+1\\)"):
-            EntropyProfile.from_table(code.params, code.alphas, np.zeros(8, dtype=np.int64))
+            EntropyProfile(code.params, code.alphas, np.zeros(8, dtype=np.int64))
 
 
 def brute_force_inequalities(profile):
     """Violation count and first violating assignment per family, by a
-    plain loop over itertools.product and a dict of the profile entries."""
+    plain loop over itertools.product and a dict of the profile table."""
     n = profile.params.n
-    h = {(e.spec.include_R, e.spec.q_indices): e.entropy for e in profile.entries}
+    h = {}
+    for mask, entropy in enumerate(profile.table.tolist()):
+        spec = spec_at(mask, n)
+        h[(spec.include_R, spec.q_indices)] = entropy
 
     def H(*groups):
         return h[(any(g[0] for g in groups), frozenset().union(*(g[1] for g in groups)))]
@@ -376,15 +417,15 @@ def fabricated_profile(raise_at, params=(5, 1, 3, 5)):
     table = profile.table.copy()
     for include_r, qs in raise_at:
         table[(include_r << n) + sum(1 << (i - 1) for i in qs)] += 1
-    return EntropyProfile.from_table(profile.params, profile.alphas, table)
+    return EntropyProfile(profile.params, profile.alphas, table)
 
 
 def brute_force_product_details(profile):
     """Detail lines of the two product-state checks, by the plain loops over
-    itertools.combinations and a dict of the profile entries."""
+    itertools.combinations and a dict of the profile table."""
     p = profile.params
     n, k, d = p.n, p.k, p.d
-    h = {e.spec.q_indices: e.entropy for e in profile.entries if not e.spec.include_R}
+    h = {spec_at(qmask, n).q_indices: int(profile.table[qmask]) for qmask in range(2**n)}
 
     def H(group):
         return h[frozenset(group)]
@@ -450,7 +491,7 @@ class TestNegativeControls:
 
     def test_raised_single_qudits_break_product_and_pyramid(self):
         profile = fabricated_profile([(False, (2,)), (False, (3,))], params=(6, 2, 3, 7))
-        assert [list(e.labels) for e in profile.mismatches()] == [["Q2"], ["Q3"]]
+        assert [profile.labels(mask) for mask in profile.mismatches()] == [("Q2",), ("Q3",)]
         report = product_state_checks(profile)
         pair, group = report.results
         assert not pair.passed and not group.passed
@@ -480,7 +521,7 @@ class TestNonMdsControl:
     def test_pyramid_recovery_and_product_checks_fail(self):
         profile = full_profile(non_mds_control())
         assert len(profile.mismatches()) == 10
-        assert ["Q4", "Q5"] in [list(e.labels) for e in profile.mismatches()]
+        assert ("Q4", "Q5") in [profile.labels(mask) for mask in profile.mismatches()]
         decoding = check_decoding_condition(profile)
         assert not decoding.ok
         assert len(decoding.failures()) == 6
@@ -505,8 +546,25 @@ class TestNonMdsControl:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         psi = encode_state(code)
         delta = max(
-            abs(von_neumann_entropy(psi, e.spec) - e.entropy) for e in profile.entries
+            abs(von_neumann_entropy(psi, spec_at(mask, 5)) - entropy)
+            for mask, entropy in enumerate(profile.table.tolist())
         )
         assert delta < 1e-12
         # four reduced states are not diagonal and take the general solver
         assert len(general) == 4
+
+
+INDEX_TAKERS = {
+    "SubsystemSpec": lambda code, bad: SubsystemSpec(False, [bad]),
+    "entropy_of": lambda code, bad: full_profile(code).entropy_of(False, [bad]),
+    "register_subset_entropy": lambda code, bad: register_subset_entropy(code, [bad, 2]),
+    "decode": lambda code, bad: decode(encode_state(code), code, [bad, 2]),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("taker", sorted(INDEX_TAKERS))
+def test_index_coercion_rejected(taker, bad):
+    # each would otherwise be read as index 1 (or fail with a TypeError)
+    with pytest.raises(ValueError, match="integer"):
+        INDEX_TAKERS[taker](make_code(3, 1, 2, 3), bad)
