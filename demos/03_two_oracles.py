@@ -4,8 +4,8 @@
 The rank-identity oracle never leaves integer arithmetic: the entropy of
 a bipartition of a uniform-superposition code state is the dimension of
 the intersection of the two column spans of the generator.  The
-state-vector oracle knows nothing about that identity; it builds the
-dense state, partial-traces, and diagonalizes the reduced states.  They
+state-vector oracle knows nothing about that identity; it lists the
+state's support, partial-traces, and diagonalizes the reduced states.  They
 must agree to float precision on every subsystem.
 """
 
@@ -22,8 +22,8 @@ from qmds import (
 
 code = QuantumMdsCode(CodeParams(n=4, k=2, d=2, q=5))
 psi = encode_state(code)
-print(f"state vector: {psi.amplitudes.shape[0]} amplitudes, "
-      f"{(abs(psi.amplitudes) > 0).sum()} nonzero\n")
+print(f"state vector: {psi.q ** psi.num_registers} basis states, "
+      f"{len(psi.amplitudes)} in the support\n")
 
 print(f"{'subsystem':24} {'rank oracle':>12} {'state vector':>14} {'delta':>10}")
 worst = 0.0

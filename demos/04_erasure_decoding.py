@@ -10,8 +10,6 @@ must hit the explicit target state with fidelity 1.
 
 import itertools
 
-import numpy as np
-
 from qmds import (
     CodeParams,
     QuantumMdsCode,
@@ -36,8 +34,7 @@ for erased in itertools.combinations(range(1, n + 1), d - 1):
 # correlated with the first surviving register
 surviving = [1, 3, 5]
 recovered = decode(psi, code, surviving)
-tensor = recovered.tensor()
-support = np.argwhere(np.abs(tensor) > 1e-12)
+support = sorted(map(tuple, recovered.digits.tolist()))
 print(f"\nsupport of the decoded state for surviving {surviving} "
       "(registers R Q1..Q5):")
 for digits in support[:8]:

@@ -84,10 +84,11 @@ def cmd_construct(args) -> int:
 
 def cmd_profile(args) -> int:
     code = _load_code(args)
-    profile = extended_profile(code) if args.extended_r else full_profile(code)
+    # the CSV aggregates R-atomic subsystems only, so --extended-R adds nothing to it
     if args.format == "csv":
-        _emit(_csv_text(profile.csv_rows()), args.out)
+        _emit(_csv_text(full_profile(code).csv_rows()), args.out)
     else:
+        profile = extended_profile(code) if args.extended_r else full_profile(code)
         _emit(json.dumps(profile.to_dict(), indent=2) + "\n", args.out)
     return 0
 

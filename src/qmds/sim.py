@@ -1,21 +1,30 @@
 """Brute-force state-vector oracle and erasure decoding.
 
 Everything the exact rank-identity oracle claims is re-derived here the
-hard way: build the dense joint state, reduce it by partial trace, and
-diagonalize the reduced density matrix (read off its diagonal when it is
-already diagonal, else numpy's Hermitian eigensolver) to get Von Neumann
-entropies in q-ary units.  The two entropy paths share no machinery beyond
-the generator matrix itself.
+hard way: list the joint state's support, reduce it by partial trace, and
+diagonalize the reduced state (read off its diagonal when it is diagonal,
+else numpy's Hermitian eigensolver) to get Von Neumann entropies in q-ary
+units.  The two entropy paths share no machinery beyond the generator
+matrix itself, which is used only to list the support.
 
-Conventions: a state of r registers with local dimension q is a dense
-complex vector of length q**r; basis index i encodes the register values
-big-endian in canonical order, reference qudits first, then Q1..Qn.  The
-decoding unitaries are all induced by invertible linear maps over GF(q),
-so they act as permutations of the computational basis and are applied as
-index permutations, exactly.
+Conventions: a state of r registers with local dimension q is stored on
+its support, the basis states it touches: ``digits`` has one row of
+register values per support basis state, in canonical register order
+(reference qudits first, then Q1..Qn), and ``amplitudes`` the matching
+complex amplitudes; every other basis state has amplitude 0.  The code
+state has q**m support rows, m = k+d-1, out of q**(k+n) basis states.
+Where a set of registers needs one index per row, its key is their values
+read big-endian.  A reduced state is built by grouping the support rows on
+their kept and environment keys.  The decoding unitaries are all induced
+by invertible linear maps over GF(q), so they act as permutations of the
+computational basis and are applied to the support rows, exactly.
 
-A memory guard rejects states beyond 2**24 amplitudes; larger parameters
-belong to the exact oracle in the entropy module.
+A work guard bounds the support array at q**m rows x (k+n) digits <=
+2**24 cells (128 MB of int64), and any dense reduced block at 2**24
+entries; larger parameters belong to the exact oracle in the entropy
+module.  Since k + n = 2m, the support guard also keeps every key below
+q**(2m) < 2**63, so no key can overflow int64; a StateVector built by hand
+is refused unless q**registers keys fit.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from .code import QuantumMdsCode, erasure_submatrices, _check_surviving
 from .entropy import SubsystemSpec
 from .linalg import invert
 
-MAX_AMPLITUDES = 1 << 24
+MAX_CELLS = 1 << 24
+MAX_KEY = np.iinfo(np.int64).max
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -34,44 +44,67 @@ OFF_NORM_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
 
 
-class StateVector:
-    """Dense pure state over q-ary registers.
+def _keys(digits: np.ndarray, q: int) -> np.ndarray:
+    """The big-endian key of each row of register values."""
+    return digits @ q ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
+
+def _distinct(keys: np.ndarray) -> bool:
+    ordered = np.sort(keys)
+    return not np.any(ordered[1:] == ordered[:-1])
+
+
+class StateVector:
+    """Pure state over q-ary registers, stored on its support.
+
+    ``digits`` is an (N, num_registers) int64 array of register values in
+    [0, q) with no repeated row, and ``amplitudes`` the N matching complex
+    double amplitudes, normalized within 1e-12; both are read-only copies.
     The first ``num_ref`` registers form the reference block (so subsystem
     specs with include_R resolve to them); the rest are the coded qudits
-    Q1..Qn.  Amplitudes are complex double precision, normalized within
-    1e-12, and read-only after construction.
+    Q1..Qn.
     """
 
-    __slots__ = ("q", "num_registers", "num_ref", "amplitudes")
+    __slots__ = ("q", "num_registers", "num_ref", "digits", "amplitudes")
 
-    def __init__(self, q: int, num_registers: int, amplitudes, num_ref: int = 0):
+    def __init__(self, q: int, num_registers: int, digits, amplitudes, num_ref: int = 0):
         if q < 2:
             raise ValueError(f"local dimension must be >= 2: got {q}")
         if not 0 <= num_ref <= num_registers:
             raise ValueError("reference block cannot exceed the register count")
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if amps.shape[0] != q**num_registers:
+        if q**num_registers > MAX_KEY:
             raise ValueError(
-                f"expected {q**num_registers} amplitudes, got {amps.shape[0]}"
+                f"q^registers = {q}^{num_registers} basis states overflow int64 keys"
             )
+        rows = np.asarray(digits)
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"register values must be integers: got dtype {rows.dtype}")
+        rows = rows.astype(np.int64)
+        amps = np.array(amplitudes, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] != num_registers or amps.shape != rows.shape[:1]:
+            raise ValueError(
+                f"expected an (N, {num_registers}) digit array and N amplitudes: "
+                f"got shapes {rows.shape} and {amps.shape}"
+            )
+        if rows.size and not (0 <= rows.min() and rows.max() < q):
+            raise ValueError(f"register values must lie in [0, {q - 1}]")
+        if not _distinct(_keys(rows, q)):
+            raise ValueError("support rows must be distinct")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+        rows.flags.writeable = False
         amps.flags.writeable = False
         self.q = q
         self.num_registers = num_registers
         self.num_ref = num_ref
+        self.digits = rows
         self.amplitudes = amps
-
-    def tensor(self) -> np.ndarray:
-        """The amplitudes reshaped to one axis per register."""
-        return self.amplitudes.reshape((self.q,) * self.num_registers)
 
     def __repr__(self) -> str:
         return (
             f"StateVector(q={self.q}, registers={self.num_registers}, "
-            f"ref={self.num_ref}, nonzero={int(np.count_nonzero(self.amplitudes))})"
+            f"ref={self.num_ref}, support={len(self.amplitudes)})"
         )
 
 
@@ -92,20 +125,26 @@ class DensityMatrix:
         herm_defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
         if herm_defect > HERMITIAN_TOL:
             raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_defect}")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1: got {trace}")
+        _check_trace(complex(np.trace(mat)))
         mat.flags.writeable = False
         self.entries = mat
 
 
-def _guard_size(q: int, registers: int) -> None:
-    if q**registers > MAX_AMPLITUDES:
+def _check_trace(trace: complex) -> None:
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be 1: got {trace}")
+
+
+def _guard(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
         raise ValueError(
-            f"state vector would need q^registers = {q}^{registers} amplitudes, "
-            f"beyond the {MAX_AMPLITUDES} guard; use the exact rank-identity "
-            "oracle (entropy module) for these parameters"
+            f"{what} would need {cells} cells, beyond the {MAX_CELLS} guard; use "
+            "the exact rank-identity oracle (entropy module) for these parameters"
         )
+
+
+def _guard_support(q: int, m: int, registers: int) -> None:
+    _guard(q**m * registers, f"state vector support of {q}^{m} rows x {registers} registers")
 
 
 def _all_vectors(q: int, length: int) -> np.ndarray:
@@ -115,30 +154,24 @@ def _all_vectors(q: int, length: int) -> np.ndarray:
     return np.indices((q,) * length, dtype=np.int64).reshape(length, -1).T
 
 
-def _radix_powers(q: int, length: int) -> np.ndarray:
-    return q ** np.arange(length - 1, -1, -1, dtype=np.int64)
-
-
 def encode_state(code: QuantumMdsCode) -> StateVector:
     """The joint pure state of the reference block and coded qudits.
 
     A uniform superposition with amplitude q**(-(k+d-1)/2) on the basis
-    state x . G for each row vector x in GF(q)^(k+d-1), zero elsewhere:
-    the reference block carries the message part of x and the coded
-    registers carry the codeword.
+    state x . G for each row vector x in GF(q)^(k+d-1): the reference block
+    carries the message part of x and the coded registers carry the
+    codeword.
     """
     p = code.params
     q, total, m = p.q, p.num_registers, p.generator_rank
-    _guard_size(q, total)
-    rows = _all_vectors(q, m)
-    images = rows @ code.G % q
-    indices = images @ _radix_powers(q, total)
-    amps = np.zeros(q**total, dtype=np.complex128)
-    amps[indices] = q ** (-m / 2)
-    return StateVector(q, total, amps, num_ref=p.k)
+    _guard_support(q, m, total)
+    digits = _all_vectors(q, m) @ code.G % q
+    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
+    return StateVector(q, total, digits, amps, num_ref=p.k)
 
 
-def _positions_of(psi: StateVector, sub: SubsystemSpec) -> tuple[int, ...]:
+def _positions_of(psi: StateVector, sub: SubsystemSpec) -> list[int]:
+    """The subsystem's register positions, ascending."""
     if sub.include_R and psi.num_ref == 0:
         raise ValueError("state has no reference block but include_R was requested")
     positions = list(range(psi.num_ref)) if sub.include_R else []
@@ -149,43 +182,78 @@ def _positions_of(psi: StateVector, sub: SubsystemSpec) -> tuple[int, ...]:
                 f"coded qudit Q{i} out of range for {psi.num_registers} registers"
             )
         positions.append(pos)
-    return tuple(positions)
+    return positions
 
 
-def _reduce_to_positions(psi: StateVector, positions) -> DensityMatrix:
-    keep = sorted(positions)
-    rest = [p for p in range(psi.num_registers) if p not in keep]
-    matrix = psi.tensor().transpose(keep + rest).reshape(
-        psi.q ** len(keep), psi.q ** len(rest)
-    )
-    return DensityMatrix(matrix @ matrix.conj().T)
+def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced state of ``positions`` on the kept keys the state reaches.
+
+    Returns those keys, ascending, and rho restricted to them.  When every
+    environment key meets one support row, no two kept keys share an
+    environment and rho is diagonal: it is returned as its diagonal,
+    sum |amp|^2 per kept key.  Otherwise rho = M M^dag with M[kept, env]
+    the amplitudes, returned as a square block and refused past the
+    2**24-entry guard before either matrix is allocated.
+    """
+    rest = [p for p in range(psi.num_registers) if p not in positions]
+    kept = _keys(psi.digits[:, positions], psi.q)
+    env = _keys(psi.digits[:, rest], psi.q)
+    if _distinct(env):
+        weights = np.bincount(kept, np.abs(psi.amplitudes) ** 2)
+        reached = np.flatnonzero(weights)
+        return reached, weights[reached]
+    reached, row_kept = np.unique(kept, return_inverse=True)
+    envs, row_env = np.unique(env, return_inverse=True)
+    _guard(reached.size * max(reached.size, envs.size),
+           f"reduced state on {reached.size} kept x {envs.size} environment keys")
+    matrix = np.zeros((reached.size, envs.size), dtype=np.complex128)
+    matrix[row_kept, row_env] = psi.amplitudes
+    return reached, matrix @ matrix.conj().T
 
 
 def partial_trace(psi: StateVector, keep: SubsystemSpec) -> DensityMatrix:
-    """Reduced density matrix of the kept subsystem.
+    """Reduced density matrix of the kept subsystem over its full basis.
 
     rho[i, j] = sum_e psi[i, e] conj(psi[j, e]) over environment
-    configurations e.  The kept set must be nonempty and proper; empty and
-    full bipartitions have entropy zero by purity and are short-circuited
-    by the entropy function instead.
+    configurations e, as a dense q**|keep| square matrix indexed by the kept
+    registers' big-endian value; kept values the support never reaches get
+    zero rows and columns.  The kept set must be nonempty and proper; empty
+    and full bipartitions have entropy zero by purity and are
+    short-circuited by the entropy function instead.
     """
     positions = _positions_of(psi, keep)
     if len(positions) == 0:
         raise ValueError("keep set is empty; its entropy is 0 by convention")
     if len(positions) == psi.num_registers:
         raise ValueError("keep set is the full system; its entropy is 0 (pure state)")
-    return _reduce_to_positions(psi, positions)
+    dim = psi.q ** len(positions)
+    _guard(dim * dim, f"reduced state on {dim} kept values")
+    reached, rho = _reduce(psi, positions)
+    full = np.zeros((dim, dim), dtype=np.complex128)
+    if rho.ndim == 1:
+        full[reached, reached] = rho
+    else:
+        full[np.ix_(reached, reached)] = rho
+    return DensityMatrix(full)
+
+
+def _clamped_descending(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues within 1e-10 of 0 or 1 moved onto the boundary, sorted descending."""
+    near_zero = (values < 0.0) & (values >= -EIGENVALUE_CLAMP)
+    values[near_zero] = 0.0
+    near_one = (values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)
+    values[near_one] = 1.0
+    return np.sort(values)[::-1]
 
 
 def hermitian_eigenvalues(rho) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix.
 
     Accepts a DensityMatrix or a plain Hermitian ndarray.  A matrix whose
-    off-diagonal Frobenius norm is below 1e-12 is read off its diagonal
-    (the smaller side of a valid code's bipartition is maximally mixed, so
-    every state von_neumann_entropy reduces to is diagonal); any other goes
-    to numpy's Hermitian solver.  Eigenvalues within 1e-10 of 0 or 1 are
-    clamped onto the boundary.  Returned sorted in descending order.
+    off-diagonal Frobenius norm is below 1e-12 is read off its diagonal;
+    any other goes to numpy's Hermitian solver.  Eigenvalues within 1e-10
+    of 0 or 1 are clamped onto the boundary.  Returned sorted in
+    descending order.
     """
     a = np.asarray(rho.entries if isinstance(rho, DensityMatrix) else rho,
                    dtype=np.complex128)
@@ -198,29 +266,32 @@ def hermitian_eigenvalues(rho) -> np.ndarray:
         values = np.real(np.diag(a)).copy()
     else:
         values = np.linalg.eigvalsh(a)
-    near_zero = (values < 0.0) & (values >= -EIGENVALUE_CLAMP)
-    values[near_zero] = 0.0
-    near_one = (values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)
-    values[near_one] = 1.0
-    return np.sort(values)[::-1]
+    return _clamped_descending(values)
 
 
 def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     """Von Neumann entropy of a subsystem in q-ary units.
 
     Empty and full subsystems return 0 (the state is pure).  Otherwise the
-    reduced state of the smaller side of the bipartition is diagonalized
-    (a state vector's two reduced states share their nonzero spectrum) and
-    the entropy is -sum(lam * log_q lam) with 0 log 0 = 0.
+    reduced state of the smaller side of the bipartition is taken (a state
+    vector's two reduced states share their nonzero spectrum).  A diagonal
+    one, as every reduced state of a valid code's smaller side is (it is
+    maximally mixed), gives its spectrum directly, with its trace checked;
+    any other goes to hermitian_eigenvalues.  The entropy is
+    -sum(lam * log_q lam) with 0 log 0 = 0.
     """
-    positions = list(_positions_of(psi, sub))
+    positions = _positions_of(psi, sub)
     total = psi.num_registers
     if len(positions) in (0, total):
         return 0.0
     if len(positions) > total - len(positions):
         positions = [p for p in range(total) if p not in positions]
-    rho = _reduce_to_positions(psi, positions)
-    values = hermitian_eigenvalues(rho)
+    _, rho = _reduce(psi, positions)
+    if rho.ndim == 1:
+        _check_trace(complex(rho.sum()))
+        values = _clamped_descending(rho)
+    else:
+        values = hermitian_eigenvalues(DensityMatrix(rho))
     if np.any(values < -EIGENVALUE_CLAMP):
         raise ValueError(
             f"reduced state has eigenvalue {float(values.min())} below -1e-10"
@@ -229,51 +300,36 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     return float(-(positive * (np.log(positive) / np.log(psi.q))).sum())
 
 
-def _block_permutation(code: QuantumMdsCode, surviving: list[int]) -> np.ndarray:
-    """Basis permutation on the surviving block implementing both decode steps.
+def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray) -> np.ndarray:
+    """Both decode steps on joint values of the surviving block, one per row.
 
     Step one relabels the block value y to y . (AB_surviving)^-1, exposing
     the generator row (a, b); step two maps (a, b) to (a, (a, b) AB_erased),
     which is invertible because the erased seed block is square Vandermonde.
     """
-    p = code.params
-    q, k, m = p.q, p.k, p.generator_rank
+    q, k = code.params.q, code.params.k
     ab_s, ab_e = erasure_submatrices(code, surviving)
-    unscramble = invert(ab_s, q)
-    ys = _all_vectors(q, m)
-    xs = ys @ unscramble % q
-    reencoded = xs @ ab_e % q
-    targets = np.hstack((xs[:, :k], reencoded))
-    return targets @ _radix_powers(q, m)
-
-
-def _permute_block(psi: StateVector, positions: list[int], perm: np.ndarray) -> StateVector:
-    """Apply a basis permutation to the joint value of the given registers."""
-    q, total = psi.q, psi.num_registers
-    rest = [p for p in range(total) if p not in positions]
-    block = psi.tensor().transpose(rest + positions).reshape(-1, len(perm))
-    permuted = np.empty_like(block)
-    permuted[:, perm] = block
-    restored = permuted.reshape((q,) * total).transpose(
-        np.argsort(rest + positions)
-    )
-    return StateVector(q, total, restored.reshape(-1), num_ref=psi.num_ref)
+    xs = values @ invert(ab_s, q) % q
+    return np.hstack((xs[:, :k], xs @ ab_e % q))
 
 
 def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     """Erasure decoding on the surviving registers of the encoded state.
 
-    Applies the two basis permutations of _block_permutation to the
-    surviving coded registers only; the reference block and the erased
-    registers are untouched.  Norm is preserved exactly (permutations are
-    unitary), and the output matches decode_target with fidelity 1.
+    Applies the basis permutation of _decode_block to the surviving coded
+    registers of every support row; the reference block, the erased
+    registers and the amplitudes are untouched.  Norm is preserved exactly
+    (permutations are unitary), and the output matches decode_target with
+    fidelity 1.
     """
     p = code.params
     idx = _check_surviving(code, surviving)
     if psi.q != p.q or psi.num_registers != p.num_registers or psi.num_ref != p.k:
         raise ValueError("state shape does not match the code's joint state")
     positions = [p.k + i - 1 for i in idx]
-    return _permute_block(psi, positions, _block_permutation(code, idx))
+    digits = psi.digits.copy()
+    digits[:, positions] = _decode_block(code, idx, psi.digits[:, positions])
+    return StateVector(p.q, p.num_registers, digits, psi.amplitudes, num_ref=p.k)
 
 
 def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
@@ -286,7 +342,7 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     p = code.params
     q, k, d, total, m = p.q, p.k, p.d, p.num_registers, p.generator_rank
     idx = _check_surviving(code, surviving)
-    _guard_size(q, total)
+    _guard_support(q, m, total)
     erased = [i for i in range(1, p.n + 1) if i not in idx]
 
     messages = np.repeat(_all_vectors(q, k), q ** (d - 1), axis=0)
@@ -299,14 +355,18 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
         digits[:, k + i - 1] = seeds[:, col]
     for col, i in enumerate(erased):
         digits[:, k + i - 1] = seeds[:, col]
-
-    amps = np.zeros(q**total, dtype=np.complex128)
-    amps[digits @ _radix_powers(q, total)] = q ** (-m / 2)
-    return StateVector(q, total, amps, num_ref=k)
+    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
+    return StateVector(q, total, digits, amps, num_ref=k)
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:
-    """|<psi|phi>|^2 between two states of identical shape."""
+    """|<psi|phi>|^2 between two states of identical shape.
+
+    Only basis states in both supports contribute, so the overlap runs over
+    the matched support rows.
+    """
     if psi.q != phi.q or psi.num_registers != phi.num_registers:
         raise ValueError("states have different shapes")
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
+    _, i, j = np.intersect1d(_keys(psi.digits, psi.q), _keys(phi.digits, phi.q),
+                             assume_unique=True, return_indices=True)
+    return float(abs(np.vdot(psi.amplitudes[i], phi.amplitudes[j])) ** 2)

@@ -56,3 +56,72 @@ def brute_force_subspace_dim(size: int, q: int) -> int:
         dim += 1
     assert q**dim == size, f"set of size {size} is not a GF({q}) subspace"
     return dim
+
+
+# Dense state-vector reference: the q**(k+n)-amplitude layout the support
+# representation replaced, kept here to cross-check it.  Test-only; sized
+# for codes with q**(k+n) <= 4 * 10**5.
+
+def radix_keys(digits, q: int) -> np.ndarray:
+    """Big-endian index of each row of register values."""
+    digits = np.asarray(digits, dtype=np.int64)
+    return digits @ q ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def dense_amplitudes(psi) -> np.ndarray:
+    """Scatter a support-stored state into its q**registers dense amplitudes."""
+    dense = np.zeros(psi.q**psi.num_registers, dtype=np.complex128)
+    dense[radix_keys(psi.digits, psi.q)] = psi.amplitudes
+    return dense
+
+
+def dense_partial_trace(psi, positions) -> np.ndarray:
+    """Reduced state of the registers at ``positions``: transpose, then M @ M^dag."""
+    keep = sorted(positions)
+    rest = [p for p in range(psi.num_registers) if p not in keep]
+    tensor = dense_amplitudes(psi).reshape((psi.q,) * psi.num_registers)
+    matrix = tensor.transpose(keep + rest).reshape(psi.q ** len(keep), -1)
+    return matrix @ matrix.conj().T
+
+
+def dense_entropy(psi, positions) -> float:
+    """Von Neumann entropy (base q) of the registers at ``positions``, via eigvalsh.
+
+    The smaller side of the bipartition is traced; both share the spectrum.
+    """
+    if len(positions) in (0, psi.num_registers):
+        return 0.0
+    if 2 * len(positions) > psi.num_registers:
+        positions = [p for p in range(psi.num_registers) if p not in positions]
+    values = np.linalg.eigvalsh(dense_partial_trace(psi, positions))
+    positive = values[values > 1e-15]
+    return float(-(positive * np.log(positive)).sum() / np.log(psi.q))
+
+
+def dense_decode(code, dense: np.ndarray, surviving) -> np.ndarray:
+    """Erasure decoding as a permutation of the dense basis.
+
+    The generator row x = (a, b) puts the value x . AB_surviving on the
+    surviving block; decoding sends it to (a, x . AB_erased).  Listing
+    both images for every x gives the permutation without inverting a
+    matrix.
+    """
+    p = code.params
+    q, k, m, total = p.q, p.k, p.generator_rank, p.num_registers
+    surviving = sorted(surviving)
+    erased = [i for i in range(1, p.n + 1) if i not in surviving]
+    xs = np.indices((q,) * m, dtype=np.int64).reshape(m, -1).T
+    before = radix_keys(xs @ code.AB[:, [i - 1 for i in surviving]] % q, q)
+    after = radix_keys(
+        np.hstack((xs[:, :k], xs @ code.AB[:, [i - 1 for i in erased]] % q)), q
+    )
+    positions = [k + i - 1 for i in surviving]
+    rest = [r for r in range(total) if r not in positions]
+    block = dense.reshape((q,) * total).transpose(rest + positions).reshape(-1, q**m)
+    permuted = np.empty_like(block)
+    permuted[:, after] = block[:, before]
+    return (
+        permuted.reshape((q,) * total)
+        .transpose(np.argsort(rest + positions))
+        .reshape(-1)
+    )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,10 @@ import qmds
 from qmds.cli import main
 
 from conftest import REFERENCE_PARAMS
+
+
+# the two commands that run the state-vector simulator
+SIM_COMMANDS = [["verify", "--oracle", "both"], ["decode-test", "--all"]]
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +87,25 @@ class TestProfile:
         )]
         assert len(partial) == 32
         assert all(e["expected"] is None and e["match"] is None for e in partial)
+
+    def test_extended_csv_ranks_only_the_atomic_table(self, capsys, monkeypatch):
+        # the CSV aggregates R-atomic subsystems, so --extended-R adds
+        # nothing to it and the 2^(k+n) register table is not ranked
+        import qmds.entropy as entropy
+
+        parts = []
+        rank_table = entropy._rank_table
+
+        def counting(*args):
+            parts.append(len(args[2]))
+            return rank_table(*args)
+
+        monkeypatch.setattr(entropy, "_rank_table", counting)
+        argv = ["profile", "--n", "5", "--k", "3", "--d", "2", "--q", "7", "--format", "csv"]
+        code_exit, out, _ = run_cli(capsys, *argv, "--extended-R")
+        assert code_exit == 0
+        assert parts == [6]  # one 2^(n+1) table: Q1..Q5 and R
+        assert out == run_cli(capsys, *argv)[1]
 
     def test_descriptor_file_input(self, capsys, tmp_path):
         path = tmp_path / "code.json"
@@ -162,14 +186,34 @@ class TestVerify:
         assert code_exit == 2
 
     def test_statevec_memory_guard_exits_2(self, capsys):
-        # 7**10 amplitudes exceed the 2**24 guard; the error names the
-        # exact oracle as the fallback
+        # 13**7 support rows x 14 digits exceed the 2**24-cell guard; the
+        # error names the exact oracle as the fallback
         code_exit, _, err = run_cli(
-            capsys, "verify", "--n", "7", "--k", "3", "--d", "3", "--q", "7",
+            capsys, "verify", "--n", "13", "--k", "1", "--d", "7", "--q", "13",
             "--oracle", "statevec",
         )
         assert code_exit == 2
         assert "rank-identity" in err
+
+    @pytest.mark.parametrize("argv", SIM_COMMANDS, ids=["verify", "decode-test"])
+    def test_support_not_basis_size_is_guarded(self, capsys, argv):
+        # [[7,3,3]]_7 has 7**10 basis states but 7**5 support rows
+        code_exit, out, err = run_cli(
+            capsys, argv[0], "--n", "7", "--k", "3", "--d", "3", "--q", "7", *argv[1:]
+        )
+        assert (code_exit, err) == (0, "")
+        assert out.endswith("result: PASS\n")
+
+    @pytest.mark.parametrize("argv", SIM_COMMANDS, ids=["verify", "decode-test"])
+    def test_7_1_4_runs_within_10_s(self, capsys, argv):
+        # perf regression guard: the dense simulator took 120 s and 15 s
+        start = time.perf_counter()
+        code_exit, out, _ = run_cli(
+            capsys, argv[0], "--n", "7", "--k", "1", "--d", "4", "--q", "7", *argv[1:]
+        )
+        elapsed = time.perf_counter() - start
+        assert code_exit == 0 and out.endswith("result: PASS\n")
+        assert elapsed < 10.0
 
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
         # corrupt one table entry to drive the (otherwise unreachable for

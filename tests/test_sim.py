@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmds import (
     CodeParams,
@@ -19,58 +21,99 @@ from qmds import (
     subsystem_entropy,
     von_neumann_entropy,
 )
-from qmds.sim import _permute_block
+from qmds.sim import _all_vectors, _decode_block
 
-from conftest import make_code
+from conftest import (
+    DESK_PARAMS,
+    dense_amplitudes,
+    dense_decode,
+    dense_entropy,
+    dense_partial_trace,
+    make_code,
+    radix_keys,
+)
 
 
-def basis_state(q, registers, index, num_ref=0):
-    amps = np.zeros(q**registers, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(q, registers, amps, num_ref=num_ref)
+def basis_state(q, digits, num_ref=0):
+    return StateVector(q, len(digits), [digits], [1.0], num_ref=num_ref)
+
+
+def support(psi):
+    """The state as {register values: amplitude}."""
+    return dict(zip(map(tuple, psi.digits.tolist()), psi.amplitudes.tolist()))
 
 
 class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
-            StateVector(3, 1, [1.0, 1.0, 0.0])
+            StateVector(3, 1, [[0], [1], [2]], [1.0, 1.0, 0.0])
 
     def test_length_enforced(self):
-        with pytest.raises(ValueError, match="expected 9"):
-            StateVector(3, 2, np.zeros(8))
+        # one amplitude per support row, one digit per register
+        with pytest.raises(ValueError, match="expected an"):
+            StateVector(3, 2, [[0, 0]], [1.0, 0.0])
+        with pytest.raises(ValueError, match="expected an"):
+            StateVector(3, 2, [[0, 0, 0]], [1.0])
 
     def test_amplitudes_read_only(self):
-        psi = basis_state(3, 2, 0)
+        psi = basis_state(3, (0, 0))
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+        with pytest.raises(ValueError):
+            psi.digits[0, 0] = 1
+
+    def test_inputs_copied(self):
+        digits = np.array([[0, 1]])
+        psi = StateVector(3, 2, digits, [1.0])
+        digits[0, 0] = 2
+        assert psi.digits.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("bad", [[[0, 3]], [[-1, 0]]], ids=["too-large", "negative"])
+    def test_digit_range_enforced(self, bad):
+        with pytest.raises(ValueError, match="lie in \\[0, 2\\]"):
+            StateVector(3, 2, bad, [1.0])
+
+    def test_repeated_rows_rejected(self):
+        # one basis state listed twice would be two amplitudes for one state
+        with pytest.raises(ValueError, match="distinct"):
+            StateVector(3, 2, [[1, 2], [1, 2]], [0.6, 0.8])
+
+    def test_non_integer_digits_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            StateVector(3, 2, [[0.5, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="integers"):
+            StateVector(3, 2, [[True, False]], [1.0])
+
+    def test_key_overflow_rejected(self):
+        # 11**19 > 2**63: a key would wrap silently
+        with pytest.raises(ValueError, match="int64"):
+            StateVector(11, 19, [[0] * 19], [1.0])
+        StateVector(11, 18, [[10] * 18], [1.0])
 
 
 class TestEncodeState:
     def test_3_1_2_superposition(self):
+        # 9 of the 81 basis states, each with amplitude 1/3
         psi = encode_state(make_code(3, 1, 2, 3))
-        assert psi.amplitudes.shape == (81,)
+        assert psi.digits.shape == (9, 4) and psi.amplitudes.shape == (9,)
         assert psi.num_registers == 4 and psi.num_ref == 1
-        nonzero = psi.amplitudes[np.abs(psi.amplitudes) > 0]
-        assert nonzero.shape == (9,)
-        assert np.allclose(nonzero, 1 / 3)
+        assert np.allclose(psi.amplitudes, 1 / 3)
 
     def test_3_1_2_exact_support(self):
         # enumerate the generator rows by hand: registers (a, b, a+b, 2a+b)
         psi = encode_state(make_code(3, 1, 2, 3))
-        expected = np.zeros(81, dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                digits = (a, b % 3, (a + b) % 3, (2 * a + b) % 3)
-                index = ((digits[0] * 3 + digits[1]) * 3 + digits[2]) * 3 + digits[3]
-                expected[index] = 1 / 3
-        assert np.array_equal(psi.amplitudes, expected)
+        expected = {
+            (a, b, (a + b) % 3, (2 * a + b) % 3): 1 / 3
+            for a in range(3)
+            for b in range(3)
+        }
+        assert support(psi) == expected
 
     def test_4_2_2_superposition(self):
+        # 125 of the 15625 basis states
         psi = encode_state(make_code(4, 2, 2, 5))
-        assert psi.amplitudes.shape == (15625,)
-        nonzero = psi.amplitudes[np.abs(psi.amplitudes) > 0]
-        assert nonzero.shape == (125,)
-        assert np.allclose(nonzero, 5 ** (-3 / 2))
+        assert psi.digits.shape == (125, 6)
+        assert np.allclose(psi.amplitudes, 5 ** (-3 / 2))
 
     def test_norm_is_one(self):
         for params in ((3, 1, 2, 3), (4, 2, 2, 5), (5, 1, 3, 5)):
@@ -78,9 +121,17 @@ class TestEncodeState:
             assert abs(np.vdot(psi.amplitudes, psi.amplitudes) - 1.0) < 1e-12
 
     def test_memory_guard(self):
-        big = QuantumMdsCode(CodeParams(n=7, k=3, d=3, q=7))
+        # 13**7 support rows x 14 digits exceed the 2**24-cell guard
+        big = QuantumMdsCode(CodeParams(n=13, k=1, d=7, q=13))
         with pytest.raises(ValueError, match="rank-identity"):
             encode_state(big)
+        with pytest.raises(ValueError, match="rank-identity"):
+            decode_target(big, range(1, 8))
+
+    def test_support_not_basis_size_is_guarded(self):
+        # 7**10 basis states, but only 7**5 support rows
+        psi = encode_state(make_code(7, 3, 3, 7))
+        assert psi.digits.shape == (7**5, 10)
 
 
 class TestPartialTrace:
@@ -90,9 +141,36 @@ class TestPartialTrace:
         assert np.allclose(rho.entries, np.eye(3) / 3, atol=1e-12)
 
     def test_product_state_projector(self):
-        psi = basis_state(2, 2, 0)  # |00>
+        psi = basis_state(2, (0, 0))  # |00>
         rho = partial_trace(psi, SubsystemSpec(False, [1]))
         assert np.allclose(rho.entries, [[1, 0], [0, 0]], atol=1e-12)
+
+    def test_shared_environment_gives_coherences(self):
+        # (|0> + |1>)/sqrt 2 on Q1, |0> on Q2: both rows share the
+        # environment, so rho_Q1 = |+><+| has off-diagonal entries
+        psi = StateVector(3, 2, [[0, 0], [1, 0]], [2**-0.5, 2**-0.5])
+        rho = partial_trace(psi, SubsystemSpec(False, [1]))
+        expected = np.zeros((3, 3))
+        expected[:2, :2] = 0.5
+        assert np.allclose(rho.entries, expected, atol=1e-12)
+        assert von_neumann_entropy(psi, SubsystemSpec(False, [1])) == pytest.approx(
+            0.0, abs=1e-12
+        )
+
+    def test_large_reduced_block_refused(self):
+        # |+>|+>|0>|0> with |+> uniform over 65 values: the 65**2 kept keys
+        # of (Q1, Q2) share one environment, and a 4225 x 4225 block is past
+        # the 2**24 guard, refused before it is allocated
+        rows = [(a, b, 0, 0) for a in range(65) for b in range(65)]
+        psi = StateVector(65, 4, rows, np.full(len(rows), 1 / 65))
+        with pytest.raises(ValueError, match="rank-identity"):
+            von_neumann_entropy(psi, SubsystemSpec(False, [1, 2]))
+        with pytest.raises(ValueError, match="rank-identity"):
+            partial_trace(psi, SubsystemSpec(False, [1, 2]))
+        # a product state: one register alone is a 65 x 65 block, and pure
+        assert von_neumann_entropy(psi, SubsystemSpec(False, [1])) == pytest.approx(
+            0.0, abs=1e-9
+        )
 
     def test_empty_and_full_keep_rejected(self):
         psi = encode_state(make_code(3, 1, 2, 3))
@@ -269,13 +347,18 @@ class TestDecode:
         )
 
     def test_block_permutation_roundtrip_is_exact(self):
+        # the block map is a permutation of GF(3)^2; undoing it on the
+        # decoded support rows gives the encoded rows back exactly
         code = make_code(3, 1, 2, 3)
         psi = encode_state(code)
-        positions = [1, 2]
-        perm = np.random.default_rng(37).permutation(9)
-        forward = _permute_block(psi, positions, perm)
-        back = _permute_block(forward, positions, np.argsort(perm))
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
+        out = decode(psi, code, [1, 2])
+        image = radix_keys(_decode_block(code, [1, 2], _all_vectors(3, 2)), 3)
+        assert sorted(image.tolist()) == list(range(9))
+        preimage = _all_vectors(3, 2)[np.argsort(image)]
+        back = preimage[radix_keys(out.digits[:, 1:3], 3)]
+        assert np.array_equal(back, psi.digits[:, 1:3])
+        assert np.array_equal(out.digits[:, [0, 3]], psi.digits[:, [0, 3]])
+        assert np.array_equal(out.amplitudes, psi.amplitudes)
 
     def test_wrong_surviving_size_rejected(self):
         code = make_code(3, 1, 2, 3)
@@ -294,12 +377,9 @@ class TestDecodeTarget:
     def test_structure_3_1_2(self):
         # surviving {1,2}: registers (a, a, b', b') each with amplitude 1/3
         target = decode_target(make_code(3, 1, 2, 3), [1, 2])
-        expected = np.zeros(81, dtype=complex)
-        for a in range(3):
-            for b in range(3):
-                index = ((a * 3 + a) * 3 + b) * 3 + b
-                expected[index] = 1 / 3
-        assert np.allclose(target.amplitudes, expected, atol=1e-15)
+        expected = {(a, a, b, b): 1 / 3 for a in range(3) for b in range(3)}
+        assert support(target).keys() == expected.keys()
+        assert np.allclose(target.amplitudes, 1 / 3, atol=1e-15)
 
     def test_normalized(self):
         for params in ((3, 1, 2, 3), (5, 1, 3, 5)):
@@ -315,13 +395,20 @@ class TestFidelity:
         assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        a = basis_state(3, 2, 0)
-        b = basis_state(3, 2, 4)
+        a = basis_state(3, (0, 0))
+        b = basis_state(3, (1, 1))
         assert fidelity(a, b) == 0.0
+
+    def test_overlap_of_matched_rows(self):
+        # only |1> is in both supports, listed first in psi and second in
+        # phi: <psi|phi> = 0.6 * 0.8i
+        psi = StateVector(3, 1, [[1], [0]], [0.6, 0.8])
+        phi = StateVector(3, 1, [[2], [1]], [0.6, 0.8j])
+        assert fidelity(psi, phi) == pytest.approx(0.48**2, abs=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
-            fidelity(basis_state(3, 2, 0), basis_state(3, 3, 0))
+            fidelity(basis_state(3, (0, 0)), basis_state(3, (0, 0, 0)))
 
 
 def test_statevector_oracle_uses_no_rank_code(monkeypatch):
@@ -347,3 +434,67 @@ def test_statevector_oracle_uses_no_rank_code(monkeypatch):
     for mask, h in enumerate(expected):
         spec = SubsystemSpec(mask >> 4, [i + 1 for i in range(4) if mask >> i & 1])
         assert von_neumann_entropy(psi, spec) == pytest.approx(h, abs=1e-9)
+
+
+# the desk codes small enough for the dense reference in conftest
+DENSE_PARAMS = [p for p in DESK_PARAMS if p[3] ** (p[1] + p[0]) <= 4 * 10**5]
+
+
+def drawn_code(data, params):
+    n, k, d, q = params
+    return make_code(n, k, d, q, data.draw(st.permutations(range(q)))[:n])
+
+
+class TestAgainstDenseReference:
+    """The support representation against the dense q^(k+n) layout it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(DENSE_PARAMS), st.data())
+    def test_trace_and_entropy(self, params, data):
+        code = drawn_code(data, params)
+        psi = encode_state(code)
+        n, total = code.params.n, code.params.num_registers
+        spec = SubsystemSpec(
+            data.draw(st.booleans()),
+            data.draw(st.sets(st.integers(1, n))),
+        )
+        positions = spec.registers(code.params.k)
+        assert von_neumann_entropy(psi, spec) == pytest.approx(
+            dense_entropy(psi, positions), abs=1e-12
+        )
+        if 0 < len(positions) <= total // 2:
+            rho = partial_trace(psi, spec).entries
+            assert np.max(np.abs(rho - dense_partial_trace(psi, positions))) <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(DENSE_PARAMS), st.data())
+    def test_decode_and_fidelity(self, params, data):
+        code = drawn_code(data, params)
+        n, d = code.params.n, code.params.d
+        surviving = sorted(data.draw(st.permutations(range(1, n + 1)))[: n - d + 1])
+        psi = encode_state(code)
+        out = decode(psi, code, surviving)
+        target = decode_target(code, surviving)
+        dense_out = dense_decode(code, dense_amplitudes(psi), surviving)
+        assert np.array_equal(dense_amplitudes(out), dense_out)
+        dense_fidelity = abs(np.vdot(dense_out, dense_amplitudes(target))) ** 2
+        assert fidelity(out, target) == pytest.approx(dense_fidelity, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sets(st.integers(0, 80), min_size=1, max_size=20), st.integers(0, 2**32 - 1))
+    def test_random_states_off_the_diagonal(self, keys, seed):
+        # arbitrary supports and complex amplitudes on four qutrits: most
+        # reduced states share environments and take the dense-block path
+        keys = sorted(keys)
+        digits = np.array([[key // 3**r % 3 for r in (3, 2, 1, 0)] for key in keys])
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        psi = StateVector(3, 4, digits, amps / np.linalg.norm(amps))
+        for size in (1, 2, 3):
+            for positions in itertools.combinations(range(4), size):
+                spec = SubsystemSpec(False, [p + 1 for p in positions])
+                rho = partial_trace(psi, spec).entries
+                assert np.max(np.abs(rho - dense_partial_trace(psi, positions))) <= 1e-12
+                assert von_neumann_entropy(psi, spec) == pytest.approx(
+                    dense_entropy(psi, positions), abs=1e-12
+                )
