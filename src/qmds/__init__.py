@@ -9,7 +9,7 @@ verification suites for the size-pyramid entropy characterization.
 """
 
 from .gf import is_prime
-from .linalg import SingularMatrixError, batched_rank, invert, rank, rref
+from .linalg import SingularMatrixError, invert, rank, rref, subset_ranks
 from .code import (
     CodeParams,
     QuantumMdsCode,
@@ -52,7 +52,7 @@ __all__ = [
     "SingularMatrixError",
     "rref",
     "rank",
-    "batched_rank",
+    "subset_ranks",
     "invert",
     "CodeParams",
     "QuantumMdsCode",

@@ -99,6 +99,10 @@ def cmd_verify(args) -> int:
     lines: list[str] = [f"verify [[{p.n},{p.k},{p.d}]]_{p.q} (oracle: {args.oracle})"]
     failed = False
 
+    # encoding runs the state vector's support guard, so a code it refuses
+    # exits before any ranking
+    simulate = args.oracle in ("statevec", "both")
+    psi = sim.encode_state(code) if simulate else None
     profile = full_profile(code)
     expected = profile.expected()
     if args.oracle in ("lemma", "both"):
@@ -115,10 +119,9 @@ def cmd_verify(args) -> int:
                 f"{profile.table[mask]}, expected {expected[mask]}"
             )
 
-    if args.oracle in ("statevec", "both"):
+    if simulate:
         # in "both" mode the reference is the other oracle (agreement check);
         # alone, the state vector is compared against the pyramid formula
-        psi = sim.encode_state(code)
         against = "rank oracle" if args.oracle == "both" else "expected"
         references = profile.table if args.oracle == "both" else expected
         max_delta = 0.0

@@ -14,9 +14,12 @@ one table of ranks, one per union of atomic parts, indexed by bitmask.
 
 With R atomic the n + 1 parts are Q1..Qn (bits 0..n-1) and R (bit n), so
 the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
-``SubsystemSpec.sort_key`` order.  The ranks come from one lockstep GF(q)
-elimination (``linalg.batched_rank``) over chunks of the column-masked
-generator; the table's last rank is rank(G) and must equal m.  The profile
+``SubsystemSpec.sort_key`` order.  The ranks come from the GF(q) rank
+lattice ``linalg.subset_ranks``, which builds each union's echelon basis
+from the basis of the union without its highest part, so every rank costs
+a few reduction steps instead of an elimination; its memory is bounded by
+``linalg.BASIS_BUDGET`` bases per level, and MAX_MASKS bounds the table
+itself.  The table's last rank is rank(G) and must equal m.  The profile
 is that table; sizes, expected values and JSON rows are derived from its
 masks on demand.  The check suites (size pyramid H(S) = min(|S|, (k + n) -
 |S|), decoding / no-leakage conditions, product-state identities and the
@@ -32,12 +35,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .code import CodeParams, QuantumMdsCode, _as_int, to_descriptor
-from .linalg import batched_rank
+from .linalg import rank, subset_ranks
 from .reporting import CheckReport
 
-# masks per lockstep elimination, and the inequality sweep works in blocks
-# of 3^BLOCK_DIGITS assignments; both bound the memory of one code's work
-CHUNK_MASKS = 256
+# the inequality sweep works in blocks of 3^BLOCK_DIGITS assignments,
+# which bounds its memory
 BLOCK_DIGITS = 8
 # most masks one rank table may have: 2^(n+1) admits n <= 17 for the
 # R-atomic profile, and the extended profile needs k + n <= 18
@@ -112,8 +114,7 @@ def _rank_table(G: NDArray[np.int64], q: int, parts) -> NDArray[np.int64]:
     """rank(G_S) over GF(q) for every union S of ``parts``, indexed by bitmask.
 
     ``parts`` lists disjoint column groups covering every column of G;
-    part j is bit j.  A mask's excluded columns are zeroed rather than
-    sliced out, so every matrix in a chunk has the same shape.
+    part j is bit j.  The ranks come from ``linalg.subset_ranks``.
 
     Raises:
         ValueError: if there are more than MAX_MASKS masks, before any
@@ -124,18 +125,7 @@ def _rank_table(G: NDArray[np.int64], q: int, parts) -> NDArray[np.int64]:
             f"the exact oracle would rank 2^{len(parts)} column subsets, beyond "
             f"the {MAX_MASKS} guard"
         )
-    part_of = np.empty(G.shape[1], dtype=np.int64)
-    for bit, columns in enumerate(parts):
-        part_of[list(columns)] = bit
-    masks = np.arange(1 << len(parts), dtype=np.int64)
-    ranks = np.empty(masks.size, dtype=np.int64)
-    for start in range(0, masks.size, CHUNK_MASKS):
-        chunk = masks[start : start + CHUNK_MASKS]
-        keep = (chunk[:, None] >> part_of[None, :]) & 1
-        ranks[start : start + chunk.size] = batched_rank(
-            G[None, :, :] * keep[:, None, :], q
-        )
-    return ranks
+    return subset_ranks(G, q, parts)
 
 
 def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int64]:
@@ -167,16 +157,11 @@ def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
         raise ValueError(f"duplicate register positions: {positions}")
     if any(not 0 <= r < total for r in positions):
         raise ValueError(f"register positions must lie in 0..{total - 1}: {positions}")
-    m = code.params.generator_rank
-    keep = np.zeros(total, dtype=np.int64)
-    keep[positions] = 1
-    g = code.G
-    inside, outside, full = batched_rank(
-        np.stack((g * keep, g * (1 - keep), g)), code.params.q
-    )
-    if full != m:
+    m, q, g = code.params.generator_rank, code.params.q, code.G
+    outside = sorted(set(range(total)) - set(positions))
+    if rank(g, q) != m:
         raise ValueError("generator must have full row rank")
-    return int(inside + outside - m)
+    return rank(g[:, positions], q) + rank(g[:, outside], q) - m
 
 
 def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
@@ -309,23 +294,20 @@ def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
     """
     p = profile.params
     n, k, d = p.n, p.k, p.d
-    H = profile.entropy_of
-    h_r = H(True, ())
+    table = profile.table
     report = CheckReport(f"decoding conditions for [[{n},{k},{d}]]_{p.q}")
-    for surviving in itertools.combinations(range(1, n + 1), n - (d - 1)):
-        mutual = h_r + H(False, surviving) - H(True, surviving)
-        report.add(
-            f"recovery I={list(surviving)}: I(R;Q_I) = {mutual}",
-            mutual == 2 * k,
-            f"expected 2k = {2 * k}",
-        )
-    for erasable in itertools.combinations(range(1, n + 1), d - 1):
-        mutual = h_r + H(False, erasable) - H(True, erasable)
-        report.add(
-            f"no-leakage I={list(erasable)}: I(R;Q_I) = {mutual}",
-            mutual == 0,
-            "expected 0",
-        )
+    for kind, size, target, detail in (
+        ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
+        ("no-leakage", d - 1, 0, "expected 0"),
+    ):
+        groups = list(itertools.combinations(range(1, n + 1), size))
+        indices = np.array(groups, dtype=np.int64).reshape(len(groups), size)
+        masks = (1 << (indices - 1)).sum(axis=1)
+        # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
+        mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
+        for group, value in zip(groups, mutual.tolist()):
+            name = f"{kind} I={list(group)}: I(R;Q_I) = {value}"
+            report.add(name, value == target, detail)
     return report
 
 

@@ -3,20 +3,35 @@
 A matrix over GF(q) is a 2-D int64 array of residues, with ``q`` passed
 alongside; every routine reduces its input mod q on entry.  Everything
 here is exact: Gauss-Jordan elimination, rank, inverse, and the ranks of
-a whole stack of matrices in one lockstep elimination (``batched_rank``),
-which is what the entropy oracle runs on.  ``rank`` checks single matrices
-(code construction and validation) and is the reference that
-``batched_rank`` is tested against.
+every union of given column groups of one matrix (``subset_ranks``),
+which is what the entropy oracle runs on.  ``rank`` checks single
+matrices (code construction, validation, single subsystems) and is the
+reference that ``subset_ranks`` is tested against.
+
+``subset_ranks`` is a rank lattice.  The echelon basis of a union is the
+basis of the union without its highest group, extended by that group's
+columns, so each union costs at most m reduction steps per added column
+instead of a fresh elimination; all bases of one lattice level are
+reduced in lockstep, and the child without a group keeps its parent's
+basis in place.  Memory is bounded: a lattice holds at most BASIS_BUDGET
+bases of (m + 1) x m int64, and a wider one is finished chunk by chunk
+from a level of BASIS_BUDGET bases, so one table needs two such buffers
+beside its 2^P ranks (for P <= 2 * log2(BASIS_BUDGET) groups).
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  Residues of q < 2^31 (see gf.MAX_Q) keep each product of
-two residues below 2^62.
+two residues below 2^62; the lattice's fraction-free step h * x - x_p * v
+reduces mod q after every step, so it never holds a larger value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
+
+# most echelon bases one buffer of ``subset_ranks`` may hold; a table uses
+# two such buffers, 3.6 MB in all at m = 9
+BASIS_BUDGET = 1 << 11
 
 
 class SingularMatrixError(ValueError):
@@ -89,46 +104,102 @@ def invert(a, q: int) -> NDArray[np.int64]:
     return reduced[:, n:]
 
 
-def batched_rank(stack, q: int) -> NDArray[np.int64]:
-    """Ranks over GF(q) of a ``(B, m, w)`` stack of matrices.
+def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
+    """rank(G_S) over GF(q) for every union S of ``parts``, indexed by bitmask.
 
-    One Gaussian elimination runs on all B matrices in lockstep, column by
-    column: each matrix swaps its first nonzero candidate row into its next
-    pivot slot and clears the rows below it.  The elimination is
-    fraction-free (row_i <- p * row_i - a_ic * pivot_row with the pivot p
-    nonzero), so no inverses are needed and the rank is unchanged.  It
-    runs along the shorter matrix side, since rank(A) = rank(A^T).
+    ``parts`` lists column groups of G; part j is bit j, so the result has
+    2^len(parts) entries.  The ranks come from a lattice over the parts:
+    level j holds an echelon basis for each of the 2^j unions of parts
+    0..j-1.  Level j + 1 keeps those bases in place as the children
+    without part j, and reduces a copy of each against part j's columns
+    for the child with it, at index t + 2^j.  A lattice holds at most
+    BASIS_BUDGET bases: past that, it is built at full width down to a
+    level of BASIS_BUDGET bases, and chunks of that level then run the
+    remaining levels one after another, each writing its ranks at the
+    level's stride.
 
-    Returns:
-        int64 array of the B ranks.
+    Raises:
+        ValueError: if ``G`` is not 2-dimensional.
     """
-    a = np.asarray(stack, dtype=np.int64)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (B, m, w) stack, got ndim={a.ndim}")
-    if a.shape[2] > a.shape[1]:
-        a = a.transpose(0, 2, 1)
-    a = a % q
-    count, rows, cols = a.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    row_idx = np.arange(rows)
-    batch = np.arange(count)
-    for col in range(cols):
-        if (ranks == rows).all():
-            break
-        open_rows = row_idx[None, :] >= ranks[:, None]
-        candidates = (a[:, :, col] != 0) & open_rows
-        found = candidates.any(axis=1)
-        if not found.any():
-            continue
-        b, slot = batch[found], ranks[found]
-        piv = candidates[found].argmax(axis=1)
-        a[b, slot], a[b, piv] = a[b, piv], a[b, slot]
-        # matrices without a pivot here get p = 1 and zero factors: unchanged
-        pivot_rows = a[batch, np.minimum(ranks, rows - 1)]
-        pivots = np.where(found, pivot_rows[:, col], 1)
-        factors = np.where(
-            (row_idx[None, :] > ranks[:, None]) & found[:, None], a[:, :, col], 0
-        )
-        a = (a * pivots[:, None, None] - factors[:, :, None] * pivot_rows[:, None, :]) % q
-        ranks += found
+    g = np.asarray(G, dtype=np.int64)
+    if g.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")
+    g = g % q
+    levels, spare = len(parts), BASIS_BUDGET.bit_length() - 1
+    if not g.shape[0]:
+        return np.zeros(1 << levels, dtype=np.int64)
+    columns = [g[:, list(part)].T for part in parts]
+    if levels <= spare:
+        top, width = 0, 1
+    else:
+        top = max(spare, levels - spare)
+        width = max(1, BASIS_BUDGET >> (levels - top))
+    level = _grow(_bases(g.shape[0], 1 << top), columns[:top], q)
+    ranks = np.empty(1 << levels, dtype=np.int64)
+    by_chunk = ranks.reshape(-1, 1 << top)
+    # every chunk overwrites all of the buffer past its first width bases
+    chunk = _bases(g.shape[0], width << (levels - top))
+    for start in range(0, 1 << top, width):
+        for part, source in zip(chunk, level):
+            part[:width] = source[start : start + width]
+        _grow(chunk, columns[top:], q, width)
+        by_chunk[:, start : start + width] = chunk[3].reshape(-1, width)
     return ranks
+
+
+def _bases(m: int, capacity: int):
+    """Room for ``capacity`` echelon bases in GF(q)^m, all of rank 0.
+
+    A set of bases is (vectors, pivots, heads, ranks): basis b holds
+    ranks[b] vectors in vectors[b, :ranks[b]]; vector i is zero at the
+    pivot coordinates of vectors 0..i-1 and has the nonzero entry
+    heads[b, i] at its own pivot coordinate pivots[b, i].  The other slots
+    hold the zero vector with head 1, so reducing by them is a no-op; slot
+    m takes the zero remainders of full-rank bases.
+    """
+    return (
+        np.zeros((capacity, m + 1, m), dtype=np.int64),
+        np.zeros((capacity, m + 1), dtype=np.intp),
+        np.ones((capacity, m + 1), dtype=np.int64),
+        np.zeros(capacity, dtype=np.int64),
+    )
+
+
+def _grow(bases, column_sets, q: int, count: int = 1):
+    """Extend the first ``count`` bases by every subset of ``column_sets``.
+
+    Works in place: basis t extended by subset u lands at t + count * u, so
+    ``bases`` needs room for count * 2^len(column_sets) bases.
+    """
+    for columns in column_sets:
+        for part in bases:
+            part[count : 2 * count] = part[:count]
+        _reduce(tuple(part[count : 2 * count] for part in bases), columns, q)
+        count *= 2
+    return bases
+
+
+def _reduce(bases, columns, q: int) -> None:
+    """Extend every basis of ``bases`` by the same ``columns``, in place.
+
+    Each column is reduced against all bases in lockstep, one basis vector
+    at a time, by the fraction-free step x <- h_i * x - x[p_i] * v_i, which
+    zeroes x at pivot p_i and needs no inverse.  Each step is reduced mod q,
+    so every product is of two residues below q < 2^31 and stays below
+    2^62.  A nonzero remainder is independent of the basis and is appended.
+    """
+    vectors, pivots, heads, ranks = bases
+    batch = np.arange(ranks.size)
+    for column in columns:
+        rest = np.broadcast_to(column, (ranks.size, column.size))
+        for i in range(int(ranks.max(initial=0))):
+            lead = rest[batch, pivots[:, i]]
+            rest = rest * heads[:, i, None]
+            rest -= lead[:, None] * vectors[:, i]
+            rest %= q
+        # the largest entry of a nonzero remainder is a nonzero pivot
+        largest = rest.max(axis=1)
+        vectors[batch, ranks] = rest
+        pivots[batch, ranks] = rest.argmax(axis=1)
+        heads[batch, ranks] = np.maximum(largest, 1)
+        ranks += largest > 0

@@ -195,6 +195,23 @@ class TestVerify:
         assert code_exit == 2
         assert "rank-identity" in err
 
+    def test_statevec_guard_runs_before_ranking(self, capsys, monkeypatch):
+        # the support guard refuses [[13,1,7]]_13 before the 2^14-mask
+        # rank table is built
+        import qmds.entropy as entropy
+
+        def forbidden(*args):
+            raise AssertionError("ranked a profile the state-vector guard refuses")
+
+        monkeypatch.setattr(entropy, "_rank_table", forbidden)
+        for oracle in ("statevec", "both"):
+            code_exit, out, err = run_cli(
+                capsys, "verify", "--n", "13", "--k", "1", "--d", "7", "--q", "13",
+                "--oracle", oracle,
+            )
+            assert (code_exit, out) == (2, "")
+            assert "rank-identity" in err
+
     @pytest.mark.parametrize("argv", SIM_COMMANDS, ids=["verify", "decode-test"])
     def test_support_not_basis_size_is_guarded(self, capsys, argv):
         # [[7,3,3]]_7 has 7**10 basis states but 7**5 support rows

@@ -1,4 +1,5 @@
 import itertools
+import time
 import types
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmds import entropy
+from qmds import entropy, linalg
 from qmds import (
     CodeParams,
     SubsystemSpec,
@@ -360,10 +361,23 @@ class TestTable:
             assert table[mask] == subsystem_entropy(code, spec)
 
     def test_chunk_size_does_not_change_table(self, monkeypatch):
+        # budgets below the 2^7 bases of the whole lattice split it into
+        # chunks, down to one basis per chunk
         code = make_code(6, 2, 3, 7, alphas=[6, 0, 3, 1, 5, 2])
         expected = entropy_table(code)
-        monkeypatch.setattr(entropy, "CHUNK_MASKS", 5)
-        assert entropy_table(code).tolist() == expected.tolist()
+        for budget in (1, 2, 4, 16):
+            monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
+            assert entropy_table(code).tolist() == expected.tolist()
+
+    def test_profile_at_n16_within_time_bound(self):
+        # the lattice takes about 0.3 s here; eliminating each of the 2^17
+        # masks from scratch takes about 4 s and fails the bound
+        code = make_code(16, 2, 8, 17)
+        start = time.perf_counter()
+        profile = full_profile(code)
+        elapsed = time.perf_counter() - start
+        assert profile.all_match
+        assert elapsed < 2.5, f"full_profile on [[16,2,8]]_17 took {elapsed:.2f} s"
 
     def test_entropy_of_rejects_out_of_range_index(self):
         profile = full_profile(make_code(3, 1, 2, 3))

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmds import SingularMatrixError, invert, rank, rref
-from qmds.linalg import batched_rank
+from qmds import SingularMatrixError, invert, linalg, rank, rref, subset_ranks
 
 from conftest import brute_force_subspace_dim, make_code, span_vectors
 
@@ -144,48 +143,63 @@ def test_products_exact_at_largest_q():
     assert product.tolist() == np.eye(3, dtype=np.int64).tolist()
 
 
+def union_columns(parts, mask):
+    """Columns of the union of the parts whose bits are set in mask."""
+    return sorted(c for j, part in enumerate(parts) if mask >> j & 1 for c in part)
+
+
+def ranks_by_slicing(G, q, parts):
+    """The reference table: rank of the sliced columns of every union of parts."""
+    return [rank(G[:, union_columns(parts, mask)], q) for mask in range(1 << len(parts))]
+
+
 @st.composite
-def low_rank_stacks(draw):
-    """(q, stack): B matrices m x w, each a product (m x r)(r x w) mod q, so
-    rank <= r with forced dependencies; some columns zeroed like a mask."""
+def partitioned_low_rank(draw):
+    """(q, G, parts, budget): G is m x w, a product (m x r)(r x w) mod q, so
+    rank <= r with forced dependencies; its columns fall into parts at
+    random (some parts empty); budget caps the lattice levels."""
     q = draw(st.sampled_from([2, 3, 5, 7, 13, BIG_Q]))
-    count = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 6))
-    w = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 6))
+    w = draw(st.integers(0, 8))
     r = draw(st.integers(0, min(m, w)))
     entries = st.integers(0, q - 1)
-    left = draw(arrays(np.int64, (count, m, r), elements=entries))
-    right = draw(arrays(np.int64, (count, r, w), elements=entries))
-    keep = draw(arrays(np.int64, (count, 1, w), elements=st.integers(0, 1)))
+    left = draw(arrays(np.int64, (m, r), elements=entries))
+    right = draw(arrays(np.int64, (r, w), elements=entries))
     # exact object-integer product: int64 would wrap at BIG_Q
-    stack = np.zeros((count, m, w), dtype=object)
-    for b in range(count):
-        stack[b] = left[b].astype(object) @ right[b].astype(object) % q if r else 0
-    return q, (stack * keep).astype(np.int64)
+    G = (left.astype(object) @ right.astype(object) % q).astype(np.int64)
+    count = draw(st.integers(0, 6))
+    labels = draw(st.lists(st.integers(0, max(count - 1, 0)), min_size=w, max_size=w))
+    parts = [[c for c in range(w) if labels[c] == j] for j in range(count)]
+    budget = draw(st.sampled_from([1, 2, 4, linalg.BASIS_BUDGET]))
+    return q, G, parts, budget
 
 
 @settings(max_examples=150, deadline=None)
-@given(low_rank_stacks())
-def test_batched_rank_matches_rank(case):
-    q, stack = case
-    expected = [rank(matrix, q) for matrix in stack]
-    assert batched_rank(stack, q).tolist() == expected
+@given(partitioned_low_rank())
+def test_subset_ranks_matches_rank(case):
+    q, G, parts, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "BASIS_BUDGET", budget)
+        assert subset_ranks(G, q, parts).tolist() == ranks_by_slicing(G, q, parts)
 
 
-def test_batched_rank_against_span_enumeration():
+def test_subset_ranks_against_span_enumeration():
     rng = np.random.default_rng(3)
-    stack = rng.integers(0, 3, size=(40, 3, 4))
-    stack[::3, 2] = (stack[::3, 0] + 2 * stack[::3, 1]) % 3
-    for matrix, r in zip(stack, batched_rank(stack, 3)):
-        size = len(span_vectors(matrix, 3))
-        assert r == brute_force_subspace_dim(size, 3)
+    for trial in range(12):
+        G = rng.integers(0, 3, size=(3, 6))
+        if trial % 3 == 0:
+            G[:, 5] = (G[:, 0] + 2 * G[:, 3]) % 3
+        parts = [[0, 4], [1], [2, 5], [3]]
+        for mask, r in enumerate(subset_ranks(G, 3, parts)):
+            size = len(span_vectors(G[:, union_columns(parts, mask)], 3))
+            assert r == brute_force_subspace_dim(size, 3)
 
 
-def test_batched_rank_edge_shapes():
-    assert batched_rank(np.zeros((0, 3, 4), dtype=np.int64), 5).tolist() == []
-    assert batched_rank(np.zeros((2, 0, 4), dtype=np.int64), 5).tolist() == [0, 0]
-    assert batched_rank(np.zeros((2, 3, 0), dtype=np.int64), 5).tolist() == [0, 0]
+def test_subset_ranks_edge_shapes():
+    assert subset_ranks(np.zeros((3, 4), dtype=np.int64), 5, []).tolist() == [0]
+    assert subset_ranks(np.zeros((0, 4), dtype=np.int64), 5, [[0, 1], [2, 3]]).tolist() == [0] * 4
+    assert subset_ranks(np.eye(2, dtype=np.int64), 5, [[], [0, 1]]).tolist() == [0, 0, 2, 2]
     # entries are reduced mod q first: a multiple of q is zero
-    assert batched_rank([[[5, 10], [0, 1]]], 5).tolist() == [1]
-    with pytest.raises(ValueError, match="stack"):
-        batched_rank(np.zeros((3, 4), dtype=np.int64), 5)
+    assert subset_ranks([[5, 10], [0, 1]], 5, [[0], [1]]).tolist() == [0, 0, 1, 1]
+    with pytest.raises(ValueError, match="2-dimensional"):
+        subset_ranks(np.zeros((2, 3, 4), dtype=np.int64), 5, [[0]])

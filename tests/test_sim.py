@@ -426,8 +426,9 @@ def test_statevector_oracle_uses_no_rank_code(monkeypatch):
     for module, name in (
         (qmds.linalg, "rank"),
         (qmds.linalg, "rref"),
-        (qmds.linalg, "batched_rank"),
-        (qmds.entropy, "batched_rank"),
+        (qmds.linalg, "subset_ranks"),
+        (qmds.entropy, "subset_ranks"),
+        (qmds.entropy, "rank"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     psi = encode_state(code)
