@@ -18,12 +18,12 @@ the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
 lattice ``linalg.subset_ranks``, which builds each union's echelon basis
 from the basis of the union without its highest part, so every rank costs
 a few reduction steps instead of an elimination; its memory is bounded by
-``linalg.BASIS_BUDGET`` bases per level, and MAX_MASKS bounds the table
-itself.  The table's last rank is rank(G) and must equal m.  The profile
-is that table; sizes, expected values and JSON rows are derived from its
-masks on demand.  The check suites (size pyramid H(S) = min(|S|, (k + n) -
-|S|), decoding / no-leakage conditions, product-state identities and the
-standard quantum entropy inequalities) all index it.
+``linalg.BASIS_BUDGET`` bases per level, and ``linalg.MAX_MASKS`` bounds
+the table itself.  The table's last rank is rank(G) and must equal m.
+The profile is that table; sizes, expected values and JSON rows are
+derived from its masks on demand.  The check suites (size pyramid H(S) =
+min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
+identities and the standard quantum entropy inequalities) all index it.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from .reporting import CheckReport
 # the inequality sweep works in blocks of 3^BLOCK_DIGITS assignments,
 # which bounds its memory
 BLOCK_DIGITS = 8
-# most masks one rank table may have: 2^(n+1) admits n <= 17 for the
-# R-atomic profile, and the extended profile needs k + n <= 18
-MAX_MASKS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,20 +84,11 @@ class SubsystemSpec:
         """Canonical subset encoding: (R flag, bitmask with Q1 = bit 0)."""
         return (int(self.include_R), sum(1 << (i - 1) for i in self.q_indices))
 
-    @classmethod
-    def from_key(cls, include_R: int, qmask: int) -> "SubsystemSpec":
-        """The subsystem whose ``sort_key`` is (include_R, qmask)."""
-        return cls(include_R, _mask_indices(qmask))
-
-
-def _mask_indices(qmask: int) -> list[int]:
-    """1-based coded-qudit indices of the set bits of a Q-bitmask."""
-    return [i + 1 for i in range(qmask.bit_length()) if qmask >> i & 1]
-
 
 def _key_labels(include_R: int, qmask: int) -> tuple[str, ...]:
     """Labels of the subsystem with sort key (include_R, qmask)."""
-    return ("R",) * include_R + tuple(f"Q{i}" for i in _mask_indices(qmask))
+    q_labels = (f"Q{i + 1}" for i in range(qmask.bit_length()) if qmask >> i & 1)
+    return ("R",) * include_R + tuple(q_labels)
 
 
 def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
@@ -110,27 +98,9 @@ def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
         raise ValueError(f"subsystem indices out of range 1..{n}: {sorted(bad)}")
 
 
-def _rank_table(G: NDArray[np.int64], q: int, parts) -> NDArray[np.int64]:
-    """rank(G_S) over GF(q) for every union S of ``parts``, indexed by bitmask.
-
-    ``parts`` lists disjoint column groups covering every column of G;
-    part j is bit j.  The ranks come from ``linalg.subset_ranks``.
-
-    Raises:
-        ValueError: if there are more than MAX_MASKS masks, before any
-            table is allocated.
-    """
-    if 1 << len(parts) > MAX_MASKS:
-        raise ValueError(
-            f"the exact oracle would rank 2^{len(parts)} column subsets, beyond "
-            f"the {MAX_MASKS} guard"
-        )
-    return subset_ranks(G, q, parts)
-
-
 def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int64]:
     """H[mask] = r[mask] + r[full ^ mask] - m over unions of ``parts``."""
-    ranks = _rank_table(code.G, code.params.q, parts)
+    ranks = subset_ranks(code.G, code.params.q, parts)
     m = code.params.generator_rank
     if ranks[-1] != m:
         raise ValueError("generator must have full row rank")

@@ -4,9 +4,9 @@ A matrix over GF(q) is a 2-D int64 array of residues, with ``q`` passed
 alongside; every routine reduces its input mod q on entry.  Everything
 here is exact: Gauss-Jordan elimination, rank, inverse, and the ranks of
 every union of given column groups of one matrix (``subset_ranks``),
-which is what the entropy oracle runs on.  ``rank`` checks single
-matrices (code construction, validation, single subsystems) and is the
-reference that ``subset_ranks`` is tested against.
+which the entropy oracle and code validation's minors run on.  ``rank``
+checks single matrices (construction, erasure blocks, single subsystems)
+and is the reference that ``subset_ranks`` is tested against.
 
 ``subset_ranks`` is a rank lattice.  The echelon basis of a union is the
 basis of the union without its highest group, extended by that group's
@@ -16,7 +16,7 @@ reduced in lockstep, and the child without a group keeps its parent's
 basis in place.  Memory is bounded: a lattice holds at most BASIS_BUDGET
 bases of (m + 1) x m int64, and a wider one is finished chunk by chunk
 from a level of BASIS_BUDGET bases, so one table needs two such buffers
-beside its 2^P ranks (for P <= 2 * log2(BASIS_BUDGET) groups).
+beside its 2^P ranks (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS bounds 2^P.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  Residues of q < 2^31 (see gf.MAX_Q) keep each product of
@@ -32,6 +32,9 @@ from numpy.typing import NDArray
 # most echelon bases one buffer of ``subset_ranks`` may hold; a table uses
 # two such buffers, 3.6 MB in all at m = 9
 BASIS_BUDGET = 1 << 11
+# most masks one rank table may have: the R-atomic profile admits n <= 17,
+# the split-R profile k + n <= 18 and ``code.validate`` n <= 18
+MAX_MASKS = 1 << 18
 
 
 class SingularMatrixError(ValueError):
@@ -119,8 +122,14 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
     level's stride.
 
     Raises:
-        ValueError: if ``G`` is not 2-dimensional.
+        ValueError: if there are more than MAX_MASKS masks, before any
+            table is allocated, or if ``G`` is not 2-dimensional.
     """
+    if 1 << len(parts) > MAX_MASKS:
+        raise ValueError(
+            f"the exact oracle would rank 2^{len(parts)} column subsets, beyond "
+            f"the {MAX_MASKS} guard"
+        )
     g = np.asarray(G, dtype=np.int64)
     if g.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")

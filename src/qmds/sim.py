@@ -4,7 +4,11 @@ Everything the exact rank-identity oracle claims is re-derived here the
 hard way: list the joint state's support, reduce it by partial trace, and
 diagonalize the reduced state (read off its diagonal when it is diagonal,
 else numpy's Hermitian eigensolver) to get Von Neumann entropies in q-ary
-units.  The two entropy paths share no machinery beyond the generator
+units.  Like the exact oracle, ``entropy_table`` returns all 2^(n+1)
+R-atomic entropies as one array indexed R * 2^n + Q-bitmask.  The state is
+pure, so both sides of a bipartition share their entropy: each side no
+larger than its complement is reduced once, and the larger side reads its
+entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
 Conventions: a state of r registers with local dimension q is stored on
@@ -174,14 +178,10 @@ def _positions_of(psi: StateVector, sub: SubsystemSpec) -> list[int]:
     """The subsystem's register positions, ascending."""
     if sub.include_R and psi.num_ref == 0:
         raise ValueError("state has no reference block but include_R was requested")
-    positions = list(range(psi.num_ref)) if sub.include_R else []
-    for i in sorted(sub.q_indices):
-        pos = psi.num_ref + i - 1
-        if pos >= psi.num_registers:
-            raise ValueError(
-                f"coded qudit Q{i} out of range for {psi.num_registers} registers"
-            )
-        positions.append(pos)
+    positions = list(sub.registers(psi.num_ref))
+    beyond = [p - psi.num_ref + 1 for p in positions if p >= psi.num_registers]
+    if beyond:
+        raise ValueError(f"coded qudit Q{beyond[0]} out of range for {psi.num_registers} registers")
     return positions
 
 
@@ -281,11 +281,38 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     -sum(lam * log_q lam) with 0 log 0 = 0.
     """
     positions = _positions_of(psi, sub)
-    total = psi.num_registers
-    if len(positions) in (0, total):
+    if 2 * len(positions) > psi.num_registers:
+        positions = [p for p in range(psi.num_registers) if p not in positions]
+    return _entropy(psi, positions)
+
+
+def entropy_table(psi: StateVector) -> np.ndarray:
+    """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask.
+
+    The twin of ``entropy.entropy_table``, with R the reference block.  A
+    subsystem no larger than its complement is reduced; a larger one takes
+    its complement's entry, the side von_neumann_entropy reduces for it.
+    """
+    k, total = psi.num_ref, psi.num_registers
+    if k == 0:
+        raise ValueError("state has no reference block, so R-atomic subsystems are undefined")
+    full = (2 << (total - k)) - 1
+    bits = [total - k] * k + list(range(total - k))
+    table = np.empty(full + 1)
+    for mask in range(full + 1):
+        positions = [p for p, bit in enumerate(bits) if mask >> bit & 1]
+        if 2 * len(positions) <= total:
+            table[mask] = _entropy(psi, positions)
+        if 2 * len(positions) < total:
+            # masks run 0..full, so the complement full ^ mask is full - mask
+            table[full - mask] = table[mask]
+    return table
+
+
+def _entropy(psi: StateVector, positions: list[int]) -> float:
+    """Entropy of the registers at ``positions``, ascending and no more than half."""
+    if not positions:
         return 0.0
-    if len(positions) > total - len(positions):
-        positions = [p for p in range(total) if p not in positions]
     _, rho = _reduce(psi, positions)
     if rho.ndim == 1:
         _check_trace(complex(rho.sum()))

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from qmds import CodeParams, QuantumMdsCode
+from qmds import CodeParams, QuantumMdsCode, SubsystemSpec
 
 # the three desk-scale reference codes exercised throughout
 REFERENCE_PARAMS = [(3, 1, 2, 3), (4, 2, 2, 5), (5, 1, 3, 5)]
@@ -25,6 +27,26 @@ DESK_PARAMS = [
 
 def make_code(n, k, d, q, alphas=None):
     return QuantumMdsCode(CodeParams(n=n, k=k, d=d, q=q), alphas)
+
+
+def spec_at(mask, n):
+    """The R-atomic subsystem at a table index."""
+    include_R, qmask = divmod(mask, 2**n)
+    return SubsystemSpec(include_R, [i + 1 for i in range(n) if qmask >> i & 1])
+
+
+def non_mds_control():
+    """[[5,1,3]]_5 built on the points (0, 1, 2, 3, 3): a stand-in code.
+
+    The repeated point repeats a column of AB, so the code is not MDS, but
+    G = [E | AB] still has full row rank and its uniform superposition is a
+    valid state that both oracles must describe.
+    """
+    params = CodeParams(n=5, k=1, d=3, q=5)
+    alphas = (0, 1, 2, 3, 3)
+    ab = np.array([[pow(a, 2 - r, 5) for a in alphas] for r in range(3)], dtype=np.int64)
+    g = np.hstack((np.eye(3, 1, dtype=np.int64), ab))
+    return types.SimpleNamespace(params=params, alphas=alphas, AB=ab, A=ab[:1], B=ab[1:], G=g)
 
 
 @pytest.fixture(scope="session")

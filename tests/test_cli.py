@@ -10,7 +10,7 @@ import pytest
 import qmds
 from qmds.cli import main
 
-from conftest import REFERENCE_PARAMS
+from conftest import REFERENCE_PARAMS, non_mds_control
 
 
 # the two commands that run the state-vector simulator
@@ -94,13 +94,13 @@ class TestProfile:
         import qmds.entropy as entropy
 
         parts = []
-        rank_table = entropy._rank_table
+        rank_table = entropy.subset_ranks
 
         def counting(*args):
             parts.append(len(args[2]))
             return rank_table(*args)
 
-        monkeypatch.setattr(entropy, "_rank_table", counting)
+        monkeypatch.setattr(entropy, "subset_ranks", counting)
         argv = ["profile", "--n", "5", "--k", "3", "--d", "2", "--q", "7", "--format", "csv"]
         code_exit, out, _ = run_cli(capsys, *argv, "--extended-R")
         assert code_exit == 0
@@ -203,7 +203,7 @@ class TestVerify:
         def forbidden(*args):
             raise AssertionError("ranked a profile the state-vector guard refuses")
 
-        monkeypatch.setattr(entropy, "_rank_table", forbidden)
+        monkeypatch.setattr(entropy, "subset_ranks", forbidden)
         for oracle in ("statevec", "both"):
             code_exit, out, err = run_cli(
                 capsys, "verify", "--n", "13", "--k", "1", "--d", "7", "--q", "13",
@@ -251,19 +251,55 @@ class TestVerify:
         assert "  mismatch ['Q1']: entropy 2, expected 1\n" in out
         assert "result: FAIL" in out
 
-    def test_lemma_verify_builds_no_subsystem_spec(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("oracle", ["lemma", "statevec", "both"])
+    def test_verify_builds_no_subsystem_spec(self, capsys, monkeypatch, oracle):
+        # both oracles are mask-indexed tables; no subsystem object is built
         from qmds.entropy import SubsystemSpec
 
         def refuse(self, *args, **kwargs):
-            raise AssertionError("SubsystemSpec built on the exact-oracle path")
+            raise AssertionError(f"SubsystemSpec built on the {oracle} path")
 
         monkeypatch.setattr(SubsystemSpec, "__init__", refuse)
         code_exit, out, _ = run_cli(
             capsys, "verify", "--n", "5", "--k", "1", "--d", "3", "--q", "5",
-            "--oracle", "lemma", "--inequalities",
+            "--oracle", oracle, "--inequalities",
         )
         assert code_exit == 0
         assert out.endswith("result: PASS\n")
+
+    def test_each_smaller_side_is_reduced_once(self, capsys, monkeypatch):
+        # 6 registers: the 41 subsystems of 1..3 registers are reduced, and
+        # the 22 larger ones read their complement's entry
+        from qmds import sim
+
+        calls = []
+        reduce = sim._reduce
+
+        def counting(psi, positions):
+            calls.append(tuple(positions))
+            return reduce(psi, positions)
+
+        monkeypatch.setattr(sim, "_reduce", counting)
+        code_exit, out, _ = run_cli(
+            capsys, "verify", "--n", "5", "--k", "1", "--d", "3", "--q", "7",
+            "--oracle", "both",
+        )
+        assert code_exit == 0 and out.endswith("result: PASS\n")
+        assert len(calls) == 41
+        assert len(set(calls)) == 41
+        assert all(1 <= len(positions) <= 3 for positions in calls)
+
+    @pytest.mark.parametrize("oracle", ["both", "statevec"])
+    def test_non_mds_control_failure_lines(self, capsys, monkeypatch, oracle):
+        # the state-vector failure lines and the max delta of a code that
+        # breaks the law, pinned byte for byte
+        import qmds.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_load_code", lambda args: non_mds_control())
+        code_exit, out, err = run_cli(capsys, "verify", "--oracle", oracle)
+        assert (code_exit, err) == (1, "")
+        golden = GOLDEN / f"verify_non_mds_control_{oracle}.txt"
+        assert out == golden.read_text(encoding="utf-8")
 
 
 class TestCoercedInputRejected:
@@ -361,6 +397,27 @@ class TestDecodeTest:
         )
         assert code_exit == 2
         assert "d-1=1" in err
+
+    def test_support_guard_runs_before_patterns_are_listed(self, capsys, monkeypatch):
+        # [[23,1,12]]_23 has C(23,11) = 1352078 patterns; the support guard
+        # refuses the code before one of them is listed
+        import itertools
+
+        listed = []
+        combinations = itertools.combinations
+
+        def counting(*args):
+            for pattern in combinations(*args):
+                listed.append(pattern)
+                yield pattern
+
+        monkeypatch.setattr(itertools, "combinations", counting)
+        code_exit, out, err = run_cli(
+            capsys, "decode-test", "--n", "23", "--k", "1", "--d", "12", "--all"
+        )
+        assert (code_exit, out) == (2, "")
+        assert "state vector support of 23^12 rows" in err
+        assert listed == []
 
     def test_requires_pattern_choice(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

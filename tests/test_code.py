@@ -15,7 +15,7 @@ from qmds import (
     validate,
 )
 
-from conftest import DESK_PARAMS, make_code
+from conftest import DESK_PARAMS, make_code, non_mds_control
 
 
 class TestCodeParams:
@@ -192,6 +192,58 @@ class TestValidate:
         assert not report.ok
         failing = [r.name for r in report.failures()]
         assert "evaluation points distinct" in failing
+
+
+def per_minor_lines(code):
+    """The minor checks of ``validate``, one ``rank`` elimination per minor."""
+    n, d, q, m = code.params.n, code.params.d, code.params.q, code.params.generator_rank
+    lines = []
+    for name, block, size in (("AB", code.AB, m), ("B", code.B, d - 1)):
+        for cols in itertools.combinations(range(n), size):
+            passed = rank(block[:, cols], q) == size
+            lines.append((f"{name} columns {[c + 1 for c in cols]} invertible", passed))
+    return lines
+
+
+def forged_non_mds_code():
+    """A QuantumMdsCode object carrying the non-MDS control's matrices."""
+    control = non_mds_control()
+    bad = object.__new__(QuantumMdsCode)
+    for attr in ("params", "alphas", "AB", "A", "B", "G"):
+        setattr(bad, attr, getattr(control, attr))
+    return bad
+
+
+class TestValidateMinorTable:
+    """The minor checks are read off rank tables; they must say what
+    one elimination per minor says, passes and failures alike."""
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_desk_codes_match_per_minor_ranks(self, params):
+        code = make_code(*params)
+        report = validate(code)
+        assert [(r.name, r.passed) for r in report.results[4:]] == per_minor_lines(code)
+        assert report.ok
+
+    def test_repeated_points_fail_the_same_minors(self):
+        code = forged_non_mds_code()
+        report = validate(code)
+        expected = per_minor_lines(code)
+        assert [(r.name, r.passed) for r in report.results[4:]] == expected
+        failing = [r.name for r in report.failures()]
+        # a minor fails exactly when it holds both copies of the point 3
+        assert "evaluation points distinct" in failing
+        assert "AB columns [1, 4, 5] invertible" in failing
+        assert "B columns [4, 5] invertible" in failing
+        assert len(failing) == 1 + 3 + 1
+        # JSON-ready Python bools, not numpy ones
+        assert {type(r.passed) for r in report.results} == {bool}
+
+    def test_past_the_mask_guard_is_refused(self):
+        # 2^19 column subsets of AB; [[19,1,10]] once took C(19,10) eliminations
+        code = make_code(19, 1, 10, 19)
+        with pytest.raises(ValueError, match="2\\^19 column subsets"):
+            validate(code)
 
 
 class TestDescriptor:

@@ -1,6 +1,5 @@
 import itertools
 import time
-import types
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from qmds import entropy, linalg
 from qmds import (
-    CodeParams,
     SubsystemSpec,
     check_decoding_condition,
     check_entropy_inequalities,
@@ -26,7 +24,14 @@ from qmds import (
 
 from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, entropy_table
 
-from conftest import DESK_PARAMS, brute_force_subspace_dim, make_code, span_vectors
+from conftest import (
+    DESK_PARAMS,
+    brute_force_subspace_dim,
+    make_code,
+    non_mds_control,
+    spec_at,
+    span_vectors,
+)
 
 
 class TestSubsystemSpec:
@@ -208,13 +213,13 @@ class TestProfiles:
         code = make_code(5, 3, 2, 7)
         atomic = entropy_table(code)
         calls = []
-        rank_table = entropy._rank_table
+        rank_table = entropy.subset_ranks
 
         def counting(*args):
             calls.append(len(args[2]))
             return rank_table(*args)
 
-        monkeypatch.setattr(entropy, "_rank_table", counting)
+        monkeypatch.setattr(entropy, "subset_ranks", counting)
         profile = extended_profile(code)
         # one table over the 8 single registers; the R-atomic one is read off it
         assert calls == [8]
@@ -328,11 +333,6 @@ def registers_of(labels, k):
         else:
             positions.append(int(lbl[1:]) - 1 + (k if lbl[0] == "Q" else 0))
     return positions
-
-
-def spec_at(mask, n):
-    """The R-atomic subsystem at a table index."""
-    return SubsystemSpec.from_key(*divmod(mask, 2**n))
 
 
 class TestTable:
@@ -513,20 +513,6 @@ class TestNegativeControls:
         # the first violation is K1 = (1,), K2 = (2,): H(Q1 Q2) = 2 vs 1 + 2
         assert pair.detail.endswith("violations; first: ((1,), (2,), 2, 3)")
         assert group.detail.endswith("violations; first: ((1, 2), 2, 3)")
-
-
-def non_mds_control():
-    """[[5,1,3]]_5 built on the points (0, 1, 2, 3, 3): a stand-in code.
-
-    The repeated point repeats a column of AB, so the code is not MDS, but
-    G = [E | AB] still has full row rank and its uniform superposition is a
-    valid state that both oracles must describe.
-    """
-    params = CodeParams(n=5, k=1, d=3, q=5)
-    alphas = (0, 1, 2, 3, 3)
-    ab = np.array([[pow(a, 2 - r, 5) for a in alphas] for r in range(3)], dtype=np.int64)
-    g = np.hstack((np.eye(3, 1, dtype=np.int64), ab))
-    return types.SimpleNamespace(params=params, alphas=alphas, G=g)
 
 
 class TestNonMdsControl:

@@ -22,6 +22,7 @@ from qmds import (
     von_neumann_entropy,
 )
 from qmds.sim import _all_vectors, _decode_block
+from qmds.sim import entropy_table as sim_entropy_table
 
 from conftest import (
     DESK_PARAMS,
@@ -30,7 +31,9 @@ from conftest import (
     dense_entropy,
     dense_partial_trace,
     make_code,
+    non_mds_control,
     radix_keys,
+    spec_at,
 )
 
 
@@ -435,6 +438,7 @@ def test_statevector_oracle_uses_no_rank_code(monkeypatch):
     for mask, h in enumerate(expected):
         spec = SubsystemSpec(mask >> 4, [i + 1 for i in range(4) if mask >> i & 1])
         assert von_neumann_entropy(psi, spec) == pytest.approx(h, abs=1e-9)
+    assert np.max(np.abs(sim_entropy_table(psi) - expected)) <= 1e-9
 
 
 # the desk codes small enough for the dense reference in conftest
@@ -499,3 +503,44 @@ class TestAgainstDenseReference:
                 assert von_neumann_entropy(psi, spec) == pytest.approx(
                     dense_entropy(psi, positions), abs=1e-12
                 )
+
+
+def per_mask_entropies(psi):
+    """von_neumann_entropy of every R-atomic subsystem, one call per mask."""
+    n = psi.num_registers - psi.num_ref
+    return [von_neumann_entropy(psi, spec_at(mask, n)) for mask in range(2 << n)]
+
+
+class TestEntropyTable:
+    """The table reduces each smaller side once; every entry must still be
+    the per-subsystem entropy, bit for bit."""
+
+    @pytest.mark.parametrize("params", DENSE_PARAMS)
+    def test_desk_codes(self, params):
+        psi = encode_state(make_code(*params))
+        assert sim_entropy_table(psi).tolist() == per_mask_entropies(psi)
+
+    def test_non_mds_control(self):
+        # four of its reduced states take the non-diagonal block path
+        psi = encode_state(non_mds_control())
+        table = sim_entropy_table(psi)
+        assert table.tolist() == per_mask_entropies(psi)
+        assert table.tolist() != full_profile(make_code(5, 1, 3, 5)).table.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sets(st.integers(0, 80), min_size=1, max_size=20),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+    )
+    def test_random_states_with_a_reference_block(self, keys, seed, num_ref):
+        keys = sorted(keys)
+        digits = np.array([[key // 3**r % 3 for r in (3, 2, 1, 0)] for key in keys])
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        psi = StateVector(3, 4, digits, amps / np.linalg.norm(amps), num_ref=num_ref)
+        assert sim_entropy_table(psi).tolist() == per_mask_entropies(psi)
+
+    def test_needs_a_reference_block(self):
+        with pytest.raises(ValueError, match="no reference block"):
+            sim_entropy_table(basis_state(3, (0, 0, 0)))
