@@ -14,6 +14,9 @@ qudits is the uniform superposition over the row space of
 
 with registers ordered R first, then Q1..Qn; the row indexed by the
 message-plus-seed vector (a, b) lands on the basis state |a, (a, b) AB>.
+
+``index_groups`` lists every index family the checks run over, with the
+bitmasks that index the rank and entropy tables.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .gf import MAX_Q, check_modulus, is_prime
 from .linalg import rank, subset_ranks
@@ -217,15 +221,30 @@ def validate(code: QuantumMdsCode) -> CheckReport:
         bool(np.array_equal(code.G[:, : p.k], np.eye(m, p.k, dtype=np.int64))),
     )
 
-    singles = [[c] for c in range(p.n)]
     for name, block, size in (("AB", code.AB, m), ("B", code.B, p.d - 1)):
-        ranks = subset_ranks(block, p.q, singles).tolist()
-        for cols in itertools.combinations(range(p.n), size):
-            report.add(
-                f"{name} columns {[c + 1 for c in cols]} invertible",
-                ranks[sum(1 << c for c in cols)] == size,
-            )
+        ranks = subset_ranks(block, p.q, [[c] for c in range(p.n)])
+        groups, masks = index_groups(p.n, [size])
+        for cols, full in zip(groups, (ranks[masks] == size).tolist()):
+            report.add(f"{name} columns {list(cols)} invertible", full)
     return report
+
+
+def index_groups(n: int, sizes) -> tuple[list[tuple[int, ...]], NDArray[np.int64]]:
+    """The groups of the 1-based indices 1..n with a size in ``sizes``, and their bitmasks.
+
+    Groups run by size, then lexicographically; index i is bit i - 1 of an
+    int64 mask (n <= 62), and size 0 gives the empty group.  Recovery sets
+    (size n - (d-1)), erasure sets (size d - 1) and product-state groups
+    all come from here.
+    """
+    groups: list[tuple[int, ...]] = []
+    masks = [np.zeros(0, dtype=np.int64)]
+    for size in sorted(sizes):
+        block = list(itertools.combinations(range(1, n + 1), size))
+        indices = np.array(block, dtype=np.int64).reshape(len(block), size)
+        masks.append((1 << (indices - 1)).sum(axis=1))
+        groups += block
+    return groups, np.concatenate(masks)
 
 
 # JSON code descriptor: {"q":, "n":, "k":, "d":, "alphas": [...]} -- accepted

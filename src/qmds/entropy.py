@@ -23,7 +23,8 @@ the table itself.  The table's last rank is rank(G) and must equal m.
 The profile is that table; sizes, expected values and JSON rows are
 derived from its masks on demand.  The check suites (size pyramid H(S) =
 min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
-identities and the standard quantum entropy inequalities) all index it.
+identities and the standard quantum entropy inequalities) all index it,
+with their groups of coded qudits and bitmasks from ``code.index_groups``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .code import CodeParams, QuantumMdsCode, _as_int, to_descriptor
+from .code import CodeParams, QuantumMdsCode, _as_int, index_groups, to_descriptor
 from .linalg import rank, subset_ranks
 from .reporting import CheckReport
 
@@ -217,9 +218,11 @@ class EntropyProfile:
         ]
         if self.register_table is not None:
             k, n = self.params.k, self.params.n
-            for r_part, q_part in itertools.product(_groups(k, k - 1)[1:], _groups(n, n)):
+            r_parts, r_masks = index_groups(k, range(1, k))
+            q_parts, q_masks = index_groups(n, range(n + 1))
+            values = self.register_table[r_masks[:, None] | q_masks << k].ravel().tolist()
+            for (r_part, q_part), h in zip(itertools.product(r_parts, q_parts), values):
                 labels = [f"R{r}" for r in r_part] + [f"Q{i}" for i in q_part]
-                h = int(self.register_table[_group_mask(r_part) | _group_mask(q_part) << k])
                 rows.append(dict(zip(_ROW_KEYS, (labels, len(labels), h, None, None))))
         return {"code": to_descriptor(self), "entries": rows}
 
@@ -270,9 +273,7 @@ def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
         ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
         ("no-leakage", d - 1, 0, "expected 0"),
     ):
-        groups = list(itertools.combinations(range(1, n + 1), size))
-        indices = np.array(groups, dtype=np.int64).reshape(len(groups), size)
-        masks = (1 << (indices - 1)).sum(axis=1)
+        groups, masks = index_groups(n, [size])
         # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
         mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
         for group, value in zip(groups, mutual.tolist()):
@@ -344,20 +345,6 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     return report
 
 
-def _groups(n: int, max_size: int) -> list[tuple[int, ...]]:
-    """Groups of 1-based indices 1..n of size <= max_size, by size then
-    lexicographically."""
-    return [
-        group
-        for size in range(max_size + 1)
-        for group in itertools.combinations(range(1, n + 1), size)
-    ]
-
-
-def _group_mask(group) -> int:
-    return sum(1 << (i - 1) for i in group)
-
-
 def product_state_checks(profile: EntropyProfile) -> CheckReport:
     """Product-state identities among small groups of coded qudits.
 
@@ -373,10 +360,8 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     table = profile.table
     report = CheckReport(f"product-state identities for [[{n},{k},{d}]]_{p.q}")
 
-    firsts = _groups(n, k)
-    first_masks = np.array([_group_mask(g) for g in firsts], dtype=np.int64)
-    seconds = _groups(n, d - 1)
-    second_masks = np.array([_group_mask(g) for g in seconds], dtype=np.int64)
+    firsts, first_masks = index_groups(n, range(k + 1))
+    seconds, second_masks = index_groups(n, range(d))
 
     pair_count = 0
     pair_violations = 0

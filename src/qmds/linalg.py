@@ -127,8 +127,8 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
     """
     if 1 << len(parts) > MAX_MASKS:
         raise ValueError(
-            f"the exact oracle would rank 2^{len(parts)} column subsets, beyond "
-            f"the {MAX_MASKS} guard"
+            f"a rank table over 2^{len(parts)} column subsets is beyond the "
+            f"{MAX_MASKS}-mask guard"
         )
     g = np.asarray(G, dtype=np.int64)
     if g.ndim != 2:

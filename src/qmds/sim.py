@@ -367,21 +367,17 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     entangled with the erased registers, all in canonical register order.
     """
     p = code.params
-    q, k, d, total, m = p.q, p.k, p.d, p.num_registers, p.generator_rank
+    q, k, total, m = p.q, p.k, p.num_registers, p.generator_rank
     idx = _check_surviving(code, surviving)
     _guard_support(q, m, total)
     erased = [i for i in range(1, p.n + 1) if i not in idx]
 
-    messages = np.repeat(_all_vectors(q, k), q ** (d - 1), axis=0)
-    seeds = np.tile(_all_vectors(q, d - 1), (q**k, 1))
+    # row (a, b) holds message a then seed b, big-endian as the encoder lists them
+    rows = _all_vectors(q, m)
     digits = np.zeros((q**m, total), dtype=np.int64)
-    digits[:, :k] = messages
-    for col, i in enumerate(idx[:k]):
-        digits[:, k + i - 1] = messages[:, col]
-    for col, i in enumerate(idx[k:]):
-        digits[:, k + i - 1] = seeds[:, col]
-    for col, i in enumerate(erased):
-        digits[:, k + i - 1] = seeds[:, col]
+    digits[:, :k] = rows[:, :k]
+    digits[:, [k + i - 1 for i in idx]] = rows
+    digits[:, [k + i - 1 for i in erased]] = rows[:, k:]
     amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
     return StateVector(q, total, digits, amps, num_ref=k)
 

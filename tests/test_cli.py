@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qmds
-from qmds.cli import main
+from qmds.cli import build_parser, main
 
 from conftest import REFERENCE_PARAMS, non_mds_control
 
@@ -424,6 +425,38 @@ class TestDecodeTest:
             main(["decode-test", "--n", "3", "--k", "1", "--d", "2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("n,k,d,q", [(5, 1, 3, 5), (3, 1, 2, 3), (4, 2, 2, 5)])
+    def test_undecoded_state_fails_every_pattern(self, capsys, monkeypatch, n, k, d, q):
+        from qmds import sim
+
+        monkeypatch.setattr(sim, "decode", lambda psi, code, surviving: psi)
+        code_exit, out, _ = run_cli(
+            capsys, "decode-test", "--n", str(n), "--k", str(k), "--d", str(d),
+            "--q", str(q), "--all",
+        )
+        *patterns, verdict = out.splitlines()
+        assert code_exit == 1
+        assert verdict == "result: FAIL"
+        assert len(patterns) == math.comb(n, d - 1)
+        assert all(line.endswith("[FAIL]") for line in patterns)
+
+    def test_decode_without_its_second_step_fails(self, capsys, monkeypatch):
+        from qmds import sim
+        from qmds.code import erasure_submatrices
+        from qmds.linalg import invert
+
+        def step_one_only(code, surviving, values):
+            ab_s, _ = erasure_submatrices(code, surviving)
+            return values @ invert(ab_s, code.params.q) % code.params.q
+
+        monkeypatch.setattr(sim, "_decode_block", step_one_only)
+        code_exit, out, _ = run_cli(
+            capsys, "decode-test", "--n", "3", "--k", "1", "--d", "2", "--all"
+        )
+        # one of the three patterns still decodes, so only the verdict is pinned
+        assert code_exit == 1
+        assert out.splitlines()[-1] == "result: FAIL"
+
 
 class TestFigure:
     def test_k1_d2_rows(self, capsys):
@@ -501,6 +534,10 @@ def test_output_matches_golden_file(capsys, golden):
     code_exit, out, err = run_cli(capsys, *GOLDEN_RUNS[golden])
     assert (code_exit, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_python_dash_m_runs_the_cli(capsys):

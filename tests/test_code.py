@@ -14,6 +14,7 @@ from qmds import (
     to_descriptor,
     validate,
 )
+from qmds.code import index_groups
 
 from conftest import DESK_PARAMS, make_code, non_mds_control
 
@@ -239,11 +240,46 @@ class TestValidateMinorTable:
         # JSON-ready Python bools, not numpy ones
         assert {type(r.passed) for r in report.results} == {bool}
 
-    def test_past_the_mask_guard_is_refused(self):
-        # 2^19 column subsets of AB; [[19,1,10]] once took C(19,10) eliminations
+    def test_past_the_mask_guard_is_refused(self, monkeypatch):
+        # 2^19 column subsets of AB; [[19,1,10]] once took C(19,10) eliminations.
+        # The guard speaks before a single minor's group is listed.
+        def unlisted(*args):
+            raise AssertionError("a group was listed before the guard")
+
+        monkeypatch.setattr(itertools, "combinations", unlisted)
         code = make_code(19, 1, 10, 19)
         with pytest.raises(ValueError, match="2\\^19 column subsets"):
             validate(code)
+
+
+class TestIndexGroups:
+    def test_order_by_size_then_lexicographic(self):
+        groups, _ = index_groups(4, range(3))
+        assert groups == [
+            (),
+            (1,), (2,), (3,), (4,),
+            (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+        ]
+        # sizes are taken in ascending order whatever order they are given in
+        assert index_groups(4, [2, 0])[0] == [()] + groups[5:]
+
+    def test_size_zero_is_the_empty_group(self):
+        groups, masks = index_groups(5, [0])
+        assert groups == [()]
+        assert masks.tolist() == [0]
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 10])
+    def test_masks_are_sums_of_index_bits(self, n):
+        groups, masks = index_groups(n, range(n + 1))
+        assert masks.dtype == np.int64
+        assert masks.tolist() == [sum(2 ** (i - 1) for i in g) for g in groups]
+        # every subset of 1..n exactly once
+        assert sorted(masks.tolist()) == list(range(2**n))
+
+    def test_size_past_n_lists_nothing(self):
+        groups, masks = index_groups(3, [4])
+        assert groups == []
+        assert masks.shape == (0,)
 
 
 class TestDescriptor:
