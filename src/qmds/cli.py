@@ -30,6 +30,7 @@ from .entropy import (
     full_profile,
     product_state_checks,
 )
+from .linalg import SingularMatrixError
 from . import sim
 
 FIDELITY_TOL = 1e-12
@@ -184,7 +185,13 @@ def cmd_decode_test(args) -> int:
     all_ok = True
     for erased in patterns:
         surviving = [i for i in range(1, p.n + 1) if i not in erased]
-        recovered = sim.decode(psi, code, surviving)
+        try:
+            recovered = sim.decode(psi, code, surviving)
+        except SingularMatrixError as exc:
+            # a generator that cannot decode this pattern fails it
+            all_ok = False
+            lines.append(f"erasures {list(erased)}: {exc} [FAIL]")
+            continue
         target = sim.decode_target(code, surviving)
         f = sim.fidelity(recovered, target)
         ok = f >= 1.0 - FIDELITY_TOL

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gf import MAX_Q, check_modulus, is_prime
-from .linalg import rank, subset_ranks
+from .linalg import SingularMatrixError, rank, subset_ranks
 from .reporting import CheckReport
 
 
@@ -180,7 +180,9 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     ascending index order.  The surviving block is a full-size square
     Vandermonde submatrix and the bottom (d-1)-row block of the erased part
     is itself square Vandermonde; both invertibility facts are asserted
-    here because the decoding unitaries depend on them.
+    here because the decoding unitaries depend on them, and a block that
+    fails one (a non-MDS generator) raises ``linalg.SingularMatrixError``
+    naming its columns.
     """
     p = code.params
     idx = _check_surviving(code, surviving)
@@ -188,10 +190,13 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     ab_s = code.AB[:, [i - 1 for i in idx]]
     ab_e = code.AB[:, [i - 1 for i in erased]]
 
-    if rank(ab_s, p.q) != p.generator_rank:
-        raise ValueError(f"surviving-column block {idx} is not invertible")
-    if rank(ab_e[p.k :], p.q) != p.d - 1:
-        raise ValueError(f"erased-column seed block {erased} is not invertible")
+    for what, block in (
+        (f"surviving-column block {idx}", ab_s),
+        (f"erased-column seed block {erased}", ab_e[p.k :]),
+    ):
+        r = rank(block, p.q)
+        if r != len(block):
+            raise SingularMatrixError(len(block), r, what)
     return ab_s, ab_e
 
 

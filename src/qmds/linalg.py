@@ -38,16 +38,17 @@ MAX_MASKS = 1 << 18
 
 
 class SingularMatrixError(ValueError):
-    """Raised when inverting a rank-deficient square matrix.
+    """Raised for a rank-deficient square matrix that must be inverted.
 
-    Carries ``size`` and ``rank`` so callers can report the rank deficit.
+    Carries ``size`` and ``rank`` so callers can report the rank deficit;
+    ``what`` names the matrix in the message.
     """
 
-    def __init__(self, size: int, rank: int):
+    def __init__(self, size: int, rank: int, what: str = "matrix"):
         self.size = size
         self.rank = rank
         super().__init__(
-            f"matrix is singular: rank {rank} < size {size} (deficit {size - rank})"
+            f"{what} is singular: rank {rank} < size {size} (deficit {size - rank})"
         )
 
 

@@ -11,6 +11,21 @@ larger than its complement is reduced once, and the larger side reads its
 entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
+The table's reduction is batched by register count: all subsystems of
+s registers are reduced together, in chunks whose key arrays (masks x
+support rows x 8 bytes) stay within KEY_BUDGET, or hold one mask where
+that alone is larger; the chunk's other temporaries are no larger.  A
+chunk builds its environment and kept keys by Horner's rule over a
+register-major copy of the digits made once per call, sorts every
+environment row at once to check it is distinct, and forms every
+diagonal reduced state with one offset bincount; the trace check, clamp,
+sort and -sum(lam log_q lam) run row-wise.  Each bin sums
+in row order, as one mask's bincount does, so the values equal the
+per-mask reduction's bit for bit.  A mask whose environment keys repeat
+(a non-diagonal block, reached only by non-MDS states) or whose diagonal
+misses some of the q^s kept keys takes the per-mask path instead.
+von_neumann_entropy is a batch of one.
+
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
 register values per support basis state, in canonical register order
@@ -46,6 +61,10 @@ HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 OFF_NORM_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-10
+# most bytes of one key array of an entropy-table chunk (masks x support rows
+# x 8), unless one mask's keys alone are larger; 512 KiB keeps a chunk's
+# arrays in cache
+KEY_BUDGET = 1 << 19
 
 
 def _keys(digits: np.ndarray, q: int) -> np.ndarray:
@@ -243,7 +262,7 @@ def _clamped_descending(values: np.ndarray) -> np.ndarray:
     values[near_zero] = 0.0
     near_one = (values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)
     values[near_one] = 1.0
-    return np.sort(values)[::-1]
+    return np.sort(values, axis=-1)[..., ::-1]
 
 
 def hermitian_eigenvalues(rho) -> np.ndarray:
@@ -274,45 +293,128 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
 
     Empty and full subsystems return 0 (the state is pure).  Otherwise the
     reduced state of the smaller side of the bipartition is taken (a state
-    vector's two reduced states share their nonzero spectrum).  A diagonal
-    one, as every reduced state of a valid code's smaller side is (it is
-    maximally mixed), gives its spectrum directly, with its trace checked;
-    any other goes to hermitian_eigenvalues.  The entropy is
-    -sum(lam * log_q lam) with 0 log 0 = 0.
+    vector's two reduced states share their nonzero spectrum), as a batch
+    of one of the entropy table's reduction.  A diagonal one, as every
+    reduced state of a valid code's smaller side is (it is maximally
+    mixed), gives its spectrum directly, with its trace checked; any other
+    goes to hermitian_eigenvalues.  The entropy is -sum(lam * log_q lam)
+    with 0 log 0 = 0.
     """
     positions = _positions_of(psi, sub)
     if 2 * len(positions) > psi.num_registers:
         positions = [p for p in range(psi.num_registers) if p not in positions]
-    return _entropy(psi, positions)
+    if not positions:
+        return 0.0
+    return float(_entropies(psi, [np.array([positions], dtype=np.int64)])[0][0])
 
 
 def entropy_table(psi: StateVector) -> np.ndarray:
     """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask.
 
     The twin of ``entropy.entropy_table``, with R the reference block.  A
-    subsystem no larger than its complement is reduced; a larger one takes
-    its complement's entry, the side von_neumann_entropy reduces for it.
+    subsystem no larger than its complement is reduced, all those of one
+    register count in one batch; a larger one takes its complement's entry,
+    the side von_neumann_entropy reduces for it.
     """
     k, total = psi.num_ref, psi.num_registers
     if k == 0:
         raise ValueError("state has no reference block, so R-atomic subsystems are undefined")
     full = (2 << (total - k)) - 1
-    bits = [total - k] * k + list(range(total - k))
-    table = np.empty(full + 1)
-    for mask in range(full + 1):
-        positions = [p for p, bit in enumerate(bits) if mask >> bit & 1]
-        if 2 * len(positions) <= total:
-            table[mask] = _entropy(psi, positions)
-        if 2 * len(positions) < total:
+    bits = np.array([total - k] * k + list(range(total - k)))
+    member = (np.arange(full + 1)[:, None] >> bits & 1).astype(bool)
+    sizes = member.sum(axis=1)
+    groups = [np.flatnonzero(sizes == size) for size in range(1, total // 2 + 1)]
+    kept = [np.nonzero(member[masks])[1].reshape(masks.size, size)
+            for size, masks in enumerate(groups, start=1)]
+    table = np.zeros(full + 1)
+    for size, (masks, values) in enumerate(zip(groups, _entropies(psi, kept)), start=1):
+        table[masks] = values
+        if 2 * size < total:
             # masks run 0..full, so the complement full ^ mask is full - mask
-            table[full - mask] = table[mask]
+            table[full - masks] = values
     return table
 
 
+def _horner(registers: np.ndarray, columns: np.ndarray, q: int) -> np.ndarray:
+    """Big-endian keys of the registers each row of ``columns`` names, one row per row."""
+    keys = registers[columns[:, 0]].astype(np.int64)
+    for j in range(1, columns.shape[1]):
+        keys *= q
+        keys += registers[columns[:, j]]
+    return keys
+
+
+def _entropies(psi: StateVector, groups: list[np.ndarray]) -> list[np.ndarray]:
+    """Entropies of register subsets, one array per group of equal-size subsets.
+
+    Each group is a (B, s) array of ascending register positions, 0 < s <=
+    half the registers.  Its subsets are reduced together, in chunks whose
+    key arrays hold at most KEY_BUDGET bytes (or one subset); a subset
+    whose reduced state the batch cannot read off a full diagonal takes
+    the per-mask path.
+    """
+    q, total = psi.q, psi.num_registers
+    # one register per row, in the narrowest unsigned dtype holding q - 1
+    # (at most uint32: two registers already need q^2 <= 2^63)
+    registers = psi.digits.T.astype(np.min_scalar_type(q - 1), order="C")
+    weights = np.abs(psi.amplitudes) ** 2
+    per_chunk = max(1, KEY_BUDGET // (8 * weights.size))
+    out = []
+    for kept in groups:
+        values = np.full(len(kept), np.nan)
+        # a diagonal over fewer rows than q^s kept keys cannot reach them all
+        if q ** kept.shape[1] <= weights.size:
+            member = np.zeros((len(kept), total), dtype=bool)
+            member[np.arange(len(kept))[:, None], kept] = True
+            env = np.nonzero(~member)[1].reshape(len(kept), total - kept.shape[1])
+            for start in range(0, len(kept), per_chunk):
+                chunk = slice(start, start + per_chunk)
+                values[chunk] = _diagonal_entropies(q, registers, weights, kept[chunk], env[chunk])
+        for i in np.flatnonzero(np.isnan(values)):
+            values[i] = _entropy(psi, kept[i].tolist())
+        out.append(values)
+    return out
+
+
+def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
+                        kept: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Entropies of one chunk's subsets whose reduced state is a full diagonal, else NaN.
+
+    A subset qualifies when its environment keys are distinct (rho is
+    diagonal) and its diagonal reaches all q^s kept keys.  The diagonals
+    come from one offset bincount, row i * q^s + kept key, which sums each
+    bin in row order as a single subset's bincount does, so every value
+    equals the per-mask path's bit for bit.
+    """
+    width = q ** kept.shape[1]
+    env_keys = _horner(registers, env, q)
+    env_keys.sort(axis=1)
+    distinct = ~np.any(env_keys[:, 1:] == env_keys[:, :-1], axis=1)
+    del env_keys
+    keys = _horner(registers, kept, q)
+    keys += np.arange(0, len(kept) * width, width)[:, None]
+    diagonals = np.bincount(
+        keys.ravel(), np.tile(weights, len(kept)), len(kept) * width
+    ).reshape(len(kept), width)
+    del keys
+    full = distinct & (np.count_nonzero(diagonals, axis=1) == width)
+    values = np.full(len(kept), np.nan)
+    diagonals = diagonals[full]
+    traces = diagonals.sum(axis=1)
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        _check_trace(complex(traces[off][0]))
+    # every entry is a nonzero sum of |amp|^2, so the spectrum is positive
+    spectra = np.ascontiguousarray(_clamped_descending(diagonals))
+    terms = np.log(spectra)
+    terms /= np.log(q)
+    terms *= spectra
+    values[full] = -terms.sum(axis=1)
+    return values
+
+
 def _entropy(psi: StateVector, positions: list[int]) -> float:
-    """Entropy of the registers at ``positions``, ascending and no more than half."""
-    if not positions:
-        return 0.0
+    """Per-mask entropy of the registers at ``positions``, ascending, 0 < size <= half."""
     _, rho = _reduce(psi, positions)
     if rho.ndim == 1:
         _check_trace(complex(rho.sum()))

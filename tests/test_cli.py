@@ -269,26 +269,45 @@ class TestVerify:
         assert out.endswith("result: PASS\n")
 
     def test_each_smaller_side_is_reduced_once(self, capsys, monkeypatch):
-        # 6 registers: the 41 subsystems of 1..3 registers are reduced, and
-        # the 22 larger ones read their complement's entry
+        # 6 registers: the 41 subsystems of 1..3 registers are reduced, in
+        # batches by register count, and the 22 larger ones read their
+        # complement's entry
         from qmds import sim
 
-        calls = []
-        reduce = sim._reduce
+        reduced, tables = [], []
+        entropies, reduce, entropy_table = sim._entropies, sim._reduce, sim.entropy_table
 
-        def counting(psi, positions):
-            calls.append(tuple(positions))
+        def batched(psi, groups):
+            reduced.extend(tuple(row) for kept in groups for row in kept.tolist())
+            return entropies(psi, groups)
+
+        def per_mask(psi, positions):
+            reduced.append(tuple(positions))
             return reduce(psi, positions)
 
-        monkeypatch.setattr(sim, "_reduce", counting)
+        def recording(psi):
+            tables.append(entropy_table(psi))
+            return tables[-1]
+
+        monkeypatch.setattr(sim, "_entropies", batched)
+        monkeypatch.setattr(sim, "_reduce", per_mask)
+        monkeypatch.setattr(sim, "entropy_table", recording)
         code_exit, out, _ = run_cli(
             capsys, "verify", "--n", "5", "--k", "1", "--d", "3", "--q", "7",
             "--oracle", "both",
         )
         assert code_exit == 0 and out.endswith("result: PASS\n")
-        assert len(calls) == 41
-        assert len(set(calls)) == 41
-        assert all(1 <= len(positions) <= 3 for positions in calls)
+        assert len(reduced) == 41
+        assert len(set(reduced)) == 41
+        assert all(1 <= len(positions) <= 3 for positions in reduced)
+        # mask bit 5 is R (register 0) and bit i - 1 is Qi (register i)
+        (table,) = tables
+        larger = [mask for mask in range(64) if mask.bit_count() > 3]
+        assert len(larger) == 22
+        for mask in larger:
+            positions = tuple(r for r, bit in enumerate([5, 0, 1, 2, 3, 4]) if mask >> bit & 1)
+            assert positions not in reduced
+            assert table[mask] == table[63 - mask]
 
     @pytest.mark.parametrize("oracle", ["both", "statevec"])
     def test_non_mds_control_failure_lines(self, capsys, monkeypatch, oracle):
@@ -456,6 +475,35 @@ class TestDecodeTest:
         # one of the three patterns still decodes, so only the verdict is pinned
         assert code_exit == 1
         assert out.splitlines()[-1] == "result: FAIL"
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(["--all"], "all"), (["--erasures", "4,5"], "erasures_4_5")],
+        ids=["all", "erasures-4-5"],
+    )
+    def test_singular_blocks_fail_their_patterns(self, capsys, monkeypatch, argv, golden):
+        # the control repeats Q4's column in Q5: a pattern whose surviving
+        # block or erased seed block is singular fails, and the rest run
+        import qmds.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_load_code", lambda args: non_mds_control())
+        code_exit, out, err = run_cli(capsys, "decode-test", *argv)
+        assert (code_exit, err) == (1, "")
+        expected = GOLDEN / f"decode_test_non_mds_control_{golden}.txt"
+        assert out == expected.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "erasures, message",
+        [("4,6", "1..5"), ("4,4", "duplicate"), ("3,4,5", "d-1=2")],
+        ids=["out-of-range", "duplicate", "wrong-size"],
+    )
+    def test_bad_patterns_on_a_singular_code_exit_2(self, capsys, monkeypatch, erasures, message):
+        import qmds.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_load_code", lambda args: non_mds_control())
+        code_exit, out, err = run_cli(capsys, "decode-test", "--erasures", erasures)
+        assert (code_exit, out) == (2, "")
+        assert message in err
 
 
 class TestFigure:

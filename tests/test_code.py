@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qmds import (
     CodeParams,
     QuantumMdsCode,
+    SingularMatrixError,
     erasure_submatrices,
     from_descriptor,
     rank,
@@ -157,6 +159,19 @@ class TestErasureSubmatrices:
         code = make_code(5, 1, 3, 5)
         with pytest.raises(ValueError, match="duplicate"):
             erasure_submatrices(code, [1, 2, 2])
+
+    @pytest.mark.parametrize(
+        "surviving, what, rank_found",
+        [([1, 4, 5], "surviving-column block [1, 4, 5]", 2),
+         ([1, 2, 3], "erased-column seed block [4, 5]", 1)],
+        ids=["surviving", "erased-seed"],
+    )
+    def test_singular_block_raises_typed_error(self, surviving, what, rank_found):
+        # the control repeats Q4's column in Q5
+        with pytest.raises(SingularMatrixError, match=re.escape(what)) as excinfo:
+            erasure_submatrices(non_mds_control(), surviving)
+        assert excinfo.value.rank == rank_found
+        assert excinfo.value.size == rank_found + 1
 
     def test_all_blocks_invertible_4_2_2(self):
         code = make_code(4, 2, 2, 5)

@@ -21,6 +21,7 @@ from qmds import (
     subsystem_entropy,
     von_neumann_entropy,
 )
+from qmds import sim
 from qmds.sim import _all_vectors, _decode_block
 from qmds.sim import entropy_table as sim_entropy_table
 
@@ -544,3 +545,135 @@ class TestEntropyTable:
     def test_needs_a_reference_block(self):
         with pytest.raises(ValueError, match="no reference block"):
             sim_entropy_table(basis_state(3, (0, 0, 0)))
+
+
+def per_mask_paths(monkeypatch, psi):
+    """entropy_table with its per-mask reductions recorded.
+
+    Returns the kept positions of each per-mask reduction that came back
+    diagonal and of each that came back as a block, and the number of
+    hermitian_eigenvalues calls.
+    """
+    paths, eigen_calls = {1: [], 2: []}, []
+    reduce, eigenvalues = sim._reduce, sim.hermitian_eigenvalues
+
+    def recording_reduce(psi, positions):
+        reached, rho = reduce(psi, positions)
+        paths[rho.ndim].append(tuple(positions))
+        return reached, rho
+
+    def recording_eigenvalues(rho):
+        eigen_calls.append(rho)
+        return eigenvalues(rho)
+
+    monkeypatch.setattr(sim, "_reduce", recording_reduce)
+    monkeypatch.setattr(sim, "hermitian_eigenvalues", recording_eigenvalues)
+    sim_entropy_table(psi)
+    return paths[1], paths[2], len(eigen_calls)
+
+
+class TestReductionPaths:
+    """Valid codes stay in the batch; only masks it cannot read off a full
+    diagonal take the per-mask path."""
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_desk_codes_stay_in_the_batch(self, monkeypatch, params):
+        diagonal, blocks, eigen_calls = per_mask_paths(
+            monkeypatch, encode_state(make_code(*params))
+        )
+        assert (diagonal, blocks, eigen_calls) == ([], [], 0)
+
+    def test_non_mds_control(self, monkeypatch):
+        # Q4 and Q5 repeat a column: the four sides whose environment keys
+        # repeat are blocks, and the five other sides holding both reach
+        # only q of their q^s kept keys
+        diagonal, blocks, eigen_calls = per_mask_paths(
+            monkeypatch, encode_state(non_mds_control())
+        )
+        assert sorted(blocks) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        assert eigen_calls == 4
+        assert sorted(diagonal) == [(0, 4, 5), (1, 4, 5), (2, 4, 5), (3, 4, 5), (4, 5)]
+
+
+def per_mask_path_entropies(psi):
+    """Every R-atomic entropy from the per-mask path alone, one _reduce per mask."""
+    n, total = psi.num_registers - psi.num_ref, psi.num_registers
+    values = []
+    for mask in range(2 << n):
+        positions = list(spec_at(mask, n).registers(psi.num_ref))
+        if 2 * len(positions) > total:
+            positions = [p for p in range(total) if p not in positions]
+        values.append(sim._entropy(psi, positions) if positions else 0.0)
+    return values
+
+
+class TestBatchAgainstPerMaskPath:
+    """The batch's values equal the per-mask reduction's bit for bit."""
+
+    @pytest.mark.parametrize("params", DENSE_PARAMS)
+    def test_desk_codes(self, params):
+        psi = encode_state(make_code(*params))
+        assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(DENSE_PARAMS), st.integers(0, 2**32 - 1))
+    def test_code_supports_with_random_amplitudes(self, params, seed):
+        # a code's support keeps every smaller side diagonal and full, and
+        # unequal weights make each bin's summation order show in its last bits
+        code = encode_state(make_code(*params))
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(code.amplitudes)) + 1j * rng.normal(size=len(code.amplitudes))
+        psi = StateVector(code.q, code.num_registers, code.digits,
+                          amps / np.linalg.norm(amps), num_ref=code.num_ref)
+        assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sets(st.integers(0, 80), min_size=1, max_size=30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+    )
+    def test_random_states(self, keys, seed, num_ref):
+        # arbitrary supports send masks of one size group down both paths
+        keys = sorted(keys)
+        digits = np.array([[key // 3**r % 3 for r in (3, 2, 1, 0)] for key in keys])
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        psi = StateVector(3, 4, digits, amps / np.linalg.norm(amps), num_ref=num_ref)
+        assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
+
+
+class TestChunking:
+    """Chunks of any size give the default table, bit for bit, and keep
+    every key array within the byte budget."""
+
+    @pytest.mark.parametrize(
+        "make_psi",
+        [
+            lambda: encode_state(make_code(7, 1, 4, 7)),
+            lambda: encode_state(make_code(5, 3, 2, 5)),
+            lambda: encode_state(non_mds_control()),
+        ],
+        ids=["7-1-4-7", "5-3-2-5", "non-mds-control"],
+    )
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_chunked_table_is_the_default(self, monkeypatch, make_psi, per_chunk):
+        psi = make_psi()
+        default = sim_entropy_table(psi)
+        budget = per_chunk * 8 * len(psi.amplitudes)
+        chunks = []
+        horner = sim._horner
+
+        def checked(registers, columns, q):
+            keys = horner(registers, columns, q)
+            assert keys.nbytes <= budget
+            chunks.append(len(keys))
+            return keys
+
+        monkeypatch.setattr(sim, "KEY_BUDGET", budget)
+        monkeypatch.setattr(sim, "_horner", checked)
+        assert sim_entropy_table(psi).tobytes() == default.tobytes()
+        assert max(chunks) == per_chunk
+        if per_chunk > 1:
+            # some size group splits unevenly
+            assert min(chunks) < per_chunk
