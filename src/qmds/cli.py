@@ -23,8 +23,8 @@ from .code import (
     to_descriptor,
 )
 from .entropy import (
-    check_decoding_condition,
     check_entropy_inequalities,
+    decoding_failures,
     expected_subsystem_entropy,
     extended_profile,
     full_profile,
@@ -143,12 +143,10 @@ def cmd_verify(args) -> int:
         )
         lines.extend(bad)
 
-    report = check_decoding_condition(profile)
-    failed |= not report.ok
-    lines.append(
-        f"[{'ok' if report.ok else 'FAIL'}] {report.title} ({len(report.results)} checks)"
-    )
-    for result in report.failures():
+    failures, checks = decoding_failures(profile)
+    failed |= not failures.ok
+    lines.append(f"[{'ok' if failures.ok else 'FAIL'}] {failures.title} ({checks} checks)")
+    for result in failures.results:
         lines.append("  " + result.line())
 
     if args.inequalities:

@@ -24,7 +24,11 @@ The profile is that table; sizes, expected values and JSON rows are
 derived from its masks on demand.  The check suites (size pyramid H(S) =
 min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
 identities and the standard quantum entropy inequalities) all index it,
-with their groups of coded qudits and bitmasks from ``code.index_groups``.
+with their groups of coded qudits and bitmasks from ``code.index_groups``,
+as whole-table array passes.  The inequality sweep over all 3^(n+1)
+assignments of the parts to A, B, C makes five gathers per block (A, B,
+C, A u B, B u C; H(ABC) is the table's last entry, a constant), from an
+int8 copy of the table when every entry lies in [-64, 63].
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from .code import CodeParams, QuantumMdsCode, _as_int, index_groups, to_descript
 from .linalg import rank, subset_ranks
 from .reporting import CheckReport
 
-# the inequality sweep works in blocks of 3^BLOCK_DIGITS assignments,
-# which bounds its memory
+# the inequality sweep works in blocks of 3^BLOCK_DIGITS assignments and
+# the product-state pairs in chunks of at most 3^BLOCK_DIGITS cells (or one
+# K1 group), which bounds their memory
 BLOCK_DIGITS = 8
 
 
@@ -256,6 +261,33 @@ def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
     return EntropyProfile(code.params, code.alphas, registers[atomic], registers)
 
 
+def _decoding_report(profile: EntropyProfile, failures_only: bool) -> tuple[CheckReport, int]:
+    """The decoding checks as one I(R;Q_I) array per condition, and their count.
+
+    Every check is evaluated; with ``failures_only`` the report holds, in
+    the same order, only the failing checks, so no passing check gets a line.
+    """
+    p = profile.params
+    n, k, d = p.n, p.k, p.d
+    table = profile.table
+    report = CheckReport(f"decoding conditions for [[{n},{k},{d}]]_{p.q}")
+    count = 0
+    for kind, size, target, detail in (
+        ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
+        ("no-leakage", d - 1, 0, "expected 0"),
+    ):
+        groups, masks = index_groups(n, [size])
+        # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
+        mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
+        count += mutual.size
+        shown = np.flatnonzero(mutual != target) if failures_only else range(mutual.size)
+        values = mutual.tolist()
+        for at in shown:
+            value = values[at]
+            report.add(f"{kind} I={list(groups[at])}: I(R;Q_I) = {value}", value == target, detail)
+    return report, count
+
+
 def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
     """Recovery and no-leakage conditions on the profile entropies.
 
@@ -265,21 +297,13 @@ def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
     (nothing leaks to qudits that may be lost).  All checks are exact
     integer identities.
     """
-    p = profile.params
-    n, k, d = p.n, p.k, p.d
-    table = profile.table
-    report = CheckReport(f"decoding conditions for [[{n},{k},{d}]]_{p.q}")
-    for kind, size, target, detail in (
-        ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
-        ("no-leakage", d - 1, 0, "expected 0"),
-    ):
-        groups, masks = index_groups(n, [size])
-        # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
-        mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
-        for group, value in zip(groups, mutual.tolist()):
-            name = f"{kind} I={list(group)}: I(R;Q_I) = {value}"
-            report.add(name, value == target, detail)
-    return report
+    return _decoding_report(profile, failures_only=False)[0]
+
+
+def decoding_failures(profile: EntropyProfile) -> tuple[CheckReport, int]:
+    """``check_decoding_condition`` with only its failing checks, and the
+    number of checks it makes."""
+    return _decoding_report(profile, failures_only=True)
 
 
 INEQUALITY_FAMILIES = (
@@ -290,6 +314,17 @@ INEQUALITY_FAMILIES = (
 )
 
 
+def _union_masks(bits) -> NDArray[np.int64]:
+    """Masks of A, B, C, A u B and B u C, shape (5, 3^len(bits)), for every
+    assignment of the parts with these bits, in ``itertools.product`` order."""
+    # the digits (A = 0, B = 1, C = 2) that put a part in each of the five
+    member = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
+    masks = np.zeros((5, 1), dtype=np.int64)
+    for bit in bits:
+        masks = (masks[:, :, None] + bit * member[:, None, :]).reshape(5, -1)
+    return masks
+
+
 def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     """Subadditivity, triangle, strong subadditivity, weak monotonicity.
 
@@ -298,39 +333,51 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     exactly -- which covers every inequality instance over atomic-part
     unions the entropy characterization relies on.  An assignment is a
     tuple of group digits in ``itertools.product`` order; each group's
-    bitmask indexes the profile table.  The sweep runs in blocks of
-    3^BLOCK_DIGITS assignments that share their leading digits.
+    bitmask indexes the profile table.
+
+    The sweep runs in blocks of 3^BLOCK_DIGITS assignments that share
+    their leading (prefix) digits.  The masks of A, B, C, A u B and B u C
+    over the low digits are built once, by outer sums, and so are the
+    five prefix masks of every block (40 bytes a block); prefix and low
+    digits set disjoint bits, so a block's five gathers read
+    ``values[prefix_mask:][low_mask]``.  A u B u C is every part, so
+    H(ABC) is the table's last entry, one constant.  ``values`` is an int8
+    copy of the table when every entry lies in [-64, 63]: each family
+    compares a sum or difference of two entries with an entry or another
+    such sum, and those lie in [-128, 126] and [-127, 127], inside int8.
+    Otherwise the int64 table is gathered.
     """
     p = profile.params
     n = p.n
-    table = profile.table
+    values = np.asarray(profile.table, dtype=np.int64)
+    if -64 <= values.min() and values.max() <= 63:
+        values = values.astype(np.int8)
+    habc = values[-1]
     # assignment position 0 is R (bit n); position i is Q_i (bit i - 1)
     bits = [1 << n] + [1 << (i - 1) for i in range(1, n + 1)]
     low = min(BLOCK_DIGITS, n + 1)
     high = n + 1 - low
-    digits = np.indices((3,) * low, dtype=np.int8).reshape(low, -1).T
-    low_masks = [(digits == g) @ np.array(bits[high:], dtype=np.int64) for g in range(3)]
+    la, lb, lc, lab, lbc = _union_masks(bits[high:])
 
     counts = [0] * len(INEQUALITY_FAMILIES)
     first: list[tuple | None] = [None] * len(INEQUALITY_FAMILIES)
-    for prefix in itertools.product((0, 1, 2), repeat=high):
-        a, b, c = (
-            low_masks[g] | sum(bit for bit, digit in zip(bits, prefix) if digit == g)
-            for g in range(3)
-        )
-        ha, hb, hc = table[a], table[b], table[c]
-        hab, hbc, habc = table[a | b], table[b | c], table[a | b | c]
+    for block, (a, b, c, ab, bc) in enumerate(_union_masks(bits[:high]).T):
+        ha, hb, hc = values[a:][la], values[b:][lb], values[c:][lc]
+        hab, hbc = values[ab:][lab], values[bc:][lbc]
+        pair = hab + hbc
         holds = (
             hab <= ha + hb,
             np.abs(ha - hb) <= hab,
-            hab + hbc >= habc + hb,
-            hab + hbc >= ha + hc,
+            pair >= habc + hb,
+            pair >= ha + hc,
         )
         for family, ok in enumerate(holds):
-            violated = int(ok.size - np.count_nonzero(ok))
+            violated = ok.size - np.count_nonzero(ok)
             if violated and first[family] is None:
-                where = int(np.argmin(ok))
-                first[family] = prefix + tuple(int(x) for x in digits[where])
+                where = np.unravel_index(block, (3,) * high) + np.unravel_index(
+                    np.argmin(ok), (3,) * low
+                )
+                first[family] = tuple(int(x) for x in where)
             counts[family] += violated
 
     total = 3 ** (n + 1)
@@ -353,7 +400,9 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     group of at most k coded qudits is itself fully product (entropy is
     the sum of single-qudit entropies).  Groups are bitmasks into the
     profile table (R excluded), taken by size and then lexicographically;
-    the first violation reported is the first in that order.
+    the first violation reported is the first in that order.  The pairs
+    are checked as one (K1, K2) broadcast per chunk of K1 groups, each
+    chunk at most 3^BLOCK_DIGITS cells or one K1 group.
     """
     p = profile.params
     n, k, d = p.n, p.k, p.d
@@ -366,17 +415,20 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     pair_count = 0
     pair_violations = 0
     pair_first = None
-    for first, mask in zip(firsts, first_masks):
-        disjoint = np.flatnonzero((second_masks & mask) == 0)
-        joint = table[second_masks[disjoint] | mask]
-        split = table[mask] + table[second_masks[disjoint]]
-        bad = np.flatnonzero(joint != split)
-        pair_count += disjoint.size
-        pair_violations += bad.size
-        if bad.size and pair_first is None:
-            at = bad[0]
-            second = seconds[disjoint[at]]
-            pair_first = (first, second, int(joint[at]), int(split[at]))
+    second_h = table[second_masks]
+    rows = max(1, 3**BLOCK_DIGITS // second_masks.size)
+    for start in range(0, first_masks.size, rows):
+        chunk = first_masks[start : start + rows, None]
+        disjoint = (chunk & second_masks) == 0
+        joint = table[chunk | second_masks]
+        split = table[chunk] + second_h
+        bad = disjoint & (joint != split)
+        pair_count += np.count_nonzero(disjoint)
+        violations = np.count_nonzero(bad)
+        if violations and pair_first is None:
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            pair_first = (firsts[start + at[0]], seconds[at[1]], int(joint[at]), int(split[at]))
+        pair_violations += violations
     detail = f"{pair_count} disjoint pairs, {pair_violations} violations"
     if pair_violations:
         detail += f"; first: {pair_first}"

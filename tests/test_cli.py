@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import qmds
+from qmds import reporting
 from qmds.cli import build_parser, main
+from qmds.entropy import check_decoding_condition, full_profile
 
 from conftest import REFERENCE_PARAMS, non_mds_control
 
@@ -320,6 +322,57 @@ class TestVerify:
         assert (code_exit, err) == (1, "")
         golden = GOLDEN / f"verify_non_mds_control_{oracle}.txt"
         assert out == golden.read_text(encoding="utf-8")
+
+
+class TestDecodingSummary:
+    """verify prints the decoding check count and formats only failing checks."""
+
+    def test_passing_checks_build_no_result(self, capsys, monkeypatch):
+        built = []
+        check_result = reporting.CheckResult
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return check_result(*args, **kwargs)
+
+        monkeypatch.setattr(reporting, "CheckResult", counting)
+        code_exit, out, _ = run_cli(
+            capsys, "verify", "--n", "10", "--k", "2", "--d", "5", "--q", "11", "--oracle", "lemma"
+        )
+        assert code_exit == 0
+        # C(10, 6) recovery sets and C(10, 4) erasure sets
+        assert "[ok] decoding conditions for [[10,2,5]]_11 (420 checks)\n" in out
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "params, raise_at",
+        [
+            (None, []),
+            ((5, 1, 3, 5), [0b100000]),  # H(R)
+            ((5, 1, 3, 5), [0b000001, 0b100110]),  # H(Q1), H(R Q2 Q3)
+            ((6, 2, 3, 7), [0b000101, 0b1011000]),  # H(Q1 Q3), H(R Q4 Q5)
+        ],
+        ids=["non-mds-control", "R", "Q1-and-RQ2Q3", "Q1Q3-and-RQ4Q5"],
+    )
+    def test_failure_lines_match_the_full_report(self, capsys, monkeypatch, params, raise_at):
+        import qmds.cli as cli_module
+
+        code = non_mds_control() if params is None else qmds.QuantumMdsCode(
+            qmds.CodeParams(*params)
+        )
+        profile = full_profile(code)
+        for mask in raise_at:
+            profile.table[mask] += 1
+        monkeypatch.setattr(cli_module, "_load_code", lambda args: code)
+        monkeypatch.setattr(cli_module, "full_profile", lambda code: profile)
+        code_exit, out, _ = run_cli(capsys, "verify", "--oracle", "lemma")
+        report = check_decoding_condition(profile)
+        assert code_exit == 1 and report.failures()
+        lines = out.splitlines()
+        header = lines.index(f"[FAIL] {report.title} ({len(report.results)} checks)")
+        failures = lines[header + 1 : header + 1 + len(report.failures())]
+        assert failures == ["  " + result.line() for result in report.failures()]
+        assert lines[header + 1 + len(failures)] == "result: FAIL"
 
 
 class TestCoercedInputRejected:

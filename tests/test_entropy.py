@@ -1,5 +1,7 @@
 import itertools
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds import entropy, linalg
+from qmds.code import index_groups
 from qmds import (
     SubsystemSpec,
     check_decoding_condition,
@@ -323,6 +326,19 @@ class TestChecks:
         for code in desk_codes:
             assert product_state_checks(full_profile(code)).ok
 
+    def test_product_pairs_memory_stays_in_chunks_at_n16(self):
+        # [[16,2,8]]_17 has 137 x 26333 (K1, K2) cells; one broadcast over
+        # all of them would take about 90 MB
+        profile = full_profile(make_code(16, 2, 8, 17))
+        tracemalloc.start()
+        try:
+            report = product_state_checks(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 8 * 2**20, f"product_state_checks peaked at {peak / 2**20:.1f} MB"
+
 
 def registers_of(labels, k):
     """0-based register positions of a profile row's labels (R, R1..Rk, Q1..Qn)."""
@@ -503,6 +519,39 @@ class TestNegativeControls:
             assert result.detail == detail
             assert result.passed == (count == 0)
 
+    @pytest.mark.parametrize(
+        "params, raise_at, uneven",
+        [
+            # 3^4 // 22 K2 groups = 3 K1 groups per chunk, 22 K1 groups
+            ((6, 2, 3, 7), [(False, (2,)), (False, (1, 3))], 4),
+            # 3^3 // 6 = 4 per chunk, 26 K1 groups
+            ((5, 3, 2, 7), [(False, (4, 5)), (False, (1, 2, 5))], 3),
+            # 3^4 // 16 = 5 per chunk, 6 K1 groups
+            ((5, 1, 3, 5), [(False, (3,))], 4),
+        ],
+    )
+    def test_chunked_product_pairs_match_brute_force(self, monkeypatch, params, raise_at, uneven):
+        n, k, d, _ = params
+        firsts, seconds = len(index_groups(n, range(k + 1))[0]), len(index_groups(n, range(d))[0])
+        rows = 3**uneven // seconds
+        assert rows > 1 and firsts % rows, "the chunks must split the K1 groups unevenly"
+        profile = fabricated_profile(raise_at, params)
+        expected = brute_force_product_details(profile)
+        # a bound of 3^0 = 1 cell leaves one K1 group per chunk
+        for block_digits in (0, uneven):
+            monkeypatch.setattr(entropy, "BLOCK_DIGITS", block_digits)
+            assert [r.detail for r in product_state_checks(profile).results] == expected
+
+    @pytest.mark.parametrize("raise_at", [[], [(False, (2, 7)), (False, (5,))]])
+    def test_product_chunks_match_one_broadcast(self, monkeypatch, raise_at):
+        # 56 K1 groups against 386 K2 groups: 16 K1 groups per chunk of 3^8
+        # cells, and one chunk of 3^20
+        profile = fabricated_profile(raise_at, params=(10, 2, 5, 11))
+        chunked = product_state_checks(profile)
+        assert chunked.ok == (not raise_at)
+        monkeypatch.setattr(entropy, "BLOCK_DIGITS", 20)
+        assert product_state_checks(profile).lines() == chunked.lines()
+
     def test_raised_single_qudits_break_product_and_pyramid(self):
         profile = fabricated_profile([(False, (2,)), (False, (3,))], params=(6, 2, 3, 7))
         assert [profile.labels(mask) for mask in profile.mismatches()] == [("Q2",), ("Q3",)]
@@ -513,6 +562,41 @@ class TestNegativeControls:
         # the first violation is K1 = (1,), K2 = (2,): H(Q1 Q2) = 2 vs 1 + 2
         assert pair.detail.endswith("violations; first: ((1,), (2,), 2, 3)")
         assert group.detail.endswith("violations; first: ((1, 2), 2, 3)")
+
+
+# int8 holds every sum and difference of two entries in [-64, 63]; 64 and
+# -65 lie outside that range and send the sweep to the int64 table
+EDGE_ENTRIES = [-64, 63]
+WIDE_ENTRIES = [-65, 64]
+
+
+class TestInequalitySweep:
+    @pytest.mark.parametrize("block_digits", [1, 2, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.sampled_from([p for p in DESK_PARAMS if p[0] <= 5]),
+        wide=st.booleans(),
+        data=st.data(),
+    )
+    def test_random_tables_match_brute_force(self, block_digits, params, wide, data):
+        profile = full_profile(make_code(*params))
+        entries = EDGE_ENTRIES + WIDE_ENTRIES * wide
+        values = st.one_of(st.integers(-3, 6), st.sampled_from(entries))
+        table = profile.table.copy()
+        overrides = data.draw(st.dictionaries(st.integers(0, table.size - 1), values))
+        table[list(overrides)] = list(overrides.values())
+        profile = EntropyProfile(profile.params, profile.alphas, table)
+        expected = brute_force_inequalities(profile)
+        with mock.patch.object(entropy, "BLOCK_DIGITS", block_digits):
+            report = check_entropy_inequalities(profile)
+        total = 3 ** (params[0] + 1)
+        for result in report.results:
+            count, first = expected[result.name]
+            detail = f"{total} assignments, {count} violations"
+            if count:
+                detail += f"; first violating assignment {first}"
+            assert result.detail == detail
+            assert result.passed == (count == 0)
 
 
 class TestNonMdsControl:
