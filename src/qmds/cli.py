@@ -64,6 +64,10 @@ def _add_code_source(parser: argparse.ArgumentParser) -> None:
 
 def _load_code(args) -> QuantumMdsCode:
     if args.code is not None:
+        given = [f"--{name}" for name in ("n", "k", "d", "q", "alphas")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--code cannot be combined with {', '.join(given)}")
         with open(args.code, "r", encoding="utf-8") as handle:
             descriptor = json.load(handle)
         return from_descriptor(descriptor)

@@ -265,6 +265,9 @@ def from_descriptor(descriptor: dict) -> QuantumMdsCode:
     """Build a code from a descriptor dict, validating shape and values."""
     if not isinstance(descriptor, dict):
         raise ValueError("code descriptor must be a JSON object")
+    unknown = [key for key in descriptor if key not in ("q", "n", "k", "d", "alphas")]
+    if unknown:
+        raise ValueError(f"code descriptor has unknown keys: {unknown}")
     missing = [key for key in ("q", "n", "k", "d") if key not in descriptor]
     if missing:
         raise ValueError(f"code descriptor missing keys: {missing}")

@@ -29,21 +29,24 @@ von_neumann_entropy is a batch of one.
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
 register values per support basis state, in canonical register order
-(reference qudits first, then Q1..Qn), and ``amplitudes`` the matching
-complex amplitudes; every other basis state has amplitude 0.  The code
-state has q**m support rows, m = k+d-1, out of q**(k+n) basis states.
+(reference qudits first, then Q1..Qn) and the narrowest unsigned dtype
+holding q - 1, and ``amplitudes`` the matching complex amplitudes; every
+other basis state has amplitude 0.  Both simulated states are row spaces,
+listed by one builder: x . g for every x in GF(q)^m, m = k+d-1, by
+Horner's rule over x's digits, with g = G for the code state (q**m of its
+q**(k+n) basis states) and a 0/1 layout matrix for the decoding target.
 Where a set of registers needs one index per row, its key is their values
-read big-endian.  A reduced state is built by grouping the support rows on
-their kept and environment keys.  The decoding unitaries are all induced
-by invertible linear maps over GF(q), so they act as permutations of the
-computational basis and are applied to the support rows, exactly.
+read big-endian, by Horner's rule over columns into int64.  A reduced
+state is built by grouping the support rows on their kept and environment
+keys.  Decoding permutes the computational basis: one invertible m x m
+matrix over GF(q) maps the surviving registers of each support row.
 
 A work guard bounds the support array at q**m rows x (k+n) digits <=
-2**24 cells (128 MB of int64), and any dense reduced block at 2**24
-entries; larger parameters belong to the exact oracle in the entropy
-module.  Since k + n = 2m, the support guard also keeps every key below
-q**(2m) < 2**63, so no key can overflow int64; a StateVector built by hand
-is refused unless q**registers keys fit.
+2**24 cells, and any dense reduced block at 2**24 entries; larger
+parameters belong to the exact oracle in the entropy module.  Since
+k + n = 2m, the support guard also keeps every key below q**(2m) < 2**63,
+so no key can overflow int64; a StateVector built by hand is refused
+unless q**registers keys fit.
 """
 
 from __future__ import annotations
@@ -68,8 +71,12 @@ KEY_BUDGET = 1 << 19
 
 
 def _keys(digits: np.ndarray, q: int) -> np.ndarray:
-    """The big-endian key of each row of register values."""
-    return digits @ q ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    """The big-endian key of each row of register values, by Horner's rule over columns."""
+    keys = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        keys *= q
+        np.add(keys, column, out=keys, dtype=np.int64)  # += would add uint64 as float
+    return keys
 
 
 def _distinct(keys: np.ndarray) -> bool:
@@ -80,9 +87,10 @@ def _distinct(keys: np.ndarray) -> bool:
 class StateVector:
     """Pure state over q-ary registers, stored on its support.
 
-    ``digits`` is an (N, num_registers) int64 array of register values in
-    [0, q) with no repeated row, and ``amplitudes`` the N matching complex
-    double amplitudes, normalized within 1e-12; both are read-only copies.
+    ``digits`` is an (N, num_registers) array of register values in [0, q),
+    in the narrowest unsigned dtype holding q - 1, with no repeated row, and
+    ``amplitudes`` the N matching complex double amplitudes, normalized
+    within 1e-12; both are read-only copies.
     The first ``num_ref`` registers form the reference block (so subsystem
     specs with include_R resolve to them); the rest are the coded qudits
     Q1..Qn.
@@ -102,15 +110,16 @@ class StateVector:
         rows = np.asarray(digits)
         if rows.dtype.kind not in "iu":
             raise ValueError(f"register values must be integers: got dtype {rows.dtype}")
-        rows = rows.astype(np.int64)
         amps = np.array(amplitudes, dtype=np.complex128)
         if rows.ndim != 2 or rows.shape[1] != num_registers or amps.shape != rows.shape[:1]:
             raise ValueError(
                 f"expected an (N, {num_registers}) digit array and N amplitudes: "
                 f"got shapes {rows.shape} and {amps.shape}"
             )
+        # checked in the input dtype, so the narrowing cast below cannot wrap
         if rows.size and not (0 <= rows.min() and rows.max() < q):
             raise ValueError(f"register values must lie in [0, {q - 1}]")
+        rows = rows.astype(np.min_scalar_type(q - 1))
         if not _distinct(_keys(rows, q)):
             raise ValueError("support rows must be distinct")
         norm = float(np.sum(np.abs(amps) ** 2))
@@ -166,15 +175,19 @@ def _guard(cells: int, what: str) -> None:
         )
 
 
-def _guard_support(q: int, m: int, registers: int) -> None:
-    _guard(q**m * registers, f"state vector support of {q}^{m} rows x {registers} registers")
-
-
-def _all_vectors(q: int, length: int) -> np.ndarray:
-    """All of GF(q)^length as rows; row index equals the big-endian value."""
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.indices((q,) * length, dtype=np.int64).reshape(length, -1).T
+def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
+    """The uniform superposition over x . g, x in GF(q)^m big-endian, by Horner's rule on x."""
+    m, total = g.shape
+    _guard(q**m * total, f"state vector support of {q}^{m} rows x {total} registers")
+    digit = np.min_scalar_type(q - 1)
+    rows = np.zeros((1, total), dtype=digit)
+    for row in g:
+        multiples = (np.arange(q)[:, None] * row % q).astype(digit)
+        sums = np.add(rows[:, None], multiples, dtype=np.min_scalar_type(2 * q - 2))
+        sums %= q
+        rows = sums.reshape(-1, total).astype(digit, copy=False)
+    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
+    return StateVector(q, total, rows, amps, num_ref=num_ref)
 
 
 def encode_state(code: QuantumMdsCode) -> StateVector:
@@ -185,12 +198,7 @@ def encode_state(code: QuantumMdsCode) -> StateVector:
     carries the message part of x and the coded registers carry the
     codeword.
     """
-    p = code.params
-    q, total, m = p.q, p.num_registers, p.generator_rank
-    _guard_support(q, m, total)
-    digits = _all_vectors(q, m) @ code.G % q
-    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
-    return StateVector(q, total, digits, amps, num_ref=p.k)
+    return _row_space(code.params.q, code.G, code.params.k)
 
 
 def _positions_of(psi: StateVector, sub: SubsystemSpec) -> list[int]:
@@ -212,16 +220,17 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     environment and rho is diagonal: it is returned as its diagonal,
     sum |amp|^2 per kept key.  Otherwise rho = M M^dag with M[kept, env]
     the amplitudes, returned as a square block and refused past the
-    2**24-entry guard before either matrix is allocated.
+    2**24-entry guard before either matrix is allocated.  Both bin over the
+    reached keys, never over all q^s kept values.
     """
     rest = [p for p in range(psi.num_registers) if p not in positions]
     kept = _keys(psi.digits[:, positions], psi.q)
     env = _keys(psi.digits[:, rest], psi.q)
-    if _distinct(env):
-        weights = np.bincount(kept, np.abs(psi.amplitudes) ** 2)
-        reached = np.flatnonzero(weights)
-        return reached, weights[reached]
     reached, row_kept = np.unique(kept, return_inverse=True)
+    if _distinct(env):
+        weights = np.bincount(row_kept, np.abs(psi.amplitudes) ** 2, reached.size)
+        nonzero = np.flatnonzero(weights)
+        return reached[nonzero], weights[nonzero]
     envs, row_env = np.unique(env, return_inverse=True)
     _guard(reached.size * max(reached.size, envs.size),
            f"reduced state on {reached.size} kept x {envs.size} environment keys")
@@ -354,9 +363,9 @@ def _entropies(psi: StateVector, groups: list[np.ndarray]) -> list[np.ndarray]:
     the per-mask path.
     """
     q, total = psi.q, psi.num_registers
-    # one register per row, in the narrowest unsigned dtype holding q - 1
-    # (at most uint32: two registers already need q^2 <= 2^63)
-    registers = psi.digits.T.astype(np.min_scalar_type(q - 1), order="C")
+    # one register per row: keys gather whole registers, which a strided
+    # view of the row-major digits makes about 1.5 times as slow
+    registers = np.ascontiguousarray(psi.digits.T)
     weights = np.abs(psi.amplitudes) ** 2
     per_chunk = max(1, KEY_BUDGET // (8 * weights.size))
     out = []
@@ -435,11 +444,12 @@ def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray
     Step one relabels the block value y to y . (AB_surviving)^-1, exposing
     the generator row (a, b); step two maps (a, b) to (a, (a, b) AB_erased),
     which is invertible because the erased seed block is square Vandermonde.
+    Together they are one m x m matrix, (AB_surviving)^-1 [E | AB_erased].
     """
     q, k = code.params.q, code.params.k
     ab_s, ab_e = erasure_submatrices(code, surviving)
-    xs = values @ invert(ab_s, q) % q
-    return np.hstack((xs[:, :k], xs @ ab_e % q))
+    step = invert(ab_s, q) @ np.hstack((code.G[:, :k], ab_e)) % q
+    return values @ step % q
 
 
 def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
@@ -468,20 +478,16 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     registers, and the last d-1 surviving registers are maximally
     entangled with the erased registers, all in canonical register order.
     """
-    p = code.params
-    q, k, total, m = p.q, p.k, p.num_registers, p.generator_rank
+    p, k = code.params, code.params.k
     idx = _check_surviving(code, surviving)
-    _guard_support(q, m, total)
     erased = [i for i in range(1, p.n + 1) if i not in idx]
 
     # row (a, b) holds message a then seed b, big-endian as the encoder lists them
-    rows = _all_vectors(q, m)
-    digits = np.zeros((q**m, total), dtype=np.int64)
-    digits[:, :k] = rows[:, :k]
-    digits[:, [k + i - 1 for i in idx]] = rows
-    digits[:, [k + i - 1 for i in erased]] = rows[:, k:]
-    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
-    return StateVector(q, total, digits, amps, num_ref=k)
+    layout = np.zeros((p.generator_rank, p.num_registers), dtype=np.int64)
+    layout[range(k), range(k)] = 1
+    layout[range(len(idx)), [k + i - 1 for i in idx]] = 1
+    layout[range(k, len(idx)), [k + i - 1 for i in erased]] = 1
+    return _row_space(p.q, layout, k)
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:

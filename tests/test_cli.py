@@ -59,6 +59,15 @@ class TestConstruct:
         assert code_exit == 0 and out == ""
         assert json.loads(path.read_text())["n"] == 3
 
+    def test_output_round_trips_through_code(self, capsys, tmp_path):
+        # every key construct writes is one --code accepts
+        path = tmp_path / "code.json"
+        flags = ["--n", "4", "--k", "2", "--d", "2", "--q", "5", "--alphas", "4,3,2,1"]
+        assert run_cli(capsys, "construct", *flags, "--out", str(path))[0] == 0
+        from_file = run_cli(capsys, "verify", "--code", str(path), "--oracle", "lemma")
+        assert from_file == run_cli(capsys, "verify", *flags, "--oracle", "lemma")
+        assert from_file[0] == 0
+
 
 class TestProfile:
     def test_csv_size_aggregation(self, capsys):
@@ -385,8 +394,9 @@ class TestCoercedInputRejected:
             ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": ["0", "1", "2"]}, "integer"),
             ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": [False, True, 2]}, "bool"),
             ({"q": 3, "n": 3, "k": True, "d": 2}, "'k' must be an integer"),
+            ({"q": 5, "n": 4, "k": 2, "d": 2, "alpha": [4, 3, 2, 1]}, "unknown keys: ['alpha']"),
         ],
-        ids=["float-alpha", "string-alphas", "bool-alphas", "bool-k"],
+        ids=["float-alpha", "string-alphas", "bool-alphas", "bool-k", "misspelt-key"],
     )
     def test_descriptor_exits_2(self, capsys, tmp_path, descriptor, message):
         path = tmp_path / "code.json"
@@ -395,6 +405,19 @@ class TestCoercedInputRejected:
         assert code_exit == 2
         assert out == ""
         assert message in err
+
+    def test_code_file_with_parameter_flags_exits_2(self, capsys, tmp_path):
+        # the flags would otherwise be dropped and the file's code verified
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"q": 5, "n": 4, "k": 2, "d": 2}))
+        code_exit, out, err = run_cli(
+            capsys, "verify", "--code", str(path), "--n", "9", "--k", "1", "--d", "5",
+            "--q", "11", "--alphas", "1,2,3", "--oracle", "lemma",
+        )
+        assert (code_exit, out) == (2, "")
+        assert err == "error: --code cannot be combined with --n, --k, --d, --q, --alphas\n"
+        code_exit, _, err = run_cli(capsys, "decode-test", "--code", str(path), "--q", "5", "--all")
+        assert code_exit == 2 and "--q" in err
 
     @pytest.mark.parametrize("command", ["construct", "verify"])
     def test_empty_alphas_field_exits_2(self, capsys, command):
@@ -413,6 +436,19 @@ class TestCoercedInputRejected:
         assert code_exit == 2
         assert out == ""
         assert "--erasures" in err
+
+
+class TestDigitDtypeEdges:
+    """q = 251 is the largest prime with uint8 digits, q = 257 the smallest with uint16."""
+
+    @pytest.mark.parametrize("q", [251, 257])
+    @pytest.mark.parametrize("argv", SIM_COMMANDS, ids=["verify", "decode-test"])
+    def test_simulator_passes(self, capsys, q, argv):
+        code_exit, out, err = run_cli(
+            capsys, argv[0], "--n", "3", "--k", "1", "--d", "2", "--q", str(q), *argv[1:]
+        )
+        assert (code_exit, err) == (0, "")
+        assert out.endswith("result: PASS\n")
 
 
 class TestWorkGuard:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qmds import (
     von_neumann_entropy,
 )
 from qmds import sim
-from qmds.sim import _all_vectors, _decode_block
+from qmds.sim import _decode_block
 from qmds.sim import entropy_table as sim_entropy_table
 
 from conftest import (
@@ -76,6 +77,19 @@ class TestStateVector:
     def test_digit_range_enforced(self, bad):
         with pytest.raises(ValueError, match="lie in \\[0, 2\\]"):
             StateVector(3, 2, bad, [1.0])
+
+    @pytest.mark.parametrize("q, dtype", [(3, np.uint8), (251, np.uint8), (257, np.uint16),
+                                          (65537, np.uint32)])
+    def test_digits_stored_narrow(self, q, dtype):
+        # the narrowest unsigned dtype holding q - 1
+        psi = StateVector(q, 2, np.array([[q - 1, 0]], dtype=np.int64), [1.0])
+        assert psi.digits.dtype == dtype
+        assert psi.digits.tolist() == [[q - 1, 0]]
+
+    def test_wide_digit_refused_before_narrowing(self):
+        # 300 would wrap to 44 in uint8; the range is checked in the input dtype
+        with pytest.raises(ValueError, match="lie in \\[0, 250\\]"):
+            StateVector(251, 2, np.array([[300, 0]], dtype=np.int64), [1.0])
 
     def test_repeated_rows_rejected(self):
         # one basis state listed twice would be two amplitudes for one state
@@ -131,6 +145,30 @@ class TestEncodeState:
             encode_state(big)
         with pytest.raises(ValueError, match="rank-identity"):
             decode_target(big, range(1, 8))
+
+    @pytest.mark.parametrize("params", [*DESK_PARAMS, (3, 1, 2, 251), (3, 1, 2, 257)])
+    def test_support_equals_int64_reference(self, params):
+        # every x . G mod q, x big-endian, computed in int64
+        code = make_code(*params)
+        q, m = code.params.q, code.params.generator_rank
+        xs = np.indices((q,) * m, dtype=np.int64).reshape(m, -1).T
+        psi = encode_state(code)
+        assert psi.digits.dtype == np.min_scalar_type(q - 1)
+        assert np.array_equal(psi.digits.astype(np.int64), xs @ code.G % q)
+
+    def test_encoding_peak_tracks_the_state(self):
+        # [[9,1,5]]_11: 161051 rows of 10 uint8 digits and complex amplitudes
+        # (4.2 MB); an int64 listing of x and of x . G would be 15.5 MB held
+        # and 33.7 MB at the peak
+        code = make_code(9, 1, 5, 11)
+        tracemalloc.start()
+        try:
+            psi = encode_state(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert psi.digits.nbytes + psi.amplitudes.nbytes <= 4.5e6
+        assert peak < 15e6
 
     def test_support_not_basis_size_is_guarded(self):
         # 7**10 basis states, but only 7**5 support rows
@@ -189,6 +227,21 @@ class TestPartialTrace:
         mat = rho.entries
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
         assert abs(np.trace(mat) - 1.0) <= 1e-12
+
+    def test_diagonal_binned_over_reached_keys(self):
+        # one support row with kept key 999999 of q^2 = 10^6: binning the
+        # keys themselves would allocate 8 MB for one nonzero entry
+        psi = StateVector(1000, 6, [[999, 999, 999, 0, 0, 0]], [1.0], num_ref=1)
+        tracemalloc.start()
+        try:
+            entropy = von_neumann_entropy(psi, SubsystemSpec(True, [1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert entropy == 0.0
+        assert peak < 1e5
+        reached, diagonal = sim._reduce(psi, [0, 1])
+        assert reached.tolist() == [999999] and diagonal.tolist() == [1.0]
 
 
 class TestDensityMatrix:
@@ -356,9 +409,10 @@ class TestDecode:
         code = make_code(3, 1, 2, 3)
         psi = encode_state(code)
         out = decode(psi, code, [1, 2])
-        image = radix_keys(_decode_block(code, [1, 2], _all_vectors(3, 2)), 3)
+        block = np.array([[a, b] for a in range(3) for b in range(3)])
+        image = radix_keys(_decode_block(code, [1, 2], block), 3)
         assert sorted(image.tolist()) == list(range(9))
-        preimage = _all_vectors(3, 2)[np.argsort(image)]
+        preimage = block[np.argsort(image)]
         back = preimage[radix_keys(out.digits[:, 1:3], 3)]
         assert np.array_equal(back, psi.digits[:, 1:3])
         assert np.array_equal(out.digits[:, [0, 3]], psi.digits[:, [0, 3]])
