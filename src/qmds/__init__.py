@@ -41,6 +41,7 @@ from .sim import (
     fidelity,
     hermitian_eigenvalues,
     partial_trace,
+    target_fidelity,
     von_neumann_entropy,
 )
 from .reporting import CheckReport, CheckResult
@@ -80,6 +81,7 @@ __all__ = [
     "von_neumann_entropy",
     "decode",
     "decode_target",
+    "target_fidelity",
     "fidelity",
     "CheckReport",
     "CheckResult",

@@ -194,8 +194,7 @@ def cmd_decode_test(args) -> int:
             all_ok = False
             lines.append(f"erasures {list(erased)}: {exc} [FAIL]")
             continue
-        target = sim.decode_target(code, surviving)
-        f = sim.fidelity(recovered, target)
+        f = sim.target_fidelity(recovered, code, surviving)
         ok = f >= 1.0 - FIDELITY_TOL
         all_ok &= ok
         lines.append(

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gf import MAX_Q, check_modulus, is_prime
-from .linalg import SingularMatrixError, rank, subset_ranks
+from .linalg import SingularMatrixError, invert, rank, subset_ranks
 from .reporting import CheckReport
 
 
@@ -172,6 +172,23 @@ def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
     return idx
 
 
+def _erasure_blocks(code: QuantumMdsCode, surviving):
+    """AB's surviving and erased column blocks, each with the name its SingularMatrixError uses."""
+    p = code.params
+    idx = _check_surviving(code, surviving)
+    erased = [i for i in range(1, p.n + 1) if i not in idx]
+    return (
+        (code.AB[:, [i - 1 for i in idx]], f"surviving-column block {idx}"),
+        (code.AB[:, [i - 1 for i in erased]], f"erased-column seed block {erased}"),
+    )
+
+
+def _check_full_rank(block: np.ndarray, q: int, what: str) -> None:
+    r = rank(block, q)
+    if r != len(block):
+        raise SingularMatrixError(len(block), r, what)
+
+
 def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
     """Column submatrices of AB for a surviving set and its complement.
 
@@ -184,20 +201,23 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     fails one (a non-MDS generator) raises ``linalg.SingularMatrixError``
     naming its columns.
     """
-    p = code.params
-    idx = _check_surviving(code, surviving)
-    erased = [i for i in range(1, p.n + 1) if i not in idx]
-    ab_s = code.AB[:, [i - 1 for i in idx]]
-    ab_e = code.AB[:, [i - 1 for i in erased]]
-
-    for what, block in (
-        (f"surviving-column block {idx}", ab_s),
-        (f"erased-column seed block {erased}", ab_e[p.k :]),
-    ):
-        r = rank(block, p.q)
-        if r != len(block):
-            raise SingularMatrixError(len(block), r, what)
+    q, k = code.params.q, code.params.k
+    (ab_s, surviving_block), (ab_e, seed_block) = _erasure_blocks(code, surviving)
+    _check_full_rank(ab_s, q, surviving_block)
+    _check_full_rank(ab_e[k:], q, seed_block)
     return ab_s, ab_e
+
+
+def _decoding_blocks(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
+    """(AB_surviving^-1, AB_erased), with erasure_submatrices's checks in its order.
+
+    The surviving block is eliminated once: inverting it is its rank check.
+    """
+    q, k = code.params.q, code.params.k
+    (ab_s, surviving_block), (ab_e, seed_block) = _erasure_blocks(code, surviving)
+    inverse = invert(ab_s, q, surviving_block)
+    _check_full_rank(ab_e[k:], q, seed_block)
+    return inverse, ab_e
 
 
 def validate(code: QuantumMdsCode) -> CheckReport:

@@ -330,8 +330,10 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
 
     Runs over every assignment of the n + 1 atomic parts (R, Q1..Qn) to
     three disjoint groups (A, B, C) -- 3^(n+1) assignments, each checked
-    exactly -- which covers every inequality instance over atomic-part
-    unions the entropy characterization relies on.  An assignment is a
+    exactly.  Every part lands in A, B or C, so ABC is the whole pure
+    state: on a table with H(S) = H(S^c), weak monotonicity cannot fail
+    and strong subadditivity repeats subadditivity; no instance traces a
+    part out.  An assignment is a
     tuple of group digits in ``itertools.product`` order; each group's
     bitmask indexes the profile table.
 

@@ -91,12 +91,13 @@ def rank(a, q: int) -> int:
     return len(rref(a, q)[1])
 
 
-def invert(a, q: int) -> NDArray[np.int64]:
+def invert(a, q: int, what: str = "matrix") -> NDArray[np.int64]:
     """Inverse of a square matrix over GF(q).
 
     Raises:
         ValueError: if ``a`` is not square.
-        SingularMatrixError: if ``a`` is rank-deficient (reports the deficit).
+        SingularMatrixError: if ``a`` is rank-deficient (reports the deficit
+            and names the matrix ``what``).
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -104,7 +105,7 @@ def invert(a, q: int) -> NDArray[np.int64]:
     n = a.shape[0]
     reduced, pivots = rref(np.hstack((a, np.eye(n, dtype=np.int64))), q)
     if not np.array_equal(reduced[:, :n], np.eye(n, dtype=np.int64)):
-        raise SingularMatrixError(n, sum(1 for p in pivots if p < n))
+        raise SingularMatrixError(n, sum(1 for p in pivots if p < n), what)
     return reduced[:, n:]
 
 

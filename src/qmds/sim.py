@@ -39,7 +39,10 @@ Where a set of registers needs one index per row, its key is their values
 read big-endian, by Horner's rule over columns into int64.  A reduced
 state is built by grouping the support rows on their kept and environment
 keys.  Decoding permutes the computational basis: one invertible m x m
-matrix over GF(q) maps the surviving registers of each support row.
+matrix over GF(q) maps the surviving registers of each support row.  The
+decoding target is m maximally entangled register pairs, so its support
+is the basis states on which every pair agrees: target_fidelity sums the
+amplitudes of a state's agreeing rows, without listing the target.
 
 A work guard bounds the support array at q**m rows x (k+n) digits <=
 2**24 cells, and any dense reduced block at 2**24 entries; larger
@@ -53,9 +56,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .code import QuantumMdsCode, erasure_submatrices, _check_surviving
+from .code import QuantumMdsCode, _check_surviving, _decoding_blocks
 from .entropy import SubsystemSpec
-from .linalg import invert
 
 MAX_CELLS = 1 << 24
 MAX_KEY = np.iinfo(np.int64).max
@@ -447,8 +449,8 @@ def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray
     Together they are one m x m matrix, (AB_surviving)^-1 [E | AB_erased].
     """
     q, k = code.params.q, code.params.k
-    ab_s, ab_e = erasure_submatrices(code, surviving)
-    step = invert(ab_s, q) @ np.hstack((code.G[:, :k], ab_e)) % q
+    inverse, ab_e = _decoding_blocks(code, surviving)
+    step = inverse @ np.hstack((code.G[:, :k], ab_e)) % q
     return values @ step % q
 
 
@@ -471,6 +473,20 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     return StateVector(p.q, p.num_registers, digits, psi.amplitudes, num_ref=p.k)
 
 
+def _target_pairs(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
+    """The register pairs the decoding target entangles, as (left, right) positions.
+
+    Pair j < k is reference register j and the j-th surviving register;
+    pair k + j is surviving register k + j and the j-th erased register.
+    The m pairs cover every register once.
+    """
+    p, k = code.params, code.params.k
+    idx = _check_surviving(code, surviving)
+    survivors = [k + i - 1 for i in idx]
+    erased = [k + i - 1 for i in range(1, p.n + 1) if i not in idx]
+    return np.array([*range(k), *survivors[k:]]), np.array([*survivors[:k], *erased])
+
+
 def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     """The explicit post-decoding state for a surviving set.
 
@@ -478,16 +494,32 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     registers, and the last d-1 surviving registers are maximally
     entangled with the erased registers, all in canonical register order.
     """
-    p, k = code.params, code.params.k
-    idx = _check_surviving(code, surviving)
-    erased = [i for i in range(1, p.n + 1) if i not in idx]
-
+    p = code.params
+    left, right = _target_pairs(code, surviving)
     # row (a, b) holds message a then seed b, big-endian as the encoder lists them
     layout = np.zeros((p.generator_rank, p.num_registers), dtype=np.int64)
-    layout[range(k), range(k)] = 1
-    layout[range(len(idx)), [k + i - 1 for i in idx]] = 1
-    layout[range(k, len(idx)), [k + i - 1 for i in erased]] = 1
-    return _row_space(p.q, layout, k)
+    layout[range(len(left)), left] = 1
+    layout[range(len(right)), right] = 1
+    return _row_space(p.q, layout, p.k)
+
+
+def target_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float:
+    """fidelity(psi, decode_target(code, surviving)), without listing the target.
+
+    The target's support is exactly the basis states on which both
+    registers of every target pair agree, each with amplitude q^(-m/2),
+    so the overlap is q^(-m/2) times the sum of psi's amplitudes on its
+    rows whose pairs agree.
+    """
+    p = code.params
+    if psi.q != p.q or psi.num_registers != p.num_registers:
+        raise ValueError("states have different shapes")
+    left, right = _target_pairs(code, surviving)
+    agree = np.ones(len(psi.amplitudes), dtype=bool)
+    for i, j in zip(left, right):
+        agree &= psi.digits[:, i] == psi.digits[:, j]
+    overlap = psi.amplitudes[agree].sum() * p.q ** (-p.generator_rank / 2)
+    return float(abs(overlap) ** 2)
 
 
 def fidelity(psi: StateVector, phi: StateVector) -> float:

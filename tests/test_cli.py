@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from qmds import reporting
 from qmds.cli import build_parser, main
 from qmds.entropy import check_decoding_condition, full_profile
 
-from conftest import REFERENCE_PARAMS, non_mds_control
+from conftest import DESK_PARAMS, REFERENCE_PARAMS, make_code, non_mds_control
 
 
 # the two commands that run the state-vector simulator
@@ -564,6 +565,48 @@ class TestDecodeTest:
         # one of the three patterns still decodes, so only the verdict is pinned
         assert code_exit == 1
         assert out.splitlines()[-1] == "result: FAIL"
+
+    @pytest.mark.parametrize("params", DESK_PARAMS, ids=str)
+    def test_fidelity_lines_match_the_listed_target(self, capsys, params):
+        from qmds import sim
+
+        n, k, d, q = params
+        code = make_code(*params)
+        psi = sim.encode_state(code)
+        expected = []
+        for erased in itertools.combinations(range(1, n + 1), d - 1):
+            surviving = [i for i in range(1, n + 1) if i not in erased]
+            f = sim.fidelity(sim.decode(psi, code, surviving), sim.decode_target(code, surviving))
+            expected.append(f"erasures {list(erased)}: fidelity {f:.12f} [ok]")
+        code_exit, out, _ = run_cli(
+            capsys, "decode-test", "--n", str(n), "--k", str(k), "--d", str(d),
+            "--q", str(q), "--all",
+        )
+        assert code_exit == 0
+        assert out.splitlines() == expected + ["result: PASS"]
+
+    def test_each_pattern_eliminates_two_blocks(self, capsys, monkeypatch):
+        # per pattern, invert's elimination of the surviving block and the
+        # rank of the erased seed block; the rest is construction
+        from qmds import linalg
+
+        calls = []
+        rref = linalg.rref
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rref(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rref", counting)
+        make_code(5, 1, 3, 11)
+        construction = len(calls)
+        calls.clear()
+        code_exit, out, _ = run_cli(
+            capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
+        )
+        assert code_exit == 0
+        assert out.count("[ok]") == math.comb(5, 2)
+        assert len(calls) <= construction + 2 * math.comb(5, 2)
 
     @pytest.mark.parametrize(
         "argv, golden",

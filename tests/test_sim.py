@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds import (
@@ -15,11 +15,14 @@ from qmds import (
     decode,
     decode_target,
     encode_state,
+    erasure_submatrices,
     fidelity,
     full_profile,
     hermitian_eigenvalues,
+    invert,
     partial_trace,
     subsystem_entropy,
+    target_fidelity,
     von_neumann_entropy,
 )
 from qmds import sim
@@ -467,6 +470,88 @@ class TestFidelity:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             fidelity(basis_state(3, (0, 0)), basis_state(3, (0, 0, 0)))
+
+
+def patterns(code):
+    """Every surviving set of a code, ascending."""
+    n, d = code.params.n, code.params.d
+    return itertools.combinations(range(1, n + 1), n - d + 1)
+
+
+def step_one_decoded(psi, code, surviving):
+    """psi with only decoding's first step, y -> y . (AB_surviving)^-1, applied."""
+    p = code.params
+    ab_s, _ = erasure_submatrices(code, surviving)
+    positions = [p.k + i - 1 for i in surviving]
+    digits = psi.digits.astype(np.int64)
+    digits[:, positions] = digits[:, positions] @ invert(ab_s, p.q) % p.q
+    return StateVector(p.q, p.num_registers, digits, psi.amplitudes, num_ref=p.k)
+
+
+def assert_both_routes_agree(psi, code, surviving):
+    expected = fidelity(psi, decode_target(code, surviving))
+    assert abs(target_fidelity(psi, code, surviving) - expected) <= 1e-14
+    return expected
+
+
+class TestTargetFidelity:
+    """The pair test against the listed target and its matched-row overlap."""
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_every_pattern_of_the_desk_codes(self, params):
+        code = make_code(*params)
+        psi = encode_state(code)
+        for surviving in patterns(code):
+            decoded = decode(psi, code, surviving)
+            assert assert_both_routes_agree(decoded, code, surviving) >= 1 - 1e-12
+            assert_both_routes_agree(psi, code, surviving)
+            assert_both_routes_agree(step_one_decoded(psi, code, surviving), code, surviving)
+
+    def test_step_one_alone_misses_the_target(self):
+        # the construction behind the CLI's second-step test reads below 1
+        # on some pattern by both routes
+        code = make_code(3, 1, 2, 3)
+        psi = encode_state(code)
+        values = [assert_both_routes_agree(step_one_decoded(psi, code, s), code, s)
+                  for s in patterns(code)]
+        assert min(values) < 1 - 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(DESK_PARAMS), st.data())
+    def test_random_states_on_the_code_registers(self, params, data):
+        # random rows, some of them drawn from the target's support so the
+        # overlap is not always 0, with random complex amplitudes
+        code = make_code(*params)
+        p = code.params
+        surviving = sorted(data.draw(st.permutations(range(1, p.n + 1)))[: p.n - p.d + 1])
+        target_rows = decode_target(code, surviving).digits
+        picked = data.draw(st.sets(st.integers(0, len(target_rows) - 1), max_size=12))
+        keys = set(radix_keys(target_rows[sorted(picked)], p.q).tolist())
+        keys |= data.draw(st.sets(st.integers(0, p.q**p.num_registers - 1), max_size=12))
+        assume(keys)
+        digits = np.array([[key // p.q**r % p.q for r in range(p.num_registers - 1, -1, -1)]
+                           for key in sorted(keys)])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        psi = StateVector(p.q, p.num_registers, digits, amps / np.linalg.norm(amps), num_ref=p.k)
+        assert_both_routes_agree(psi, code, surviving)
+
+    @pytest.mark.parametrize("params", [(3, 1, 2, 3), (6, 2, 3, 7)])
+    def test_state_missing_one_target_row_reads_below_one(self, params):
+        code = make_code(*params)
+        surviving = list(range(1, code.params.n - code.params.d + 2))
+        target = decode_target(code, surviving)
+        rows = len(target.amplitudes)
+        psi = StateVector(target.q, target.num_registers, target.digits[1:],
+                          np.full(rows - 1, (rows - 1) ** -0.5), num_ref=target.num_ref)
+        expected = assert_both_routes_agree(psi, code, surviving)
+        assert expected == pytest.approx((rows - 1) / rows, abs=1e-12)
+        assert target_fidelity(psi, code, surviving) < 1 - 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        psi = encode_state(make_code(4, 2, 2, 5))
+        with pytest.raises(ValueError, match="shapes"):
+            target_fidelity(psi, make_code(3, 1, 2, 5), [1, 2])
 
 
 def test_statevector_oracle_uses_no_rank_code(monkeypatch):
