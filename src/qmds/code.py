@@ -172,21 +172,22 @@ def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
     return idx
 
 
-def _erasure_blocks(code: QuantumMdsCode, surviving):
-    """AB's surviving and erased column blocks, each with the name its SingularMatrixError uses."""
+def _decoding_blocks(code: QuantumMdsCode, surviving):
+    """(AB_surviving^-1, AB_surviving, AB_erased), each block's invertibility checked.
+
+    The surviving block is eliminated once: inverting it is its rank check.
+    """
     p = code.params
     idx = _check_surviving(code, surviving)
     erased = [i for i in range(1, p.n + 1) if i not in idx]
-    return (
-        (code.AB[:, [i - 1 for i in idx]], f"surviving-column block {idx}"),
-        (code.AB[:, [i - 1 for i in erased]], f"erased-column seed block {erased}"),
-    )
-
-
-def _check_full_rank(block: np.ndarray, q: int, what: str) -> None:
-    r = rank(block, q)
-    if r != len(block):
-        raise SingularMatrixError(len(block), r, what)
+    ab_s = code.AB[:, [i - 1 for i in idx]]
+    ab_e = code.AB[:, [i - 1 for i in erased]]
+    inverse = invert(ab_s, p.q, f"surviving-column block {idx}")
+    seed = ab_e[p.k:]
+    r = rank(seed, p.q)
+    if r != len(seed):
+        raise SingularMatrixError(len(seed), r, f"erased-column seed block {erased}")
+    return inverse, ab_s, ab_e
 
 
 def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
@@ -201,23 +202,7 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     fails one (a non-MDS generator) raises ``linalg.SingularMatrixError``
     naming its columns.
     """
-    q, k = code.params.q, code.params.k
-    (ab_s, surviving_block), (ab_e, seed_block) = _erasure_blocks(code, surviving)
-    _check_full_rank(ab_s, q, surviving_block)
-    _check_full_rank(ab_e[k:], q, seed_block)
-    return ab_s, ab_e
-
-
-def _decoding_blocks(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
-    """(AB_surviving^-1, AB_erased), with erasure_submatrices's checks in its order.
-
-    The surviving block is eliminated once: inverting it is its rank check.
-    """
-    q, k = code.params.q, code.params.k
-    (ab_s, surviving_block), (ab_e, seed_block) = _erasure_blocks(code, surviving)
-    inverse = invert(ab_s, q, surviving_block)
-    _check_full_rank(ab_e[k:], q, seed_block)
-    return inverse, ab_e
+    return _decoding_blocks(code, surviving)[1:]
 
 
 def validate(code: QuantumMdsCode) -> CheckReport:

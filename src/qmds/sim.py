@@ -449,7 +449,7 @@ def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray
     Together they are one m x m matrix, (AB_surviving)^-1 [E | AB_erased].
     """
     q, k = code.params.q, code.params.k
-    inverse, ab_e = _decoding_blocks(code, surviving)
+    inverse, _, ab_e = _decoding_blocks(code, surviving)
     step = inverse @ np.hstack((code.G[:, :k], ab_e)) % q
     return values @ step % q
 

@@ -16,7 +16,7 @@ from qmds import (
     to_descriptor,
     validate,
 )
-from qmds.code import _decoding_blocks, index_groups
+from qmds.code import index_groups
 
 from conftest import DESK_PARAMS, make_code, non_mds_control
 
@@ -172,23 +172,6 @@ class TestErasureSubmatrices:
             erasure_submatrices(non_mds_control(), surviving)
         assert excinfo.value.rank == rank_found
         assert excinfo.value.size == rank_found + 1
-
-    def test_decoding_blocks_check_as_erasure_submatrices_does(self):
-        # same error, text and order on every pattern of the control; else
-        # the inverse of the same surviving block
-        control = non_mds_control()
-        for surviving in itertools.combinations(range(1, 6), 3):
-            try:
-                ab_s, ab_e = erasure_submatrices(control, surviving)
-            except SingularMatrixError as expected:
-                with pytest.raises(SingularMatrixError) as excinfo:
-                    _decoding_blocks(control, surviving)
-                assert str(excinfo.value) == str(expected)
-                assert (excinfo.value.rank, excinfo.value.size) == (expected.rank, expected.size)
-                continue
-            inverse, erased_block = _decoding_blocks(control, surviving)
-            assert np.array_equal(inverse @ ab_s % 5, np.eye(3))
-            assert np.array_equal(erased_block, ab_e)
 
     def test_all_blocks_invertible_4_2_2(self):
         code = make_code(4, 2, 2, 5)
