@@ -18,6 +18,7 @@ from .code import (
     CodeParams,
     QuantumMdsCode,
     from_descriptor,
+    group_indices,
     index_groups,
     smallest_prime_at_least,
     to_descriptor,
@@ -182,7 +183,7 @@ def cmd_decode_test(args) -> int:
 
     # encoding runs the support guard before any pattern is listed
     psi = sim.encode_state(code)
-    patterns = index_groups(p.n, [p.d - 1])[0] if args.all else [sorted(erased)]
+    patterns = map(group_indices, index_groups(p.n, [p.d - 1])) if args.all else [sorted(erased)]
     lines = []
     all_ok = True
     for erased in patterns:

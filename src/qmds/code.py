@@ -15,8 +15,8 @@ qudits is the uniform superposition over the row space of
 with registers ordered R first, then Q1..Qn; the row indexed by the
 message-plus-seed vector (a, b) lands on the basis state |a, (a, b) AB>.
 
-``index_groups`` lists every index family the checks run over, with the
-bitmasks that index the rank and entropy tables.
+``index_groups`` lists every index family the checks run over as the
+bitmasks that index the rank and entropy tables; ``group_indices`` decodes one.
 """
 
 from __future__ import annotations
@@ -233,28 +233,29 @@ def validate(code: QuantumMdsCode) -> CheckReport:
 
     for name, block, size in (("AB", code.AB, m), ("B", code.B, p.d - 1)):
         ranks = subset_ranks(block, p.q, [[c] for c in range(p.n)])
-        groups, masks = index_groups(p.n, [size])
-        for cols, full in zip(groups, (ranks[masks] == size).tolist()):
-            report.add(f"{name} columns {list(cols)} invertible", full)
+        masks = index_groups(p.n, [size])
+        for mask, full in zip(masks, (ranks[masks] == size).tolist()):
+            report.add(f"{name} columns {list(group_indices(mask))} invertible", full)
     return report
 
 
-def index_groups(n: int, sizes) -> tuple[list[tuple[int, ...]], NDArray[np.int64]]:
-    """The groups of the 1-based indices 1..n with a size in ``sizes``, and their bitmasks.
+def index_groups(n: int, sizes) -> NDArray[np.int64]:
+    """The bitmasks of the groups of the 1-based indices 1..n with a size in ``sizes``.
 
     Groups run by size, then lexicographically; index i is bit i - 1 of an
     int64 mask (n <= 62), and size 0 gives the empty group.  Recovery sets
     (size n - (d-1)), erasure sets (size d - 1) and product-state groups
     all come from here.
     """
-    groups: list[tuple[int, ...]] = []
-    masks = [np.zeros(0, dtype=np.int64)]
-    for size in sorted(sizes):
-        block = list(itertools.combinations(range(1, n + 1), size))
-        indices = np.array(block, dtype=np.int64).reshape(len(block), size)
-        masks.append((1 << (indices - 1)).sum(axis=1))
-        groups += block
-    return groups, np.concatenate(masks)
+    bits = [1 << i for i in range(n)]
+    groups = itertools.chain.from_iterable(itertools.combinations(bits, s) for s in sorted(sizes))
+    return np.fromiter(map(sum, groups), dtype=np.int64)
+
+
+def group_indices(mask: int) -> tuple[int, ...]:
+    """The 1-based indices of the group with bitmask ``mask``, ascending."""
+    mask = int(mask)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # JSON code descriptor: {"q":, "n":, "k":, "d":, "alphas": [...]} -- accepted

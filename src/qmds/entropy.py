@@ -24,22 +24,22 @@ The profile is that table; sizes, expected values and JSON rows are
 derived from its masks on demand.  The check suites (size pyramid H(S) =
 min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
 identities and the standard quantum entropy inequalities) all index it,
-with their groups of coded qudits and bitmasks from ``code.index_groups``,
-as whole-table array passes.  The inequality sweep over all 3^(n+1)
-assignments of the parts to A, B, C makes five gathers per block (A, B,
-C, A u B, B u C; H(ABC) is the table's last entry, a constant), from an
-int8 copy of the table when every entry lies in [-64, 63].
+with their groups of coded qudits as ``code.index_groups`` bitmasks
+(``code.group_indices`` decodes only those a line names), as whole-table
+array passes.  The inequality sweep over all 3^(n+1) assignments of the
+parts to A, B, C makes five gathers per block (A, B, C, A u B, B u C;
+H(ABC) is the table's last entry, a constant), from an int8 copy of the
+table when every entry lies in [-64, 63].
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .code import CodeParams, QuantumMdsCode, _as_int, index_groups, to_descriptor
+from .code import CodeParams, QuantumMdsCode, _as_int, group_indices, index_groups, to_descriptor
 from .linalg import rank, subset_ranks
 from .reporting import CheckReport
 
@@ -93,8 +93,7 @@ class SubsystemSpec:
 
 def _key_labels(include_R: int, qmask: int) -> tuple[str, ...]:
     """Labels of the subsystem with sort key (include_R, qmask)."""
-    q_labels = (f"Q{i + 1}" for i in range(qmask.bit_length()) if qmask >> i & 1)
-    return ("R",) * include_R + tuple(q_labels)
+    return ("R",) * include_R + tuple(f"Q{i}" for i in group_indices(qmask))
 
 
 def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
@@ -223,11 +222,11 @@ class EntropyProfile:
         ]
         if self.register_table is not None:
             k, n = self.params.k, self.params.n
-            r_parts, r_masks = index_groups(k, range(1, k))
-            q_parts, q_masks = index_groups(n, range(n + 1))
-            values = self.register_table[r_masks[:, None] | q_masks << k].ravel().tolist()
-            for (r_part, q_part), h in zip(itertools.product(r_parts, q_parts), values):
-                labels = [f"R{r}" for r in r_part] + [f"Q{i}" for i in q_part]
+            # register mask: Ri is bit i - 1 and Qi is bit k + i - 1
+            r_masks, q_masks = index_groups(k, range(1, k)), index_groups(n, range(n + 1))
+            masks = (r_masks[:, None] | q_masks << k).ravel()
+            for mask, h in zip(masks.tolist(), self.register_table[masks].tolist()):
+                labels = [f"R{i}" if i <= k else f"Q{i - k}" for i in group_indices(mask)]
                 rows.append(dict(zip(_ROW_KEYS, (labels, len(labels), h, None, None))))
         return {"code": to_descriptor(self), "entries": rows}
 
@@ -276,7 +275,7 @@ def _decoding_report(profile: EntropyProfile, failures_only: bool) -> tuple[Chec
         ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
         ("no-leakage", d - 1, 0, "expected 0"),
     ):
-        groups, masks = index_groups(n, [size])
+        masks = index_groups(n, [size])
         # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
         mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
         count += mutual.size
@@ -284,7 +283,8 @@ def _decoding_report(profile: EntropyProfile, failures_only: bool) -> tuple[Chec
         values = mutual.tolist()
         for at in shown:
             value = values[at]
-            report.add(f"{kind} I={list(groups[at])}: I(R;Q_I) = {value}", value == target, detail)
+            indices = list(group_indices(masks[at]))
+            report.add(f"{kind} I={indices}: I(R;Q_I) = {value}", value == target, detail)
     return report, count
 
 
@@ -411,8 +411,8 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     table = profile.table
     report = CheckReport(f"product-state identities for [[{n},{k},{d}]]_{p.q}")
 
-    firsts, first_masks = index_groups(n, range(k + 1))
-    seconds, second_masks = index_groups(n, range(d))
+    first_masks = index_groups(n, range(k + 1))
+    second_masks = index_groups(n, range(d))
 
     pair_count = 0
     pair_violations = 0
@@ -429,7 +429,8 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
         violations = np.count_nonzero(bad)
         if violations and pair_first is None:
             at = np.unravel_index(np.argmax(bad), bad.shape)
-            pair_first = (firsts[start + at[0]], seconds[at[1]], int(joint[at]), int(split[at]))
+            groups = group_indices(first_masks[start + at[0]]), group_indices(second_masks[at[1]])
+            pair_first = (*groups, int(joint[at]), int(split[at]))
         pair_violations += violations
     detail = f"{pair_count} disjoint pairs, {pair_violations} violations"
     if pair_violations:
@@ -445,10 +446,10 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     joint = table[first_masks]
     split = members @ singles
     bad = np.flatnonzero(joint != split)
-    detail = f"{len(firsts)} groups, {bad.size} violations"
+    detail = f"{first_masks.size} groups, {bad.size} violations"
     if bad.size:
         at = bad[0]
-        detail += f"; first: {(firsts[at], int(joint[at]), int(split[at]))}"
+        detail += f"; first: {(group_indices(first_masks[at]), int(joint[at]), int(split[at]))}"
     report.add(
         "H(K) = sum_i H(Qi) for |K| <= k",
         not bad.size,

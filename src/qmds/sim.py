@@ -72,18 +72,22 @@ EIGENVALUE_CLAMP = 1e-10
 KEY_BUDGET = 1 << 19
 
 
-def _keys(digits: np.ndarray, q: int) -> np.ndarray:
-    """The big-endian key of each row of register values, by Horner's rule over columns."""
-    keys = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
+def _horner(registers: np.ndarray, columns: np.ndarray, q: int) -> np.ndarray:
+    """Big-endian keys of the registers ``columns`` names, by Horner's rule in place;
+    ``registers`` holds one register per row.  1-D ``columns`` give one key per support
+    row, reading each register as a view; (B, s) ``columns``, s >= 1, give B rows of keys."""
+    columns = columns.T
+    keys = registers[columns[0]].astype(np.int64)
+    for column in columns[1:]:
         keys *= q
-        np.add(keys, column, out=keys, dtype=np.int64)  # += would add uint64 as float
+        np.add(keys, registers[column], out=keys, dtype=np.int64)  # += would add uint64 as float
     return keys
 
 
-def _distinct(keys: np.ndarray) -> bool:
-    ordered = np.sort(keys)
-    return not np.any(ordered[1:] == ordered[:-1])
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Whether each row of ``keys`` (its last axis) holds no key twice; sorts them in place."""
+    keys.sort(axis=-1)
+    return ~np.any(keys[..., 1:] == keys[..., :-1], axis=-1)
 
 
 class StateVector:
@@ -103,6 +107,8 @@ class StateVector:
     def __init__(self, q: int, num_registers: int, digits, amplitudes, num_ref: int = 0):
         if q < 2:
             raise ValueError(f"local dimension must be >= 2: got {q}")
+        if num_registers < 1:
+            raise ValueError(f"a state needs at least one register: got {num_registers}")
         if not 0 <= num_ref <= num_registers:
             raise ValueError("reference block cannot exceed the register count")
         if q**num_registers > MAX_KEY:
@@ -122,7 +128,7 @@ class StateVector:
         if rows.size and not (0 <= rows.min() and rows.max() < q):
             raise ValueError(f"register values must lie in [0, {q - 1}]")
         rows = rows.astype(np.min_scalar_type(q - 1))
-        if not _distinct(_keys(rows, q)):
+        if not _distinct(_horner(rows.T, np.arange(num_registers), q)):
             raise ValueError("support rows must be distinct")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
@@ -226,10 +232,11 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     reached keys, never over all q^s kept values.
     """
     rest = [p for p in range(psi.num_registers) if p not in positions]
-    kept = _keys(psi.digits[:, positions], psi.q)
-    env = _keys(psi.digits[:, rest], psi.q)
+    # a batch of one, in the entropy table's (B, s) layout
+    kept = _horner(psi.digits.T, np.array([positions]), psi.q)[0]
+    env = _horner(psi.digits.T, np.array([rest]), psi.q)[0]
     reached, row_kept = np.unique(kept, return_inverse=True)
-    if _distinct(env):
+    if _distinct(env.copy()):
         weights = np.bincount(row_kept, np.abs(psi.amplitudes) ** 2, reached.size)
         nonzero = np.flatnonzero(weights)
         return reached[nonzero], weights[nonzero]
@@ -346,15 +353,6 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     return table
 
 
-def _horner(registers: np.ndarray, columns: np.ndarray, q: int) -> np.ndarray:
-    """Big-endian keys of the registers each row of ``columns`` names, one row per row."""
-    keys = registers[columns[:, 0]].astype(np.int64)
-    for j in range(1, columns.shape[1]):
-        keys *= q
-        keys += registers[columns[:, j]]
-    return keys
-
-
 def _entropies(psi: StateVector, groups: list[np.ndarray]) -> list[np.ndarray]:
     """Entropies of register subsets, one array per group of equal-size subsets.
 
@@ -398,10 +396,7 @@ def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
     equals the per-mask path's bit for bit.
     """
     width = q ** kept.shape[1]
-    env_keys = _horner(registers, env, q)
-    env_keys.sort(axis=1)
-    distinct = ~np.any(env_keys[:, 1:] == env_keys[:, :-1], axis=1)
-    del env_keys
+    distinct = _distinct(_horner(registers, env, q))
     keys = _horner(registers, kept, q)
     keys += np.arange(0, len(kept) * width, width)[:, None]
     diagonals = np.bincount(
@@ -530,6 +525,7 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     """
     if psi.q != phi.q or psi.num_registers != phi.num_registers:
         raise ValueError("states have different shapes")
-    _, i, j = np.intersect1d(_keys(psi.digits, psi.q), _keys(phi.digits, phi.q),
-                             assume_unique=True, return_indices=True)
-    return float(abs(np.vdot(psi.amplitudes[i], phi.amplitudes[j])) ** 2)
+    keys = [_horner(s.digits.T, np.arange(s.num_registers), s.q) for s in (psi, phi)]
+    _, i, j = np.intersect1d(*keys, assume_unique=True, return_indices=True)
+    # a pairwise sum: np.vdot's BLAS accumulation drifts with the support size
+    return float(abs(np.sum(np.conj(psi.amplitudes[i]) * phi.amplitudes[j])) ** 2)

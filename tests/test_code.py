@@ -16,7 +16,7 @@ from qmds import (
     to_descriptor,
     validate,
 )
-from qmds.code import index_groups
+from qmds.code import group_indices, index_groups
 
 from conftest import DESK_PARAMS, make_code, non_mds_control
 
@@ -269,32 +269,43 @@ class TestValidateMinorTable:
 
 class TestIndexGroups:
     def test_order_by_size_then_lexicographic(self):
-        groups, _ = index_groups(4, range(3))
-        assert groups == [
+        masks = index_groups(4, range(3))
+        assert [group_indices(mask) for mask in masks] == [
             (),
             (1,), (2,), (3,), (4,),
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
         # sizes are taken in ascending order whatever order they are given in
-        assert index_groups(4, [2, 0])[0] == [()] + groups[5:]
+        assert index_groups(4, [2, 0]).tolist() == [0] + masks[5:].tolist()
 
     def test_size_zero_is_the_empty_group(self):
-        groups, masks = index_groups(5, [0])
-        assert groups == [()]
+        masks = index_groups(5, [0])
         assert masks.tolist() == [0]
+        assert group_indices(masks[0]) == ()
 
     @pytest.mark.parametrize("n", [1, 4, 7, 10])
     def test_masks_are_sums_of_index_bits(self, n):
-        groups, masks = index_groups(n, range(n + 1))
+        masks = index_groups(n, range(n + 1))
         assert masks.dtype == np.int64
+        groups = [g for size in range(n + 1) for g in itertools.combinations(range(1, n + 1), size)]
         assert masks.tolist() == [sum(2 ** (i - 1) for i in g) for g in groups]
         # every subset of 1..n exactly once
         assert sorted(masks.tolist()) == list(range(2**n))
 
     def test_size_past_n_lists_nothing(self):
-        groups, masks = index_groups(3, [4])
-        assert groups == []
+        masks = index_groups(3, [4])
+        assert masks.dtype == np.int64
         assert masks.shape == (0,)
+
+    def test_group_indices_round_trip(self):
+        for n in range(11):
+            for mask in range(2**n):
+                indices = group_indices(mask)
+                assert sum(2 ** (i - 1) for i in indices) == mask
+                assert list(indices) == sorted(set(indices))
+                assert all(type(i) is int and 1 <= i <= n for i in indices)
+            groups = [g for size in range(n + 1) for g in itertools.combinations(range(1, n + 1), size)]
+            assert [group_indices(mask) for mask in index_groups(n, range(n + 1))] == groups
 
 
 class TestDescriptor:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds import entropy, linalg
-from qmds.code import index_groups
+from qmds.code import group_indices, index_groups
 from qmds import (
     SubsystemSpec,
     check_decoding_condition,
@@ -25,7 +25,7 @@ from qmds import (
     von_neumann_entropy,
 )
 
-from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, entropy_table
+from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, decoding_failures, entropy_table
 
 from conftest import (
     DESK_PARAMS,
@@ -532,7 +532,7 @@ class TestNegativeControls:
     )
     def test_chunked_product_pairs_match_brute_force(self, monkeypatch, params, raise_at, uneven):
         n, k, d, _ = params
-        firsts, seconds = len(index_groups(n, range(k + 1))[0]), len(index_groups(n, range(d))[0])
+        firsts, seconds = index_groups(n, range(k + 1)).size, index_groups(n, range(d)).size
         rows = 3**uneven // seconds
         assert rows > 1 and firsts % rows, "the chunks must split the K1 groups unevenly"
         profile = fabricated_profile(raise_at, params)
@@ -597,6 +597,39 @@ class TestInequalitySweep:
                 detail += f"; first violating assignment {first}"
             assert result.detail == detail
             assert result.passed == (count == 0)
+
+
+class TestGroupsDecodedWherePrinted:
+    """A check reads a group's indices off its mask only for a line that names it."""
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_valid_codes_decode_no_mask(self, monkeypatch, params):
+        profile = full_profile(make_code(*params))
+
+        def refuse(mask):
+            raise AssertionError(f"mask {mask} decoded for no printed line")
+
+        monkeypatch.setattr(entropy, "group_indices", refuse)
+        failures, checks = decoding_failures(profile)
+        assert failures.ok and not failures.results and checks
+        assert product_state_checks(profile).ok
+
+    def test_negative_control_prints_its_indices(self, monkeypatch):
+        profile = fabricated_profile([(False, (2,)), (False, (1, 3))], params=(6, 2, 3, 7))
+        decoded = []
+
+        def recording(mask):
+            decoded.append(int(mask))
+            return group_indices(mask)
+
+        monkeypatch.setattr(entropy, "group_indices", recording)
+        failures, _ = decoding_failures(profile)
+        assert [r.name for r in failures.results] == ["no-leakage I=[1, 3]: I(R;Q_I) = 1"]
+        product = product_state_checks(profile)
+        assert [r.detail for r in product.results] == brute_force_product_details(profile)
+        # the failing erasure set, the first violating pair's two groups and
+        # the first violating group
+        assert len(decoded) == 4
 
 
 class TestNonMdsControl:

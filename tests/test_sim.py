@@ -62,6 +62,8 @@ class TestStateVector:
             StateVector(3, 2, [[0, 0]], [1.0, 0.0])
         with pytest.raises(ValueError, match="expected an"):
             StateVector(3, 2, [[0, 0, 0]], [1.0])
+        with pytest.raises(ValueError, match="at least one register"):
+            StateVector(3, 0, np.zeros((1, 0), dtype=np.int64), [1.0])
 
     def test_amplitudes_read_only(self):
         psi = basis_state(3, (0, 0))
@@ -506,6 +508,16 @@ class TestTargetFidelity:
             assert assert_both_routes_agree(decoded, code, surviving) >= 1 - 1e-12
             assert_both_routes_agree(psi, code, surviving)
             assert_both_routes_agree(step_one_decoded(psi, code, surviving), code, surviving)
+
+    @pytest.mark.parametrize("params", [(7, 1, 4, 11), (8, 2, 4, 11)])
+    def test_reference_route_is_exact_at_larger_supports(self, params):
+        # surviving 1..n-d+1; np.vdot's accumulation once drifted 1.6e-14
+        # and 3.3e-13 from the pair test here
+        code = make_code(*params)
+        surviving = list(range(1, code.params.n - code.params.d + 2))
+        decoded = decode(encode_state(code), code, surviving)
+        reference = fidelity(decoded, decode_target(code, surviving))
+        assert abs(reference - target_fidelity(decoded, code, surviving)) <= 1e-15
 
     def test_step_one_alone_misses_the_target(self):
         # the construction behind the CLI's second-step test reads below 1
