@@ -29,7 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .gf import MAX_Q, check_modulus, is_prime
-from .linalg import SingularMatrixError, invert, rank, subset_ranks
+from . import linalg
+from .linalg import SingularMatrixError, rank, subset_ranks
 from .reporting import CheckReport
 
 
@@ -173,21 +174,30 @@ def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
 
 
 def _decoding_blocks(code: QuantumMdsCode, surviving):
-    """(AB_surviving^-1, AB_surviving, AB_erased), each block's invertibility checked.
+    """(step, AB_surviving, AB_erased), each block's invertibility checked.
 
-    The surviving block is eliminated once: inverting it is its rank check.
+    step = AB_surviving^-1 [E | AB_erased], the m x m matrix of both decode
+    steps, read off one Gauss-Jordan elimination of [AB_surviving | E |
+    AB_erased]: the surviving block is invertible exactly when that leaves
+    m pivots among its columns, and the reduced right-hand block is then
+    the step.  The step is invertible exactly when the erased seed block
+    (the last d - 1 rows of AB_erased) is, which is checked by its rank.
     """
     p = code.params
+    m = p.generator_rank
     idx = _check_surviving(code, surviving)
     erased = [i for i in range(1, p.n + 1) if i not in idx]
     ab_s = code.AB[:, [i - 1 for i in idx]]
     ab_e = code.AB[:, [i - 1 for i in erased]]
-    inverse = invert(ab_s, p.q, f"surviving-column block {idx}")
+    reduced, pivots = linalg.rref(np.hstack((ab_s, code.G[:, :p.k], ab_e)), p.q)
+    r = sum(1 for c in pivots if c < m)
+    if r != m:
+        raise SingularMatrixError(m, r, f"surviving-column block {idx}")
     seed = ab_e[p.k:]
     r = rank(seed, p.q)
     if r != len(seed):
         raise SingularMatrixError(len(seed), r, f"erased-column seed block {erased}")
-    return inverse, ab_s, ab_e
+    return reduced[:, m:], ab_s, ab_e
 
 
 def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:

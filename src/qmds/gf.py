@@ -10,8 +10,10 @@ import math
 
 
 # Largest modulus plus one.  Below it a product of two residues is below
-# 2^62, so the int64 eliminations never overflow; above it they would
-# return wrong ranks without any error.
+# 2^62, so the int64 steps of the rank lattice (linalg.subset_ranks) never
+# overflow; above it they would return wrong ranks without any error.  The
+# Gauss-Jordan routines run on Python ints and need no bound; decoding's
+# float64 pass has its own, far lower one (sim._decode_block).
 MAX_Q = 1 << 31
 
 

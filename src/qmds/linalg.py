@@ -19,9 +19,11 @@ from a level of BASIS_BUDGET bases, so one table needs two such buffers
 beside its 2^P ranks (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS bounds 2^P.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
-floating point.  Residues of q < 2^31 (see gf.MAX_Q) keep each product of
-two residues below 2^62; the lattice's fraction-free step h * x - x_p * v
-reduces mod q after every step, so it never holds a larger value.
+floating point.  ``rref``, and so ``rank`` and ``invert``, eliminate on
+Python ints, which cannot overflow.  The lattice runs on int64 arrays:
+residues of q < 2^31 (see gf.MAX_Q) keep each product of two residues
+below 2^62, and its fraction-free step h * x - x_p * v reduces mod q after
+every step, so it never holds a larger value.
 """
 
 from __future__ import annotations
@@ -58,32 +60,34 @@ def rref(a, q: int) -> tuple[NDArray[np.int64], list[int]]:
     Gauss-Jordan elimination with the first nonzero entry in column order
     as pivot (the field is exact, so there is no pivot-magnitude concern).
     The result is the unique RREF; pivot columns are strictly increasing.
+    The rows are eliminated as lists of Python ints, which cannot overflow
+    and, on blocks of a few dozen entries, beat numpy's per-row overhead.
 
     Returns:
         (rref array, list of pivot column indices)
     """
-    a = np.asarray(a, dtype=np.int64) % q
+    a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
     nrows, ncols = a.shape
+    rows = (a % q).tolist()
     pivots: list[int] = []
-    row = 0
     for col in range(ncols):
+        row = len(pivots)
         if row >= nrows:
             break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
+        piv = next((r for r in range(row, nrows) if rows[r][col]), None)
+        if piv is None:
             continue
-        piv = int(nz[0]) + row
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        a[row] = a[row] * pow(int(a[row, col]), -1, q) % q
+        rows[row], rows[piv] = rows[piv], rows[row]
+        scale = pow(rows[row][col], -1, q)
+        head = rows[row] = [x * scale % q for x in rows[row]]
         for r in range(nrows):
-            if r != row and a[r, col]:
-                a[r] = (a[r] - a[r, col] * a[row]) % q
+            factor = rows[r][col]
+            if r != row and factor:
+                rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], head)]
         pivots.append(col)
-        row += 1
-    return a, pivots
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), pivots
 
 
 def rank(a, q: int) -> int:
@@ -91,13 +95,12 @@ def rank(a, q: int) -> int:
     return len(rref(a, q)[1])
 
 
-def invert(a, q: int, what: str = "matrix") -> NDArray[np.int64]:
+def invert(a, q: int) -> NDArray[np.int64]:
     """Inverse of a square matrix over GF(q).
 
     Raises:
         ValueError: if ``a`` is not square.
-        SingularMatrixError: if ``a`` is rank-deficient (reports the deficit
-            and names the matrix ``what``).
+        SingularMatrixError: if ``a`` is rank-deficient (reports the deficit).
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -105,7 +108,7 @@ def invert(a, q: int, what: str = "matrix") -> NDArray[np.int64]:
     n = a.shape[0]
     reduced, pivots = rref(np.hstack((a, np.eye(n, dtype=np.int64))), q)
     if not np.array_equal(reduced[:, :n], np.eye(n, dtype=np.int64)):
-        raise SingularMatrixError(n, sum(1 for p in pivots if p < n), what)
+        raise SingularMatrixError(n, sum(1 for p in pivots if p < n))
     return reduced[:, n:]
 
 

@@ -39,7 +39,9 @@ Where a set of registers needs one index per row, its key is their values
 read big-endian, by Horner's rule over columns into int64.  A reduced
 state is built by grouping the support rows on their kept and environment
 keys.  Decoding permutes the computational basis: one invertible m x m
-matrix over GF(q) maps the surviving registers of each support row.  The
+matrix over GF(q) maps the surviving registers of each support row, in
+one float64 product that is exact while m (q-1)^2 < 2^53; the result is
+a permutation of a valid state, so it is not validated again.  The
 decoding target is m maximally entangled register pairs, so its support
 is the basis states on which every pair agrees: target_fidelity sums the
 amplitudes of a state's agreeing rows, without listing the target.
@@ -49,7 +51,8 @@ A work guard bounds the support array at q**m rows x (k+n) digits <=
 parameters belong to the exact oracle in the entropy module.  Since
 k + n = 2m, the support guard also keeps every key below q**(2m) < 2**63,
 so no key can overflow int64; a StateVector built by hand is refused
-unless q**registers keys fit.
+unless q**registers keys fit.  That refusal bounds decodable states at
+q <= 55103 (q**4 < 2**63), far inside decoding's float64 bound.
 """
 
 from __future__ import annotations
@@ -96,7 +99,9 @@ class StateVector:
     ``digits`` is an (N, num_registers) array of register values in [0, q),
     in the narrowest unsigned dtype holding q - 1, with no repeated row, and
     ``amplitudes`` the N matching complex double amplitudes, normalized
-    within 1e-12; both are read-only copies.
+    within 1e-12; both are read-only.  The constructor validates and copies
+    its inputs; ``decode`` builds its result without it, sharing the input
+    state's amplitudes.
     The first ``num_ref`` registers form the reference block (so subsystem
     specs with include_R resolve to them); the rest are the coded qudits
     Q1..Qn.
@@ -442,11 +447,32 @@ def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray
     the generator row (a, b); step two maps (a, b) to (a, (a, b) AB_erased),
     which is invertible because the erased seed block is square Vandermonde.
     Together they are one m x m matrix, (AB_surviving)^-1 [E | AB_erased].
+
+    It is applied as one float64 product and reduced mod q in float64,
+    returned in the digit dtype.  Every sum is an integer below
+    m (q-1)^2 < 2^53, so the product is exact in any summation order, and
+    floor(s / q) of a correctly rounded quotient is the exact s // q for
+    s < 2^53, so s - q floor(s / q) is the exact residue.  decode reaches
+    q <= 55103 (StateVector's q^(k+n) < 2^63 key guard), where the bound
+    is about 6.1e9.
+
+    Raises:
+        ValueError: if m (q-1)^2 >= 2^53, where the float64 sums could round.
     """
-    q, k = code.params.q, code.params.k
-    inverse, _, ab_e = _decoding_blocks(code, surviving)
-    step = inverse @ np.hstack((code.G[:, :k], ab_e)) % q
-    return values @ step % q
+    q, m = code.params.q, code.params.generator_rank
+    if m * (q - 1) ** 2 >= 1 << 53:
+        raise ValueError(
+            f"decoding sums reach m(q-1)^2 = {m * (q - 1) ** 2}, beyond the 2^53 "
+            "that float64 holds exactly"
+        )
+    step = _decoding_blocks(code, surviving)[0].astype(np.float64)
+    floats = values.astype(np.float64)
+    sums = floats @ step
+    quotients = np.divide(sums, q, out=floats)
+    np.floor(quotients, out=quotients)
+    quotients *= q
+    sums -= quotients
+    return sums.astype(np.min_scalar_type(q - 1))
 
 
 def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
@@ -457,6 +483,14 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     registers and the amplitudes are untouched.  Norm is preserved exactly
     (permutations are unitary), and the output matches decode_target with
     fidelity 1.
+
+    The result is built without StateVector's validation, because each of
+    its invariants holds by construction: the step is invertible (the
+    surviving block and the erased seed block are checked by
+    code._decoding_blocks), so it permutes GF(q)^m and distinct support
+    rows stay distinct; the reduction mod q puts every digit in [0, q), in
+    psi's digit dtype; and the amplitudes are psi's read-only array, so
+    the norm is psi's.
     """
     p = code.params
     idx = _check_surviving(code, surviving)
@@ -465,7 +499,11 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     positions = [p.k + i - 1 for i in idx]
     digits = psi.digits.copy()
     digits[:, positions] = _decode_block(code, idx, psi.digits[:, positions])
-    return StateVector(p.q, p.num_registers, digits, psi.amplitudes, num_ref=p.k)
+    digits.flags.writeable = False
+    out = StateVector.__new__(StateVector)
+    out.q, out.num_registers, out.num_ref = p.q, p.num_registers, p.k
+    out.digits, out.amplitudes = digits, psi.amplitudes
+    return out
 
 
 def _target_pairs(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:

@@ -586,8 +586,8 @@ class TestDecodeTest:
         assert out.splitlines() == expected + ["result: PASS"]
 
     def test_each_pattern_eliminates_two_blocks(self, capsys, monkeypatch):
-        # per pattern, invert's elimination of the surviving block and the
-        # rank of the erased seed block; the rest is construction
+        # per pattern, one elimination of [AB_surviving | E | AB_erased] and
+        # the rank of the erased seed block; the rest is construction
         from qmds import linalg
 
         calls = []
@@ -606,7 +606,7 @@ class TestDecodeTest:
         )
         assert code_exit == 0
         assert out.count("[ok]") == math.comb(5, 2)
-        assert len(calls) <= construction + 2 * math.comb(5, 2)
+        assert len(calls) == construction + 2 * math.comb(5, 2)
 
     @pytest.mark.parametrize(
         "argv, golden",

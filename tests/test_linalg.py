@@ -123,8 +123,6 @@ def test_invert_singular_reports_deficit():
     assert excinfo.value.size == 3
     assert excinfo.value.rank == 2
     assert str(excinfo.value) == "matrix is singular: rank 2 < size 3 (deficit 1)"
-    with pytest.raises(SingularMatrixError, match="^block 7 is singular"):
-        invert([[1, 2], [2, 4]], 5, "block 7")
 
 
 def test_invert_requires_square():

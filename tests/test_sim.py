@@ -436,6 +436,58 @@ class TestDecode:
             decode(other, code, [1, 2])
 
 
+def reference_step(code, surviving):
+    """AB_surviving^-1 [E | AB_erased] as exact Python ints (object dtype)."""
+    p = code.params
+    ab_s, ab_e = erasure_submatrices(code, surviving)
+    right = np.hstack((code.G[:, : p.k], ab_e)).astype(object)
+    return invert(ab_s, p.q).astype(object) @ right % p.q
+
+
+class TestDecodeConstruction:
+    """decode builds its result without StateVector's validation; these checks
+    redo what that validation and an integer reference would establish."""
+
+    @pytest.mark.parametrize("params", DESK_PARAMS + [(5, 1, 3, 11)], ids=str)
+    def test_every_pattern_is_a_valid_state_bit_for_bit(self, params):
+        code = make_code(*params)
+        p = code.params
+        psi = encode_state(code)
+        for surviving in itertools.combinations(range(1, p.n + 1), p.n - p.d + 1):
+            out = decode(psi, code, surviving)
+            positions = [p.k + i - 1 for i in surviving]
+            expected = psi.digits.astype(object)
+            expected[:, positions] = expected[:, positions] @ reference_step(code, surviving) % p.q
+            assert out.digits.dtype == psi.digits.dtype
+            assert np.array_equal(out.digits.astype(object), expected)
+            assert not out.digits.flags.writeable
+            assert out.amplitudes is psi.amplitudes
+            rebuilt = StateVector(p.q, p.num_registers, out.digits, out.amplitudes, num_ref=p.k)
+            assert np.array_equal(rebuilt.digits, out.digits)
+
+    def test_largest_decodable_modulus_is_exact(self):
+        # q = 55103 is the largest prime with q^4 < 2^63, so [[3,1,2]]_q is
+        # the largest state decode can be handed; digits near q - 1 put
+        # every float64 sum near m (q-1)^2
+        q = 55103
+        code = make_code(3, 1, 2, q)
+        digits = np.array([[q - 1, q - 1, q - 2, q - 1], [q - 3, q - 2, q - 1, 0]])
+        psi = StateVector(q, 4, digits, [0.6, 0.8], num_ref=1)
+        for surviving in ([1, 2], [1, 3], [2, 3]):
+            out = decode(psi, code, surviving)
+            # k = 1, so coded qudit Q_i is register i
+            positions = list(surviving)
+            values = digits[:, positions].astype(object)
+            expected = values @ reference_step(code, surviving) % q
+            assert np.array_equal(out.digits[:, positions].astype(object), expected)
+
+    def test_block_beyond_exact_float_sums_is_refused(self):
+        # m (q-1)^2 = 2 (2^31 - 2)^2 >= 2^53: float64 sums could round
+        code = make_code(3, 1, 2, 2**31 - 1)
+        with pytest.raises(ValueError, match="2\\^53"):
+            _decode_block(code, [1, 2], np.array([[1, 2]], dtype=np.uint32))
+
+
 class TestDecodeTarget:
     def test_structure_3_1_2(self):
         # surviving {1,2}: registers (a, a, b', b') each with amplitude 1/3
