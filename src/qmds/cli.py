@@ -15,8 +15,10 @@ import sys
 import numpy as np
 
 from .code import (
+    MAX_CELLS,
     CodeParams,
     QuantumMdsCode,
+    _check_index_set,
     from_descriptor,
     group_indices,
     index_groups,
@@ -32,6 +34,7 @@ from .entropy import (
     product_state_checks,
 )
 from .linalg import SingularMatrixError
+from .reporting import _status_lines
 from . import sim
 
 FIDELITY_TOL = 1e-12
@@ -101,69 +104,66 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _verdict(lines: list[str], ok: bool, out_path: str | None) -> int:
+    """Emit ``lines`` and the ``result: PASS|FAIL`` line; the exit code, 0 or 1."""
+    lines.append("result: " + ("PASS" if ok else "FAIL"))
+    _emit("\n".join(lines) + "\n", out_path)
+    return 0 if ok else 1
+
+
 def cmd_verify(args) -> int:
     code = _load_code(args)
     p = code.params
-    lines: list[str] = [f"verify [[{p.n},{p.k},{p.d}]]_{p.q} (oracle: {args.oracle})"]
-    failed = False
-
     # encoding runs the state vector's support guard, so a code it refuses
     # exits before any ranking
     simulate = args.oracle in ("statevec", "both")
     psi = sim.encode_state(code) if simulate else None
     profile = full_profile(code)
-    expected = profile.expected()
+    table, expected = profile.table, profile.expected()
+    checks = []  # (ok, header, details), in output order
     if args.oracle in ("lemma", "both"):
-        mismatches = profile.mismatches()
-        ok = not mismatches
-        failed |= not ok
-        lines.append(
-            f"[{'ok' if ok else 'FAIL'}] rank-identity profile matches "
-            f"min(size, {p.num_registers} - size) on {profile.table.size} subsystems"
-        )
-        for mask in mismatches:
-            lines.append(
-                f"  mismatch {list(profile.labels(mask))}: entropy "
-                f"{profile.table[mask]}, expected {expected[mask]}"
-            )
+        mismatches = [
+            f"mismatch {list(profile.labels(mask))}: entropy {table[mask]}, "
+            f"expected {expected[mask]}"
+            for mask in np.flatnonzero(table != expected)
+        ]
+        checks.append((
+            not mismatches,
+            f"rank-identity profile matches min(size, {p.num_registers} - size) "
+            f"on {table.size} subsystems",
+            mismatches,
+        ))
 
     if simulate:
         # in "both" mode the reference is the other oracle (agreement check);
         # alone, the state vector is compared against the pyramid formula
         against = "rank oracle" if args.oracle == "both" else "expected"
-        references = profile.table if args.oracle == "both" else expected
+        references = table if args.oracle == "both" else expected
         values = sim.entropy_table(psi)
         deltas = np.abs(values - references)
         bad = [
-            f"  {list(profile.labels(mask))}: statevec {float(values[mask])!r} "
+            f"{list(profile.labels(mask))}: statevec {float(values[mask])!r} "
             f"vs {against} {references[mask]}"
             for mask in np.flatnonzero(deltas > ORACLE_TOL)
         ]
-        ok = not bad
-        failed |= not ok
-        lines.append(
-            f"[{'ok' if ok else 'FAIL'}] state-vector entropies within {ORACLE_TOL} "
-            f"of the {against} on {profile.table.size} subsystems "
-            f"(max oracle delta {deltas.max():.3e})"
-        )
-        lines.extend(bad)
+        checks.append((
+            not bad,
+            f"state-vector entropies within {ORACLE_TOL} of the {against} on "
+            f"{table.size} subsystems (max oracle delta {deltas.max():.3e})",
+            bad,
+        ))
 
-    failures, checks = decoding_failures(profile)
-    failed |= not failures.ok
-    lines.append(f"[{'ok' if failures.ok else 'FAIL'}] {failures.title} ({checks} checks)")
-    for result in failures.results:
-        lines.append("  " + result.line())
-
+    failures, count = decoding_failures(profile)
+    checks.append((failures.ok, f"{failures.title} ({count} checks)",
+                   [result.line() for result in failures.results]))
     if args.inequalities:
         for report in (check_entropy_inequalities(profile), product_state_checks(profile)):
-            failed |= not report.ok
-            lines.append(f"[{'ok' if report.ok else 'FAIL'}] {report.title}")
-            for result in report.results:
-                lines.append("  " + result.line())
+            checks.append((report.ok, report.title, [result.line() for result in report.results]))
 
-    lines.append("result: " + ("PASS" if not failed else "FAIL"))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if not failed else 1
+    lines = [f"verify [[{p.n},{p.k},{p.d}]]_{p.q} (oracle: {args.oracle})"]
+    for check in checks:
+        lines += _status_lines(*check)
+    return _verdict(lines, all(ok for ok, _, _ in checks), args.out)
 
 
 def cmd_decode_test(args) -> int:
@@ -171,19 +171,11 @@ def cmd_decode_test(args) -> int:
     p = code.params
     if not args.all:
         erased = _parse_int_list(args.erasures, "--erasures")
-        if len(set(erased)) != len(erased):
-            raise ValueError(f"duplicate erasure indices: {erased}")
-        if any(not 1 <= i <= p.n for i in erased):
-            raise ValueError(f"erasure indices must lie in 1..{p.n}: {erased}")
-        if len(erased) != p.d - 1:
-            raise ValueError(
-                f"erasure pattern must have exactly d-1={p.d - 1} indices, "
-                f"got {len(erased)}"
-            )
+        erased = _check_index_set(p.n, erased, "erasure", "d-1", p.d - 1)
 
     # encoding runs the support guard before any pattern is listed
     psi = sim.encode_state(code)
-    patterns = map(group_indices, index_groups(p.n, [p.d - 1])) if args.all else [sorted(erased)]
+    patterns = map(group_indices, index_groups(p.n, [p.d - 1])) if args.all else [erased]
     lines = []
     all_ok = True
     for erased in patterns:
@@ -201,9 +193,7 @@ def cmd_decode_test(args) -> int:
         lines.append(
             f"erasures {list(erased)}: fidelity {f:.12f} [{'ok' if ok else 'FAIL'}]"
         )
-    lines.append("result: " + ("PASS" if all_ok else "FAIL"))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 1
+    return _verdict(lines, all_ok, args.out)
 
 
 def cmd_figure(args) -> int:
@@ -212,6 +202,8 @@ def cmd_figure(args) -> int:
     if args.d < 2:
         raise ValueError(f"d must be at least 2: got d={args.d}")
     total = 2 * (args.k + args.d - 1)
+    if total + 1 > MAX_CELLS:
+        raise ValueError(f"figure would need {total + 1} rows, beyond the {MAX_CELLS} guard")
     rows = [(s, expected_subsystem_entropy(s, args.k, args.d)) for s in range(total + 1)]
     _emit(_csv_text(rows), args.out)
     return 0

@@ -33,6 +33,9 @@ from . import linalg
 from .linalg import SingularMatrixError, rank, subset_ranks
 from .reporting import CheckReport
 
+# the most cells of a generator G here, and of any support or dense block in sim
+MAX_CELLS = 1 << 24
+
 
 def _as_int(value, what: str) -> int:
     """``value`` as an int; floats, strings and bools are refused, not coerced."""
@@ -102,12 +105,16 @@ class QuantumMdsCode:
     The matrices are read-only int64 residue arrays over GF(q), q =
     params.q.  Construction is deterministic: identical parameters and
     evaluation points always produce identical matrices.  Instances are
-    immutable.
+    immutable.  A G of more than MAX_CELLS entries is refused unbuilt.
     """
 
     def __init__(self, params: CodeParams, alphas=None):
         self.params = params
         n, k, d, q = params.n, params.k, params.d, params.q
+        m = params.generator_rank
+        if m * params.num_registers > MAX_CELLS:
+            raise ValueError(f"generator G would need {m} x {params.num_registers} "
+                             f"entries, beyond the {MAX_CELLS} guard")
 
         if alphas is None:
             alphas = tuple(range(n))
@@ -125,7 +132,6 @@ class QuantumMdsCode:
             raise ValueError(f"evaluation points must be distinct: got {list(alphas)}")
         self.alphas = alphas
 
-        m = params.generator_rank
         ab = np.array(
             [[pow(a, m - 1 - r, q) for a in alphas] for r in range(m)],
             dtype=np.int64,
@@ -136,11 +142,6 @@ class QuantumMdsCode:
         for matrix in (ab, g):
             matrix.flags.writeable = False
         self.AB, self.A, self.B, self.G = ab, ab[:k], ab[k:], g
-
-        # distinct points make AB full rank; guard anyway, the entropy
-        # oracle's rank hypothesis rests on it
-        if rank(self.AB, q) != m:
-            raise ValueError("generator is rank-deficient; evaluation points invalid")
 
     def __repr__(self) -> str:
         p = self.params
@@ -157,19 +158,16 @@ class QuantumMdsCode:
         return hash((self.params, self.alphas))
 
 
-def _check_surviving(code: QuantumMdsCode, surviving) -> list[int]:
-    """Validate a surviving set of 1-based coded-qudit indices."""
-    n, d = code.params.n, code.params.d
-    idx = sorted(_as_int(i, "surviving index") for i in surviving)
+def _check_index_set(n: int, indices, what: str, formula: str, size: int) -> list[int]:
+    """The ascending 1-based coded-qudit indices of a ``what`` set, which must
+    hold ``size`` distinct indices in 1..n; ``formula`` is ``size`` in n and d."""
+    idx = sorted(_as_int(i, f"{what} index") for i in indices)
     if len(set(idx)) != len(idx):
-        raise ValueError(f"surviving set has duplicate indices: {idx}")
+        raise ValueError(f"{what} set has duplicate indices: {idx}")
     if any(not 1 <= i <= n for i in idx):
-        raise ValueError(f"surviving indices must lie in 1..{n}: got {idx}")
-    need = n - (d - 1)
-    if len(idx) != need:
-        raise ValueError(
-            f"surviving set must have exactly n-(d-1)={need} indices, got {len(idx)}"
-        )
+        raise ValueError(f"{what} indices must lie in 1..{n}: got {idx}")
+    if len(idx) != size:
+        raise ValueError(f"{what} set must have exactly {formula}={size} indices, got {len(idx)}")
     return idx
 
 
@@ -185,7 +183,7 @@ def _decoding_blocks(code: QuantumMdsCode, surviving):
     """
     p = code.params
     m = p.generator_rank
-    idx = _check_surviving(code, surviving)
+    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
     erased = [i for i in range(1, p.n + 1) if i not in idx]
     ab_s = code.AB[:, [i - 1 for i in idx]]
     ab_e = code.AB[:, [i - 1 for i in erased]]

@@ -1,8 +1,14 @@
-"""Small pass/fail report containers shared by the verification suites."""
+"""Pass/fail report containers shared by the verification suites, and the one
+status-line format that they and every section of ``qmds verify`` print in."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+def _status_lines(ok: bool, header: str, details=()) -> list[str]:
+    """``[ok] header`` or ``[FAIL] header``, then each detail indented two spaces."""
+    return [f"[{'ok' if ok else 'FAIL'}] {header}", *("  " + line for line in details)]
 
 
 @dataclass(frozen=True)
@@ -12,11 +18,8 @@ class CheckResult:
     detail: str = ""
 
     def line(self) -> str:
-        status = "ok" if self.passed else "FAIL"
-        text = f"[{status}] {self.name}"
-        if self.detail:
-            text += f": {self.detail}"
-        return text
+        header = f"{self.name}: {self.detail}" if self.detail else self.name
+        return _status_lines(self.passed, header)[0]
 
 
 @dataclass
@@ -35,8 +38,8 @@ class CheckReport:
         self.results.append(CheckResult(name, passed, detail))
 
     def lines(self) -> list[str]:
-        header = f"{self.title}: {'all checks passed' if self.ok else 'FAILURES'}"
-        return [header] + ["  " + r.line() for r in self.results]
+        """The report as ``qmds verify`` prints it: its status line, then one per result."""
+        return _status_lines(self.ok, self.title, [r.line() for r in self.results])
 
     def to_dict(self) -> dict:
         return {

@@ -59,10 +59,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .code import QuantumMdsCode, _check_surviving, _decoding_blocks
+from .code import MAX_CELLS, QuantumMdsCode, _check_index_set, _decoding_blocks
 from .entropy import SubsystemSpec
 
-MAX_CELLS = 1 << 24
 MAX_KEY = np.iinfo(np.int64).max
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -493,7 +492,7 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     the norm is psi's.
     """
     p = code.params
-    idx = _check_surviving(code, surviving)
+    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
     if psi.q != p.q or psi.num_registers != p.num_registers or psi.num_ref != p.k:
         raise ValueError("state shape does not match the code's joint state")
     positions = [p.k + i - 1 for i in idx]
@@ -514,7 +513,7 @@ def _target_pairs(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarr
     The m pairs cover every register once.
     """
     p, k = code.params, code.params.k
-    idx = _check_surviving(code, surviving)
+    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
     survivors = [k + i - 1 for i in idx]
     erased = [k + i - 1 for i in range(1, p.n + 1) if i not in idx]
     return np.array([*range(k), *survivors[k:]]), np.array([*survivors[:k], *erased])

@@ -12,7 +12,12 @@ import pytest
 import qmds
 from qmds import reporting
 from qmds.cli import build_parser, main
-from qmds.entropy import check_decoding_condition, full_profile
+from qmds.entropy import (
+    check_decoding_condition,
+    check_entropy_inequalities,
+    full_profile,
+    product_state_checks,
+)
 
 from conftest import DESK_PARAMS, REFERENCE_PARAMS, make_code, non_mds_control
 
@@ -334,6 +339,16 @@ class TestVerify:
         assert out == golden.read_text(encoding="utf-8")
 
 
+    @pytest.mark.parametrize("params", DESK_PARAMS, ids=str)
+    def test_suite_blocks_are_the_report_lines(self, capsys, params):
+        flags = [f"--{name}={value}" for name, value in zip("nkdq", params)]
+        code_exit, out, _ = run_cli(capsys, "verify", *flags, "--oracle", "lemma", "--inequalities")
+        profile = full_profile(make_code(*params))
+        blocks = check_entropy_inequalities(profile).lines() + product_state_checks(profile).lines()
+        assert code_exit == 0
+        assert out.splitlines()[-1 - len(blocks):] == [*blocks, "result: PASS"]
+
+
 class TestDecodingSummary:
     """verify prints the decoding check count and formats only failing checks."""
 
@@ -473,6 +488,21 @@ class TestWorkGuard:
         assert code_exit == 2
         assert out == ""
         assert "2^20" in err
+
+    def test_large_code_is_refused_at_once(self, capsys):
+        # construction takes no rank, so the mask guard is reached at once
+        start = time.perf_counter()
+        code_exit, out, err = run_cli(
+            capsys, "verify", "--n", "801", "--k", "1", "--d", "401", "--oracle", "lemma"
+        )
+        assert (code_exit, out) == (2, "")
+        assert "guard" in err
+        assert time.perf_counter() - start < 3
+
+    def test_oversize_generator_exits_2(self, capsys):
+        code_exit, out, err = run_cli(capsys, "construct", "--n", "6001", "--k", "1", "--d", "3001")
+        assert (code_exit, out) == (2, "")
+        assert "3001 x 6002 entries" in err
 
 
 class TestDecodeTest:
@@ -656,6 +686,18 @@ class TestFigure:
     def test_bad_params_exit_2(self, capsys):
         assert run_cli(capsys, "figure", "--k", "0", "--d", "2")[0] == 2
         assert run_cli(capsys, "figure", "--k", "1", "--d", "1")[0] == 2
+
+    def test_oversize_exits_2_before_any_row(self, capsys, monkeypatch):
+        import qmds.cli as cli_module
+
+        def no_row(*args):
+            raise AssertionError("a figure row was computed")
+
+        monkeypatch.setattr(cli_module, "expected_subsystem_entropy", no_row)
+        # 2(k + d - 1) + 1 = 2^24 + 1 rows
+        code_exit, out, err = run_cli(capsys, "figure", "--k", str(2**23 - 1), "--d", "2")
+        assert (code_exit, out) == (2, "")
+        assert "16777217 rows" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "figure.csv"

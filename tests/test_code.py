@@ -16,7 +16,8 @@ from qmds import (
     to_descriptor,
     validate,
 )
-from qmds.code import group_indices, index_groups
+from qmds import code as code_module, linalg
+from qmds.code import _check_index_set, group_indices, index_groups
 
 from conftest import DESK_PARAMS, make_code, non_mds_control
 
@@ -135,6 +136,24 @@ class TestConstruction:
             for cols in itertools.combinations(range(n), m):
                 assert rank(code.AB[:, cols], q) == m, (n, k, d, q, cols)
 
+    def test_construction_runs_no_elimination(self, monkeypatch):
+        # distinct points make every m columns of AB a Vandermonde matrix,
+        # so building a code takes no rank
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(args) or rref(*args))
+        for params in DESK_PARAMS:
+            QuantumMdsCode(CodeParams(*params))
+        assert calls == []
+
+    def test_generator_entries_are_bounded(self, monkeypatch):
+        # [[3,1,2]]_3 has a 2 x 4 generator G
+        monkeypatch.setattr(code_module, "MAX_CELLS", 8)
+        assert QuantumMdsCode(CodeParams(3, 1, 2, 3)).G.size == 8
+        monkeypatch.setattr(code_module, "MAX_CELLS", 7)
+        with pytest.raises(ValueError, match=re.escape("2 x 4 entries, beyond the 7 guard")):
+            QuantumMdsCode(CodeParams(3, 1, 2, 3))
+
 
 class TestErasureSubmatrices:
     def test_hand_worked_3_1_2(self):
@@ -181,6 +200,22 @@ class TestErasureSubmatrices:
             assert rank(block, 5) == 3
 
 
+class TestIndexSetCheck:
+    @pytest.mark.parametrize(
+        "what, formula, size", [("surviving", "n-(d-1)", 3), ("erasure", "d-1", 2)]
+    )
+    def test_duplicate_range_and_size_errors(self, what, formula, size):
+        # n = 5, d = 3
+        for indices, message in (
+            ([1] * size, f"{what} set has duplicate indices"),
+            ([6, *range(2, size + 1)], f"{what} indices must lie in 1..5"),
+            ([*range(1, size + 2)], f"{what} set must have exactly {formula}={size} indices"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                _check_index_set(5, indices, what, formula, size)
+        assert _check_index_set(5, range(size, 0, -1), what, formula, size) == [*range(1, size + 1)]
+
+
 class TestValidate:
     @pytest.mark.parametrize("params", [(3, 1, 2, 3), (5, 1, 3, 5), (4, 2, 2, 5)])
     def test_reference_codes_pass(self, params):
@@ -195,6 +230,11 @@ class TestValidate:
         report = validate(code)
         expected = 4 + math.comb(5, 3) + math.comb(5, 2)
         assert len(report.results) == expected
+
+    def test_report_lines_open_with_the_status_line(self):
+        good, bad = validate(make_code(3, 1, 2, 3)), validate(forged_non_mds_code())
+        assert good.lines()[0] == f"[ok] {good.title}"
+        assert bad.lines() == [f"[FAIL] {bad.title}", *("  " + r.line() for r in bad.results)]
 
     def test_tampered_code_fails_distinctness(self):
         # forge an object with a duplicated evaluation point, bypassing the
