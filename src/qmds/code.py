@@ -95,8 +95,9 @@ class QuantumMdsCode:
         params: the validated CodeParams.
         alphas: the n distinct evaluation points (ints in [0, q-1]).
         AB: (k+d-1) x n matrix whose row r holds alpha_i ** (k+d-2-r);
-            the bottom row is all ones, since pow gives 0**0 = 1 and an
-            evaluation point of 0 keeps its 1 there.
+            the bottom row is all ones (0**0 = 1, so an evaluation point
+            of 0 keeps its 1 there), and each row above is the one below
+            times the points, mod q.
         A: first k rows of AB.
         B: last d-1 rows of AB.
         G: (k+d-1) x (k+n) joint-state generator [E | AB], E the first k
@@ -132,10 +133,14 @@ class QuantumMdsCode:
             raise ValueError(f"evaluation points must be distinct: got {list(alphas)}")
         self.alphas = alphas
 
-        ab = np.array(
-            [[pow(a, m - 1 - r, q) for a in alphas] for r in range(m)],
-            dtype=np.int64,
-        )
+        # row r holds alpha ** (m - 1 - r): ones at the bottom, and each
+        # row above is the one below times alpha, so 0 ** 0 = 1
+        ab = np.empty((m, n), dtype=np.int64)
+        ab[-1] = 1
+        points = np.array(alphas, dtype=np.int64)
+        for r in range(m - 2, -1, -1):
+            np.multiply(ab[r + 1], points, out=ab[r])
+            ab[r] %= q
         ref_block = np.zeros((m, k), dtype=np.int64)
         ref_block[:k, :k] = np.eye(k, dtype=np.int64)
         g = np.hstack((ref_block, ab))

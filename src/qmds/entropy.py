@@ -15,25 +15,29 @@ one table of ranks, one per union of atomic parts, indexed by bitmask.
 With R atomic the n + 1 parts are Q1..Qn (bits 0..n-1) and R (bit n), so
 the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
 ``SubsystemSpec.sort_key`` order.  The ranks come from the GF(q) rank
-lattice ``linalg.subset_ranks``, which builds each union's echelon basis
-from the basis of the union without its highest part, so every rank costs
-a few reduction steps instead of an elimination; its memory is bounded by
-``linalg.BASIS_BUDGET`` bases per level, and ``linalg.MAX_MASKS`` bounds
-the table itself.  The table's last rank is rank(G) and must equal m.
-The profile is that table; sizes, expected values and JSON rows are
-derived from its masks on demand.  The check suites (size pyramid H(S) =
+lattice ``linalg.subset_ranks``, which cuts each union's left kernel down
+from the kernel of the union without its highest part, so every added
+column costs one matrix-vector product and one rank-one update instead of
+an elimination; its memory is bounded by ``linalg.BASIS_BUDGET`` kernels
+per level, and ``linalg.MAX_MASKS`` bounds the table itself.  The
+table's last rank is rank(G) and must equal m.  The profile is that
+table; sizes, expected values and JSON rows are derived from its masks on
+demand.  The check suites (size pyramid H(S) =
 min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
 identities and the standard quantum entropy inequalities) all index it,
 with their groups of coded qudits as ``code.index_groups`` bitmasks
 (``code.group_indices`` decodes only those a line names), as whole-table
 array passes.  The inequality sweep over all 3^(n+1) assignments of the
-parts to A, B, C makes five gathers per block (A, B, C, A u B, B u C;
-H(ABC) is the table's last entry, a constant), from an int8 copy of the
-table when every entry lies in [-64, 63].
+parts to A, B, C views the table as one 2 x ... x 2 tensor, an axis per
+part, and expands it per block for A, B, C, A u B and B u C by ``np.take``
+along its axes, with no per-entry index (H(ABC) is the table's last entry,
+a constant), from an int8 copy of the table when every entry lies in
+[-64, 63].
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +47,10 @@ from .code import CodeParams, QuantumMdsCode, _as_int, group_indices, index_grou
 from .linalg import rank, subset_ranks
 from .reporting import CheckReport
 
-# the inequality sweep works in blocks of 3^BLOCK_DIGITS assignments and
+# the inequality sweep works in blocks of 3^SWEEP_DIGITS assignments, and
 # the product-state pairs in chunks of at most 3^BLOCK_DIGITS cells (or one
 # K1 group), which bounds their memory
+SWEEP_DIGITS = 10
 BLOCK_DIGITS = 8
 
 
@@ -314,15 +319,12 @@ INEQUALITY_FAMILIES = (
 )
 
 
-def _union_masks(bits) -> NDArray[np.int64]:
-    """Masks of A, B, C, A u B and B u C, shape (5, 3^len(bits)), for every
-    assignment of the parts with these bits, in ``itertools.product`` order."""
-    # the digits (A = 0, B = 1, C = 2) that put a part in each of the five
-    member = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
-    masks = np.zeros((5, 1), dtype=np.int64)
-    for bit in bits:
-        masks = (masks[:, :, None] + bit * member[:, None, :]).reshape(5, -1)
-    return masks
+# the assignment digits (A = 0, B = 1, C = 2) that put a part in A, B, C,
+# A u B and B u C, one row each
+_MEMBER = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
+# the same for two digits at once: digit pair (d, e) is entry 3d + e, and
+# its value 2 bit(d) + bit(e) indexes an axis of two table bits
+_MEMBER_PAIRS = (2 * _MEMBER[:, :, None] + _MEMBER[:, None, :]).reshape(5, 9)
 
 
 def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
@@ -337,17 +339,20 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     tuple of group digits in ``itertools.product`` order; each group's
     bitmask indexes the profile table.
 
-    The sweep runs in blocks of 3^BLOCK_DIGITS assignments that share
-    their leading (prefix) digits.  The masks of A, B, C, A u B and B u C
-    over the low digits are built once, by outer sums, and so are the
-    five prefix masks of every block (40 bytes a block); prefix and low
-    digits set disjoint bits, so a block's five gathers read
-    ``values[prefix_mask:][low_mask]``.  A u B u C is every part, so
-    H(ABC) is the table's last entry, one constant.  ``values`` is an int8
-    copy of the table when every entry lies in [-64, 63]: each family
-    compares a sum or difference of two entries with an entry or another
-    such sum, and those lie in [-128, 126] and [-127, 127], inside int8.
-    Otherwise the int64 table is gathered.
+    The table is viewed as a 2 x ... x 2 tensor with one axis per
+    assignment position (R, Q1..Qn), so a group's entropy over all
+    assignments is that tensor with every axis expanded from the part's
+    membership bit to its digit.  The sweep runs in blocks of
+    3^SWEEP_DIGITS assignments that share their leading (prefix) digits.
+    For each of A, B, C, A u B and B u C, basic indexing fixes the prefix
+    digits' bits (a view), and ``np.take`` expands the low axes two digits
+    at a time (4 bit pairs to 9 digit pairs), innermost first; the result
+    is in ``itertools.product`` order, with no per-entry index.  A u B u C is
+    every part, so H(ABC) is the table's last entry, one constant.
+    ``values`` is an int8 copy of the table when every entry lies in
+    [-64, 63]: each family compares a sum or difference of two entries
+    with an entry or another such sum, and those lie in [-128, 126] and
+    [-127, 127], inside int8.  Otherwise the int64 table is expanded.
     """
     p = profile.params
     n = p.n
@@ -355,17 +360,26 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     if -64 <= values.min() and values.max() <= 63:
         values = values.astype(np.int8)
     habc = values[-1]
-    # assignment position 0 is R (bit n); position i is Q_i (bit i - 1)
-    bits = [1 << n] + [1 << (i - 1) for i in range(1, n + 1)]
-    low = min(BLOCK_DIGITS, n + 1)
+    # axis 0 is R (bit n) and axis i is Q_i (bit i - 1), so the last axis
+    # is contiguous
+    tensor = np.ascontiguousarray(
+        values.reshape((2,) * (n + 1)).transpose(0, *range(n, 0, -1))
+    )
+    low = min(SWEEP_DIGITS, n + 1)
     high = n + 1 - low
-    la, lb, lc, lab, lbc = _union_masks(bits[high:])
+    shape = (2,) * (low % 2) + (4,) * (low // 2)
+    member = _MEMBER.tolist()
 
     counts = [0] * len(INEQUALITY_FAMILIES)
     first: list[tuple | None] = [None] * len(INEQUALITY_FAMILIES)
-    for block, (a, b, c, ab, bc) in enumerate(_union_masks(bits[:high]).T):
-        ha, hb, hc = values[a:][la], values[b:][lb], values[c:][lc]
-        hab, hbc = values[ab:][lab], values[bc:][lbc]
+    for prefix in itertools.product(range(3), repeat=high):
+        groups = []
+        for digits, pairs in zip(member, _MEMBER_PAIRS):
+            h = tensor[tuple(digits[d] for d in prefix)].reshape(shape)
+            for axis in range(len(shape) - 1, -1, -1):
+                h = np.take(h, pairs if shape[axis] == 4 else digits, axis=axis)
+            groups.append(h.ravel())
+        ha, hb, hc, hab, hbc = groups
         pair = hab + hbc
         holds = (
             hab <= ha + hb,
@@ -376,10 +390,8 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
         for family, ok in enumerate(holds):
             violated = ok.size - np.count_nonzero(ok)
             if violated and first[family] is None:
-                where = np.unravel_index(block, (3,) * high) + np.unravel_index(
-                    np.argmin(ok), (3,) * low
-                )
-                first[family] = tuple(int(x) for x in where)
+                where = np.unravel_index(np.argmin(ok), (3,) * low)
+                first[family] = prefix + tuple(int(x) for x in where)
             counts[family] += violated
 
     total = 3 ** (n + 1)

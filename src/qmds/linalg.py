@@ -8,22 +8,26 @@ which the entropy oracle and code validation's minors run on.  ``rank``
 checks single matrices (construction, erasure blocks, single subsystems)
 and is the reference that ``subset_ranks`` is tested against.
 
-``subset_ranks`` is a rank lattice.  The echelon basis of a union is the
-basis of the union without its highest group, extended by that group's
-columns, so each union costs at most m reduction steps per added column
-instead of a fresh elimination; all bases of one lattice level are
-reduced in lockstep, and the child without a group keeps its parent's
-basis in place.  Memory is bounded: a lattice holds at most BASIS_BUDGET
-bases of (m + 1) x m int64, and a wider one is finished chunk by chunk
-from a level of BASIS_BUDGET bases, so one table needs two such buffers
-beside its 2^P ranks (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS bounds 2^P.
+``subset_ranks`` is a rank lattice of left kernels.  Each union S keeps
+one m x m matrix Y_S whose nonzero rows (mod q) span {y : y G_S = 0}, so
+rank(G_S) = m - their number.  The kernel of a union is the kernel of the
+union without its highest group, cut down by that group's columns: one
+matrix-vector product and one rank-one update per added column, for all
+kernels of one lattice level in lockstep, and the child without a group
+keeps its parent's kernel in place.  Memory is bounded: a lattice holds at
+most BASIS_BUDGET kernels of m x m int64, and a wider one is finished
+chunk by chunk from a level of BASIS_BUDGET kernels, so one table needs two
+such buffers beside its 2^P ranks (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
+bounds 2^P.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  ``rref``, and so ``rank`` and ``invert``, eliminate on
-Python ints, which cannot overflow.  The lattice runs on int64 arrays:
-residues of q < 2^31 (see gf.MAX_Q) keep each product of two residues
-below 2^62, and its fraction-free step h * x - x_p * v reduces mod q after
-every step, so it never holds a larger value.
+Python ints, which cannot overflow.  The lattice runs on int64 arrays.
+Y changes at most m times and each change at most multiplies its largest
+entry by 2(q - 1), so while m (q - 1) (2(q - 1))^m < 2^63 no entry or
+partial sum can overflow and only Y x is reduced mod q.  Past that bound
+(e.g. q = 23 with m = 11, or q near gf.MAX_Q with m >= 2) Y is reduced
+mod q after every update and Y x is summed in runs that stay below 2^63.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-# most echelon bases one buffer of ``subset_ranks`` may hold; a table uses
-# two such buffers, 3.6 MB in all at m = 9
+# most left kernels one buffer of ``subset_ranks`` may hold; a table uses
+# two such buffers, 2.7 MB in all at m = 9
 BASIS_BUDGET = 1 << 11
 # most masks one rank table may have: the R-atomic profile admits n <= 17,
 # the split-R profile k + n <= 18 and ``code.validate`` n <= 18
@@ -117,14 +121,13 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
 
     ``parts`` lists column groups of G; part j is bit j, so the result has
     2^len(parts) entries.  The ranks come from a lattice over the parts:
-    level j holds an echelon basis for each of the 2^j unions of parts
-    0..j-1.  Level j + 1 keeps those bases in place as the children
-    without part j, and reduces a copy of each against part j's columns
-    for the child with it, at index t + 2^j.  A lattice holds at most
-    BASIS_BUDGET bases: past that, it is built at full width down to a
-    level of BASIS_BUDGET bases, and chunks of that level then run the
-    remaining levels one after another, each writing its ranks at the
-    level's stride.
+    level j holds a left kernel for each of the 2^j unions of parts
+    0..j-1.  Level j + 1 keeps those kernels in place as the children
+    without part j, and extends a copy of each by part j's columns for the
+    child with it, at index t + 2^j.  A lattice holds at most BASIS_BUDGET
+    kernels: past that, it is built at full width down to a level of
+    BASIS_BUDGET kernels, and chunks of that level then run the remaining
+    levels one after another, each writing its ranks at the level's stride.
 
     Raises:
         ValueError: if there are more than MAX_MASKS masks, before any
@@ -139,81 +142,95 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
     if g.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")
     g = g % q
+    m = g.shape[0]
     levels, spare = len(parts), BASIS_BUDGET.bit_length() - 1
-    if not g.shape[0]:
+    if not m:
         return np.zeros(1 << levels, dtype=np.int64)
     columns = [g[:, list(part)].T for part in parts]
+    # past the unreduced bound (module docstring), the kernels stay reduced
+    # and Y x is summed in runs of products of two residues
+    run = None
+    if m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63:
+        run = max(1, ((1 << 63) - 1) // (q - 1) ** 2)
     if levels <= spare:
         top, width = 0, 1
     else:
         top = max(spare, levels - spare)
         width = max(1, BASIS_BUDGET >> (levels - top))
-    level = _grow(_bases(g.shape[0], 1 << top), columns[:top], q)
+    level = _grow(_kernels(m, 1 << top), columns[:top], q, run)
     ranks = np.empty(1 << levels, dtype=np.int64)
     by_chunk = ranks.reshape(-1, 1 << top)
-    # every chunk overwrites all of the buffer past its first width bases
-    chunk = _bases(g.shape[0], width << (levels - top))
+    # every chunk overwrites all of the buffer past its first width kernels
+    chunk = _kernels(m, width << (levels - top))
     for start in range(0, 1 << top, width):
         for part, source in zip(chunk, level):
             part[:width] = source[start : start + width]
-        _grow(chunk, columns[top:], q, width)
-        by_chunk[:, start : start + width] = chunk[3].reshape(-1, width)
+        _grow(chunk, columns[top:], q, run, width)
+        by_chunk[:, start : start + width] = chunk[1].reshape(-1, width)
     return ranks
 
 
-def _bases(m: int, capacity: int):
-    """Room for ``capacity`` echelon bases in GF(q)^m, all of rank 0.
+def _kernels(m: int, capacity: int):
+    """Room for ``capacity`` left kernels in GF(q)^m; the first is all of it.
 
-    A set of bases is (vectors, pivots, heads, ranks): basis b holds
-    ranks[b] vectors in vectors[b, :ranks[b]]; vector i is zero at the
-    pivot coordinates of vectors 0..i-1 and has the nonzero entry
-    heads[b, i] at its own pivot coordinate pivots[b, i].  The other slots
-    hold the zero vector with head 1, so reducing by them is a no-op; slot
-    m takes the zero remainders of full-rank bases.
+    A set of kernels is (Y, ranks): the nonzero rows of the m x m matrix
+    Y[t] (mod q) are a basis of {y : y G_S = 0} for the union S at slot t,
+    and ranks[t] = rank(G_S) = m - their number.  Slots past the first are
+    left for ``_grow`` to write.
     """
-    return (
-        np.zeros((capacity, m + 1, m), dtype=np.int64),
-        np.zeros((capacity, m + 1), dtype=np.intp),
-        np.ones((capacity, m + 1), dtype=np.int64),
-        np.zeros(capacity, dtype=np.int64),
-    )
+    y = np.empty((capacity, m, m), dtype=np.int64)
+    y[0] = np.eye(m, dtype=np.int64)
+    return y, np.zeros(capacity, dtype=np.int64)
 
 
-def _grow(bases, column_sets, q: int, count: int = 1):
-    """Extend the first ``count`` bases by every subset of ``column_sets``.
+def _grow(kernels, column_sets, q: int, run: int | None, count: int = 1):
+    """Extend the first ``count`` kernels by every subset of ``column_sets``.
 
-    Works in place: basis t extended by subset u lands at t + count * u, so
-    ``bases`` needs room for count * 2^len(column_sets) bases.
+    Works in place: kernel t extended by subset u lands at t + count * u, so
+    ``kernels`` needs room for count * 2^len(column_sets) kernels.
     """
     for columns in column_sets:
-        for part in bases:
+        for part in kernels:
             part[count : 2 * count] = part[:count]
-        _reduce(tuple(part[count : 2 * count] for part in bases), columns, q)
+        _extend(*(part[count : 2 * count] for part in kernels), columns, q, run)
         count *= 2
-    return bases
+    return kernels
 
 
-def _reduce(bases, columns, q: int) -> None:
-    """Extend every basis of ``bases`` by the same ``columns``, in place.
+def _extend(y, ranks, columns, q: int, run: int | None) -> None:
+    """Extend every kernel of (``y``, ``ranks``) by the same ``columns``, in place.
 
-    Each column is reduced against all bases in lockstep, one basis vector
-    at a time, by the fraction-free step x <- h_i * x - x[p_i] * v_i, which
-    zeroes x at pivot p_i and needs no inverse.  Each step is reduced mod q,
-    so every product is of two residues below q < 2^31 and stays below
-    2^62.  A nonzero remainder is independent of the basis and is appended.
+    For a column x, c = Y x mod q.  If c = 0, x lies in the span of G_S
+    and Y is kept.  Otherwise, for i with c_i != 0, Y <- c_i Y - c (x) Y_i
+    zeroes row i, and keeps every other row in the kernel of x:
+    c_i c_j - c_j c_i = 0.  The rows stay independent, because c_i is a
+    unit, so the kernel loses one dimension and the rank gains one.  This
+    is one matrix-vector product and one rank-one update for all kernels,
+    with no inverse.
+
+    Y changes only when its rank grows, so at most m times, and each change
+    at most multiplies max |Y| by 2(q - 1): every entry and partial sum of
+    Y x stays below m (q - 1) (2(q - 1))^m.  Where that is below 2^63
+    (``run`` None) only c is reduced.  Otherwise Y is reduced mod q after
+    every update, so the update multiplies residues, each product below
+    (q - 1)^2 < 2^62 (q < gf.MAX_Q), and Y x is summed in runs of ``run``
+    such products, each run reduced.
     """
-    vectors, pivots, heads, ranks = bases
     batch = np.arange(ranks.size)
     for column in columns:
-        rest = np.broadcast_to(column, (ranks.size, column.size))
-        for i in range(int(ranks.max(initial=0))):
-            lead = rest[batch, pivots[:, i]]
-            rest = rest * heads[:, i, None]
-            rest -= lead[:, None] * vectors[:, i]
-            rest %= q
-        # the largest entry of a nonzero remainder is a nonzero pivot
-        largest = rest.max(axis=1)
-        vectors[batch, ranks] = rest
-        pivots[batch, ranks] = rest.argmax(axis=1)
-        heads[batch, ranks] = np.maximum(largest, 1)
-        ranks += largest > 0
+        if run is None:
+            c = y @ column
+        else:
+            c = np.zeros(y.shape[:2], dtype=np.int64)
+            for start in range(0, column.size, run):
+                c += y[:, :, start : start + run] @ column[start : start + run] % q
+        c %= q
+        # the largest entry of c is nonzero unless all of c is zero
+        pivot = c.argmax(axis=1)
+        head = c[batch, pivot]
+        row = y[batch, pivot]
+        y *= np.maximum(head, 1)[:, None, None]
+        y -= c[:, :, None] * row[:, None, :]
+        if run is not None:
+            y %= q
+        ranks += head > 0

@@ -97,6 +97,21 @@ class TestConstruction:
         code = make_code(3, 1, 2, 3)
         assert code.AB.tolist()[-1] == [1, 1, 1]
 
+    @pytest.mark.parametrize(
+        "params, alphas",
+        [
+            ((9, 1, 5, 11), [3, 0, 10, 7, 1, 9, 2, 5, 8]),
+            ((10, 4, 4, 13), [12, 5, 0, 1, 11, 2, 7, 3, 6, 9]),
+            ((5, 1, 3, 2**31 - 1), [2**31 - 2, 0, 2**30, 7, 2**31 - 9]),
+        ],
+    )
+    def test_power_rows_match_pow(self, params, alphas):
+        # the row recurrence against Python's pow, 0 ** 0 = 1 included
+        code = make_code(*params, alphas=alphas)
+        q, m = params[3], code.params.generator_rank
+        expected = [[pow(a, m - 1 - r, q) for a in alphas] for r in range(m)]
+        assert code.AB.tolist() == expected
+
     def test_custom_alphas_respected(self):
         code = make_code(3, 1, 2, 7, alphas=[2, 4, 6])
         assert code.AB.tolist() == [[2, 4, 6], [1, 1, 1]]

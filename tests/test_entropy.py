@@ -500,13 +500,13 @@ class TestNegativeControls:
         assert not report.ok
         assert [r.detail for r in report.results] == brute_force_product_details(profile)
 
-    @pytest.mark.parametrize("block_digits", [8, 2])
+    @pytest.mark.parametrize("sweep_digits", [8, 3, 2])
     @pytest.mark.parametrize(
         "raise_at",
         [[(False, (1,))], [(True, (2, 3))], [(False, (1, 2)), (True, ())]],
     )
-    def test_inequality_violations_match_brute_force(self, monkeypatch, raise_at, block_digits):
-        monkeypatch.setattr(entropy, "BLOCK_DIGITS", block_digits)
+    def test_inequality_violations_match_brute_force(self, monkeypatch, raise_at, sweep_digits):
+        monkeypatch.setattr(entropy, "SWEEP_DIGITS", sweep_digits)
         profile = fabricated_profile(raise_at)
         report = check_entropy_inequalities(profile)
         expected = brute_force_inequalities(profile)
@@ -571,14 +571,14 @@ WIDE_ENTRIES = [-65, 64]
 
 
 class TestInequalitySweep:
-    @pytest.mark.parametrize("block_digits", [1, 2, 8])
+    @pytest.mark.parametrize("sweep_digits", [1, 2, 3, 8])
     @settings(max_examples=40, deadline=None)
     @given(
         params=st.sampled_from([p for p in DESK_PARAMS if p[0] <= 5]),
         wide=st.booleans(),
         data=st.data(),
     )
-    def test_random_tables_match_brute_force(self, block_digits, params, wide, data):
+    def test_random_tables_match_brute_force(self, sweep_digits, params, wide, data):
         profile = full_profile(make_code(*params))
         entries = EDGE_ENTRIES + WIDE_ENTRIES * wide
         values = st.one_of(st.integers(-3, 6), st.sampled_from(entries))
@@ -587,7 +587,7 @@ class TestInequalitySweep:
         table[list(overrides)] = list(overrides.values())
         profile = EntropyProfile(profile.params, profile.alphas, table)
         expected = brute_force_inequalities(profile)
-        with mock.patch.object(entropy, "BLOCK_DIGITS", block_digits):
+        with mock.patch.object(entropy, "SWEEP_DIGITS", sweep_digits):
             report = check_entropy_inequalities(profile)
         total = 3 ** (params[0] + 1)
         for result in report.results:
@@ -597,6 +597,34 @@ class TestInequalitySweep:
                 detail += f"; first violating assignment {first}"
             assert result.detail == detail
             assert result.passed == (count == 0)
+
+    def test_first_violation_past_the_first_block(self, monkeypatch):
+        # blocks of 3^2 share the leading four digits; every first violation
+        # of this table lies in a later block
+        monkeypatch.setattr(entropy, "SWEEP_DIGITS", 2)
+        profile = fabricated_profile([(False, (1, 2))])
+        expected = brute_force_inequalities(profile)
+        firsts = [first for count, first in expected.values() if count]
+        assert len(firsts) == 3 and all(first[:4] != (0, 0, 0, 0) for first in firsts)
+        for result in check_entropy_inequalities(profile).results:
+            count, first = expected[result.name]
+            detail = f"729 assignments, {count} violations"
+            if count:
+                detail += f"; first violating assignment {first}"
+            assert result.detail == detail
+
+    def test_default_blocks_find_a_violation_in_the_last_block(self, monkeypatch):
+        # at n = 10 the default sweep runs three blocks, one per digit of R;
+        # H(Q1 Q2) raised to 3 breaks subadditivity first with R in C
+        profile = fabricated_profile([(False, (1, 2))], params=(10, 2, 5, 11))
+        report = check_entropy_inequalities(profile)
+        first = "first violating assignment (2, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2)"
+        assert report.results[0].detail == f"177147 assignments, 2 violations; {first}"
+        table = profile.table
+        # A = {Q1} (bit 0), B = {Q2} (bit 1)
+        assert table[0b11] > table[0b01] + table[0b10]
+        monkeypatch.setattr(entropy, "SWEEP_DIGITS", 11)
+        assert check_entropy_inequalities(profile).lines() == report.lines()
 
 
 class TestGroupsDecodedWherePrinted:

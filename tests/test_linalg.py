@@ -203,3 +203,29 @@ def test_subset_ranks_edge_shapes():
     assert subset_ranks([[5, 10], [0, 1]], 5, [[0], [1]]).tolist() == [0, 0, 1, 1]
     with pytest.raises(ValueError, match="2-dimensional"):
         subset_ranks(np.zeros((2, 3, 4), dtype=np.int64), 5, [[0]])
+
+
+@pytest.mark.parametrize(
+    "q, m", [(BIG_Q, m) for m in range(2, 7)] + [(23, 11), (23, 10), (3, 6)]
+)
+@pytest.mark.parametrize("budget", [1, linalg.BASIS_BUDGET])
+def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, budget):
+    # the lattice keeps its kernels unreduced while m (q-1) (2(q-1))^m < 2^63;
+    # q = 2^31 - 1 with m >= 2 and q = 23 with m = 11 are past that bound,
+    # q = 23 with m = 10 and q = 3 with m = 6 below it
+    reduced = m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63
+    assert reduced == (q == BIG_Q or m == 11)
+    rng = np.random.default_rng(q + m)
+    # at q = 2^31 - 1, entries near q make every product of Y x near 2^62
+    low = q - 1000 if q == BIG_Q else 0
+    G = rng.integers(low, q, size=(m, m + 2)).astype(object)
+    # a repeated column, a zero column and a combination of two others
+    extra = [G[:, 0], 0 * G[:, 0], (G[:, 1] + 2 * G[:, 2]) % q]
+    G = np.column_stack([G, *extra]).astype(np.int64)
+    w = G.shape[1]
+    order = rng.permutation(w - 3).tolist()
+    parts = [[w - 3], [w - 2], [w - 1]] + [order[j::5] for j in range(5)]
+    monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
+    ranks = subset_ranks(G, q, parts).tolist()
+    assert ranks == ranks_by_slicing(G, q, parts)
+    assert ranks[-1] == m
