@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -39,14 +41,19 @@ from . import sim
 
 FIDELITY_TOL = 1e-12
 ORACLE_TOL = 1e-9
+# CSV rows joined into one string per write, so a long figure is never
+# held whole
+CSV_CHUNK_ROWS = 1 << 14
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, a string or an iterable of strings, to ``out_path`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -83,8 +90,12 @@ def _load_code(args) -> QuantumMdsCode:
     return QuantumMdsCode(params, alphas)
 
 
-def _csv_text(rows) -> str:
-    return "size,entropy\n" + "".join(f"{s},{h}\n" for s, h in rows)
+def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
+    """The CSV of ``(size, entropy)`` rows: its header, then CSV_CHUNK_ROWS rows per string."""
+    yield "size,entropy\n"
+    rows = iter(rows)
+    while chunk := "".join(f"{s},{h}\n" for s, h in itertools.islice(rows, CSV_CHUNK_ROWS)):
+        yield chunk
 
 
 def cmd_construct(args) -> int:
@@ -97,7 +108,7 @@ def cmd_profile(args) -> int:
     code = _load_code(args)
     # the CSV aggregates R-atomic subsystems only, so --extended-R adds nothing to it
     if args.format == "csv":
-        _emit(_csv_text(full_profile(code).csv_rows()), args.out)
+        _emit(_csv_chunks(full_profile(code).csv_rows()), args.out)
     else:
         profile = extended_profile(code) if args.extended_r else full_profile(code)
         _emit(json.dumps(profile.to_dict(), indent=2) + "\n", args.out)
@@ -204,8 +215,8 @@ def cmd_figure(args) -> int:
     total = 2 * (args.k + args.d - 1)
     if total + 1 > MAX_CELLS:
         raise ValueError(f"figure would need {total + 1} rows, beyond the {MAX_CELLS} guard")
-    rows = [(s, expected_subsystem_entropy(s, args.k, args.d)) for s in range(total + 1)]
-    _emit(_csv_text(rows), args.out)
+    rows = ((s, expected_subsystem_entropy(s, args.k, args.d)) for s in range(total + 1))
+    _emit(_csv_chunks(rows), args.out)
     return 0
 
 

@@ -12,19 +12,25 @@ entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
 The table's reduction is batched by register count: all subsystems of
-s registers are reduced together, in chunks whose key arrays (masks x
+s registers are reduced together, in chunks whose kept-key arrays (masks x
 support rows x 8 bytes) stay within KEY_BUDGET, or hold one mask where
 that alone is larger; the chunk's other temporaries are no larger.  A
-chunk builds its environment and kept keys by Horner's rule over a
-register-major copy of the digits made once per call, sorts every
-environment row at once to check it is distinct, and forms every
-diagonal reduced state with one offset bincount; the trace check, clamp,
-sort and -sum(lam log_q lam) run row-wise.  Each bin sums
-in row order, as one mask's bincount does, so the values equal the
-per-mask reduction's bit for bit.  A mask whose environment keys repeat
-(a non-diagonal block, reached only by non-MDS states) or whose diagonal
-misses some of the q^s kept keys takes the per-mask path instead.
-von_neumann_entropy is a batch of one.
+chunk builds its kept keys by Horner's rule over a register-major copy of
+the digits made once per call and forms every diagonal with one offset
+bincount; the trace check, clamp, sort and -sum(lam log_q lam) run
+row-wise.  Each bin sums in row order, as one mask's bincount does, so
+the values equal the per-mask reduction's bit for bit when rho is
+diagonal.  No environment key is built: a diagonal with N nonzero bins
+over the N support rows shows its register set injective (every row has
+its own kept key), any register set holding an injective one is
+injective, and a side is diagonal when its complement is injective.  So
+the batch closes the injective flags upward over the mask table and
+keeps a side's value when its complement is flagged and its diagonal
+reaches all q^s kept keys, as on every side of an MDS state (each
+R-atomic set of half the registers is maximally mixed, so injective).
+Any other side, reached only by non-MDS states, takes the per-mask path,
+which sorts its environment keys to test them distinct; so does
+von_neumann_entropy, which has no table to certify from.
 
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
@@ -315,19 +321,19 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
 
     Empty and full subsystems return 0 (the state is pure).  Otherwise the
     reduced state of the smaller side of the bipartition is taken (a state
-    vector's two reduced states share their nonzero spectrum), as a batch
-    of one of the entropy table's reduction.  A diagonal one, as every
-    reduced state of a valid code's smaller side is (it is maximally
-    mixed), gives its spectrum directly, with its trace checked; any other
-    goes to hermitian_eigenvalues.  The entropy is -sum(lam * log_q lam)
-    with 0 log 0 = 0.
+    vector's two reduced states share their nonzero spectrum) on the
+    per-mask path, the entropy table's fallback.  When the environment
+    keys are distinct, as on a valid code's smaller side (it is maximally
+    mixed), the reduced state is diagonal and gives its spectrum directly,
+    with its trace checked; any other goes to hermitian_eigenvalues.  The
+    entropy is -sum(lam * log_q lam) with 0 log 0 = 0.
     """
     positions = _positions_of(psi, sub)
     if 2 * len(positions) > psi.num_registers:
         positions = [p for p in range(psi.num_registers) if p not in positions]
     if not positions:
         return 0.0
-    return float(_entropies(psi, [np.array([positions], dtype=np.int64)])[0][0])
+    return _entropy(psi, positions)
 
 
 def entropy_table(psi: StateVector) -> np.ndarray:
@@ -336,11 +342,17 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     The twin of ``entropy.entropy_table``, with R the reference block.  A
     subsystem no larger than its complement is reduced, all those of one
     register count in one batch; a larger one takes its complement's entry,
-    the side von_neumann_entropy reduces for it.
+    the side von_neumann_entropy reduces for it.  The batch keeps a
+    subsystem's value when its diagonal reaches all q^s kept keys and its
+    complement holds a batch-reduced subset whose diagonal has one nonzero
+    bin per support row: the support is injective on that subset, hence on
+    the complement, so the environment keys are distinct and rho is that
+    diagonal.  Any other subsystem takes the per-mask path.
     """
     k, total = psi.num_ref, psi.num_registers
     if k == 0:
         raise ValueError("state has no reference block, so R-atomic subsystems are undefined")
+    q, rows = psi.q, len(psi.amplitudes)
     full = (2 << (total - k)) - 1
     bits = np.array([total - k] * k + list(range(total - k)))
     member = (np.arange(full + 1)[:, None] >> bits & 1).astype(bool)
@@ -348,66 +360,58 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     groups = [np.flatnonzero(sizes == size) for size in range(1, total // 2 + 1)]
     kept = [np.nonzero(member[masks])[1].reshape(masks.size, size)
             for size, masks in enumerate(groups, start=1)]
-    table = np.zeros(full + 1)
-    for size, (masks, values) in enumerate(zip(groups, _entropies(psi, kept)), start=1):
-        table[masks] = values
-        if 2 * size < total:
-            # masks run 0..full, so the complement full ^ mask is full - mask
-            table[full - masks] = values
-    return table
-
-
-def _entropies(psi: StateVector, groups: list[np.ndarray]) -> list[np.ndarray]:
-    """Entropies of register subsets, one array per group of equal-size subsets.
-
-    Each group is a (B, s) array of ascending register positions, 0 < s <=
-    half the registers.  Its subsets are reduced together, in chunks whose
-    key arrays hold at most KEY_BUDGET bytes (or one subset); a subset
-    whose reduced state the batch cannot read off a full diagonal takes
-    the per-mask path.
-    """
-    q, total = psi.q, psi.num_registers
     # one register per row: keys gather whole registers, which a strided
     # view of the row-major digits makes about 1.5 times as slow
     registers = np.ascontiguousarray(psi.digits.T)
     weights = np.abs(psi.amplitudes) ** 2
-    per_chunk = max(1, KEY_BUDGET // (8 * weights.size))
-    out = []
-    for kept in groups:
-        values = np.full(len(kept), np.nan)
+    per_chunk = max(1, KEY_BUDGET // (8 * rows))
+    table = np.full(full + 1, np.nan)
+    table[[0, full]] = 0.0
+    injective = np.zeros(full + 1, dtype=bool)
+    for masks, positions in zip(groups, kept):
         # a diagonal over fewer rows than q^s kept keys cannot reach them all
-        if q ** kept.shape[1] <= weights.size:
-            member = np.zeros((len(kept), total), dtype=bool)
-            member[np.arange(len(kept))[:, None], kept] = True
-            env = np.nonzero(~member)[1].reshape(len(kept), total - kept.shape[1])
-            for start in range(0, len(kept), per_chunk):
-                chunk = slice(start, start + per_chunk)
-                values[chunk] = _diagonal_entropies(q, registers, weights, kept[chunk], env[chunk])
-        for i in np.flatnonzero(np.isnan(values)):
-            values[i] = _entropy(psi, kept[i].tolist())
-        out.append(values)
-    return out
+        if q ** positions.shape[1] > rows:
+            continue
+        for start in range(0, len(masks), per_chunk):
+            chunk = slice(start, start + per_chunk)
+            table[masks[chunk]], nonzero = _diagonal_entropies(
+                q, registers, weights, positions[chunk]
+            )
+            # N nonzero bins need N distinct kept keys
+            injective[masks[chunk]] = nonzero == rows
+    # a register set holding an injective one is injective
+    for bit in range(total - k + 1):
+        halves = injective.reshape(-1, 2, 1 << bit)
+        halves[:, 1] |= halves[:, 0]
+    for size, (masks, positions) in enumerate(zip(groups, kept), start=1):
+        # masks run 0..full, so the complement full ^ mask is full - mask
+        for i in np.flatnonzero(np.isnan(table[masks]) | ~injective[full - masks]):
+            table[masks[i]] = _entropy(psi, positions[i].tolist())
+        if 2 * size < total:
+            table[full - masks] = table[masks]
+    return table
 
 
 def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
-                        kept: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """Entropies of one chunk's subsets whose reduced state is a full diagonal, else NaN.
+                        kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal entropies of one chunk's subsets, and each diagonal's nonzero-bin count.
 
-    A subset qualifies when its environment keys are distinct (rho is
-    diagonal) and its diagonal reaches all q^s kept keys.  The diagonals
-    come from one offset bincount, row i * q^s + kept key, which sums each
-    bin in row order as a single subset's bincount does, so every value
-    equals the per-mask path's bit for bit.
+    Row i of ``kept`` holds s ascending register positions.  Its diagonal
+    of rho, sum |amp|^2 per kept key, comes from one offset bincount, row
+    i * q^s + kept key, which sums each bin in row order as a single
+    subset's bincount does; a diagonal that reaches all q^s kept keys gets
+    -sum(lam log_q lam), equal to the per-mask path's bit for bit when rho
+    is diagonal, and any other gets NaN.
     """
     width = q ** kept.shape[1]
-    distinct = _distinct(_horner(registers, env, q))
     keys = _horner(registers, kept, q)
     keys += np.arange(0, len(kept) * width, width)[:, None]
     diagonals = np.bincount(
         keys.ravel(), np.tile(weights, len(kept)), len(kept) * width
     ).reshape(len(kept), width)
     del keys
-    full = distinct & (np.count_nonzero(diagonals, axis=1) == width)
+    nonzero = np.count_nonzero(diagonals, axis=1)
+    full = nonzero == width
     values = np.full(len(kept), np.nan)
     diagonals = diagonals[full]
     traces = diagonals.sum(axis=1)
@@ -420,7 +424,7 @@ def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
     terms /= np.log(q)
     terms *= spectra
     values[full] = -terms.sum(axis=1)
-    return values
+    return values, nonzero
 
 
 def _entropy(psi: StateVector, positions: list[int]) -> float:

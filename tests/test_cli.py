@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -292,11 +293,11 @@ class TestVerify:
         from qmds import sim
 
         reduced, tables = [], []
-        entropies, reduce, entropy_table = sim._entropies, sim._reduce, sim.entropy_table
+        diagonals, reduce, entropy_table = sim._diagonal_entropies, sim._reduce, sim.entropy_table
 
-        def batched(psi, groups):
-            reduced.extend(tuple(row) for kept in groups for row in kept.tolist())
-            return entropies(psi, groups)
+        def batched(q, registers, weights, kept):
+            reduced.extend(map(tuple, kept.tolist()))
+            return diagonals(q, registers, weights, kept)
 
         def per_mask(psi, positions):
             reduced.append(tuple(positions))
@@ -306,7 +307,7 @@ class TestVerify:
             tables.append(entropy_table(psi))
             return tables[-1]
 
-        monkeypatch.setattr(sim, "_entropies", batched)
+        monkeypatch.setattr(sim, "_diagonal_entropies", batched)
         monkeypatch.setattr(sim, "_reduce", per_mask)
         monkeypatch.setattr(sim, "entropy_table", recording)
         code_exit, out, _ = run_cli(
@@ -706,6 +707,35 @@ class TestFigure:
         )
         assert code_exit == 0
         assert path.read_text().splitlines()[1] == "0,0"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 13, 14])
+    def test_chunked_csv_is_one_text(self, capsys, monkeypatch, chunk_rows):
+        # 2(3 + 4 - 1) + 1 = 13 rows, in chunks that split them evenly or not
+        import qmds.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "CSV_CHUNK_ROWS", chunk_rows)
+        code_exit, out, _ = run_cli(capsys, "figure", "--k", "3", "--d", "4")
+        assert code_exit == 0
+        rows = [f"{s},{min(s, 12 - s)}\n" for s in range(13)]
+        assert out == "size,entropy\n" + "".join(rows)
+
+    def test_long_figure_is_written_in_chunks(self, tmp_path):
+        # 1000003 rows: built as one list of tuples and one string, they
+        # peaked at about 190 MB of Python allocations
+        path = tmp_path / "figure.csv"
+        tracemalloc.start()
+        try:
+            code_exit = main(["figure", "--k", "500000", "--d", "2", "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code_exit == 0
+        assert peak < 8 * 2**20, f"figure peaked at {peak / 2**20:.1f} MB"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 1000003
+        assert lines[:3] == ["size,entropy", "0,0", "1,1"]
+        assert lines[1 + 500001] == "500001,500001"
+        assert lines[-1] == "1000002,0"
 
 
 class TestExitCodeContract:

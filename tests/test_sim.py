@@ -846,6 +846,96 @@ class TestBatchAgainstPerMaskPath:
         assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
 
 
+def smaller_sides(psi):
+    """Register positions of every R-atomic subsystem no larger than its complement."""
+    n, total = psi.num_registers - psi.num_ref, psi.num_registers
+    sides = [tuple(spec_at(mask, n).registers(psi.num_ref)) for mask in range(2 << n)]
+    return [side for side in sides if 0 < 2 * len(side) <= total]
+
+
+def injective(psi, positions):
+    """Whether the support rows are pairwise distinct on ``positions``, by brute force."""
+    return len(set(map(tuple, psi.digits[:, list(positions)].tolist()))) == len(psi.amplitudes)
+
+
+def qutrit_state(digits, seed, num_ref):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(digits)) + 1j * rng.normal(size=len(digits))
+    return StateVector(3, 4, digits, amps / np.linalg.norm(amps), num_ref=num_ref)
+
+
+class TestDiagonalCertificate:
+    """The batch keeps a smaller side's value only when some computed
+    R-atomic subset of its complement has injective kept keys; that proves
+    the environment keys distinct without building them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_kept_masks_have_distinct_environments(self, data, seed, num_ref):
+        # four qutrits; a "graph" support of q^2 = 9 rows is injective on one
+        # R-atomic pair, so certificates fire for the sides outside it
+        pairs = [(0, 1), (2, 3)] if num_ref == 2 else list(itertools.combinations(range(4), 2))
+        pair = None
+        if data.draw(st.booleans()):
+            size = data.draw(st.sampled_from([3, 9]) | st.integers(1, 30))
+            keys = sorted(data.draw(st.sets(st.integers(0, 80), min_size=size, max_size=size)))
+            digits = np.array([[key // 3**r % 3 for r in (3, 2, 1, 0)] for key in keys])
+        else:
+            pair = data.draw(st.sampled_from(pairs))
+            rest = data.draw(st.lists(st.integers(0, 8), min_size=9, max_size=9))
+            digits = np.zeros((9, 4), dtype=np.int64)
+            digits[:, pair] = np.column_stack(np.divmod(np.arange(9), 3))
+            digits[:, [r for r in range(4) if r not in pair]] = np.column_stack(np.divmod(rest, 3))
+        psi = qutrit_state(digits, seed, num_ref)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            diagonal, blocks, _ = per_mask_paths(monkeypatch, psi)
+        kept = [side for side in smaller_sides(psi) if side not in diagonal + blocks]
+        for side in kept:
+            assert injective(psi, [p for p in range(4) if p not in side]), side
+        assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
+        if pair is not None:
+            # complete: a side outside the pair whose diagonal is full is kept
+            for side in smaller_sides(psi):
+                reached = set(map(tuple, psi.digits[:, list(side)].tolist()))
+                if not set(pair) & set(side) and len(reached) == 3 ** len(side):
+                    assert side in kept, side
+
+    def test_distinct_environments_without_an_injective_set(self, monkeypatch):
+        # 10 rows, distinct on Q1..Q3, so R's reduced state is diagonal and
+        # reaches all three kept keys; but 10 rows exceed the q^2 = 9 values
+        # of any pair, and no single register or pair inside Q1..Q3 is
+        # injective, so nothing certifies R and it takes the per-mask path
+        rng = np.random.default_rng(17)
+        qs = rng.choice(27, size=10, replace=False)
+        digits = np.column_stack([np.arange(10) % 3, qs // 9, qs // 3 % 3, qs % 3])
+        psi = qutrit_state(digits, 17, num_ref=1)
+        assert injective(psi, (1, 2, 3))
+        for size in (1, 2):
+            for positions in itertools.combinations((1, 2, 3), size):
+                assert not injective(psi, positions)
+        diagonal, blocks, _ = per_mask_paths(monkeypatch, psi)
+        assert (0,) in diagonal
+        table = sim_entropy_table(psi)
+        # R alone is mask 2^3 = 8, and Q1..Q3 reads its entry
+        assert table[8] == table[7] == sim._entropy(psi, [0])
+        assert table[8] == pytest.approx(dense_entropy(psi, [0]), abs=1e-12)
+        assert table.tolist() == per_mask_path_entropies(psi)
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_desk_codes_build_no_environment_keys(self, monkeypatch, params):
+        psi = encode_state(make_code(*params))
+        widths = []
+        horner = sim._horner
+
+        def recording(registers, columns, q):
+            widths.append(np.shape(columns)[-1])
+            return horner(registers, columns, q)
+
+        monkeypatch.setattr(sim, "_horner", recording)
+        sim_entropy_table(psi)
+        assert widths and max(widths) <= psi.num_registers // 2
+
+
 class TestChunking:
     """Chunks of any size give the default table, bit for bit, and keep
     every key array within the byte budget."""
