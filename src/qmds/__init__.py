@@ -29,11 +29,9 @@ from .entropy import (
     extended_profile,
     full_profile,
     product_state_checks,
-    register_subset_entropy,
     subsystem_entropy,
 )
 from .sim import (
-    DensityMatrix,
     StateVector,
     decode,
     decode_target,
@@ -65,7 +63,6 @@ __all__ = [
     "SubsystemSpec",
     "EntropyProfile",
     "subsystem_entropy",
-    "register_subset_entropy",
     "expected_subsystem_entropy",
     "entropy_table",
     "full_profile",
@@ -74,7 +71,6 @@ __all__ = [
     "check_entropy_inequalities",
     "product_state_checks",
     "StateVector",
-    "DensityMatrix",
     "encode_state",
     "partial_trace",
     "hermitian_eigenvalues",

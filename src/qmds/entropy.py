@@ -44,7 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .code import CodeParams, QuantumMdsCode, _as_int, group_indices, index_groups, to_descriptor
-from .linalg import rank, subset_ranks
+from .linalg import subset_ranks
 from .reporting import CheckReport
 
 # the inequality sweep works in blocks of 3^SWEEP_DIGITS assignments, and
@@ -124,34 +124,17 @@ def entropy_table(code: QuantumMdsCode) -> NDArray[np.int64]:
     return _entropy_table(code, [[k + i] for i in range(n)] + [list(range(k))])
 
 
-def register_subset_entropy(code: QuantumMdsCode, registers) -> int:
-    """Entropy (q-ary units) of an arbitrary register subset via the rank identity.
-
-    ``registers`` are 0-based positions into the k + n columns of G.  This
-    is the general oracle; it also evaluates subsets that split the
-    reference block, for which no closed-form expectation is asserted.
-    """
-    total = code.params.num_registers
-    positions = sorted(_as_int(r, "register position") for r in registers)
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"duplicate register positions: {positions}")
-    if any(not 0 <= r < total for r in positions):
-        raise ValueError(f"register positions must lie in 0..{total - 1}: {positions}")
-    m, q, g = code.params.generator_rank, code.params.q, code.G
-    outside = sorted(set(range(total)) - set(positions))
-    if rank(g, q) != m:
-        raise ValueError("generator must have full row rank")
-    return rank(g[:, positions], q) + rank(g[:, outside], q) - m
-
-
 def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
     """Exact entropy of a subsystem (R atomic), in q-ary units.
 
     Equals the entropy of the complement: the joint state is pure, and the
     rank identity dim(<inside> n <outside>) is symmetric in the bipartition.
+    Read off the rank lattice over two parts, the subsystem and its
+    complement.
     """
     _check_spec(code, sub)
-    return register_subset_entropy(code, sub.registers(code.params.k))
+    k, n = code.params.k, code.params.n
+    return int(_entropy_table(code, [sub.registers(k), sub.complement(n).registers(k)])[1])
 
 
 def expected_subsystem_entropy(sub_size: int, k: int, d: int) -> int:
@@ -197,17 +180,6 @@ class EntropyProfile:
     def labels(self, mask: int) -> tuple[str, ...]:
         """Labels of the R-atomic subsystem at a table index."""
         return _key_labels(*divmod(int(mask), 1 << self.params.n))
-
-    def entropy_of(self, include_R: bool, q_indices) -> int:
-        """Entropy of an R-atomic subsystem (1-based coded-qudit indices)."""
-        n = self.params.n
-        mask = bool(include_R) << n
-        for i in q_indices:
-            i = _as_int(i, "coded-qudit index")
-            if not 1 <= i <= n:
-                raise KeyError(f"coded-qudit index out of range 1..{n}: {i}")
-            mask |= 1 << (i - 1)
-        return int(self.table[mask])
 
     @property
     def all_match(self) -> bool:

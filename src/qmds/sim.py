@@ -44,13 +44,16 @@ q**(k+n) basis states) and a 0/1 layout matrix for the decoding target.
 Where a set of registers needs one index per row, its key is their values
 read big-endian, by Horner's rule over columns into int64.  A reduced
 state is built by grouping the support rows on their kept and environment
-keys.  Decoding permutes the computational basis: one invertible m x m
-matrix over GF(q) maps the surviving registers of each support row, in
-one float64 product that is exact while m (q-1)^2 < 2^53; the result is
-a permutation of a valid state, so it is not validated again.  The
-decoding target is m maximally entangled register pairs, so its support
-is the basis states on which every pair agrees: target_fidelity sums the
-amplitudes of a state's agreeing rows, without listing the target.
+keys, by one per-mask reduction that checks its trace: von_neumann_entropy
+and the table's fallback take its spectrum, and partial_trace returns it
+embedded in a dense, read-only q^s x q^s numpy array.  Decoding permutes
+the computational basis: one invertible m x m matrix over GF(q) maps the
+surviving registers of each support row, in one float64 product that is
+exact while m (q-1)^2 < 2^53; the result is a permutation of a valid
+state, so it is not validated again.  The decoding target is m maximally
+entangled register pairs, so its support is the basis states on which
+every pair agrees: target_fidelity sums the amplitudes of a state's
+agreeing rows, without listing the target.
 
 A work guard bounds the support array at q**m rows x (k+n) digits <=
 2**24 cells, and any dense reduced block at 2**24 entries; larger
@@ -158,28 +161,6 @@ class StateVector:
         )
 
 
-class DensityMatrix:
-    """Dense Hermitian, trace-one reduced state.
-
-    Hermiticity and unit trace are verified within 1e-12 at construction;
-    the eigenvalue floor (>= -1e-10) is enforced when the spectrum is
-    computed.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        mat = np.asarray(entries, dtype=np.complex128).copy()
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square: got shape {mat.shape}")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if herm_defect > HERMITIAN_TOL:
-            raise ValueError(f"matrix not Hermitian: max |rho - rho^dag| = {herm_defect}")
-        _check_trace(complex(np.trace(mat)))
-        mat.flags.writeable = False
-        self.entries = mat
-
-
 def _check_trace(trace: complex) -> None:
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"trace must be 1: got {trace}")
@@ -204,7 +185,8 @@ def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
         sums = np.add(rows[:, None], multiples, dtype=np.min_scalar_type(2 * q - 2))
         sums %= q
         rows = sums.reshape(-1, total).astype(digit, copy=False)
-    amps = np.full(q**m, q ** (-m / 2), dtype=np.complex128)
+    # one amplitude broadcast over the rows; StateVector copies it once
+    amps = np.broadcast_to(np.complex128(q ** (-m / 2)), (q**m,))
     return StateVector(q, total, rows, amps, num_ref=num_ref)
 
 
@@ -239,7 +221,8 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     sum |amp|^2 per kept key.  Otherwise rho = M M^dag with M[kept, env]
     the amplitudes, returned as a square block and refused past the
     2**24-entry guard before either matrix is allocated.  Both bin over the
-    reached keys, never over all q^s kept values.
+    reached keys, never over all q^s kept values, and have their trace
+    checked.
     """
     rest = [p for p in range(psi.num_registers) if p not in positions]
     # a batch of one, in the entropy table's (B, s) layout
@@ -249,23 +232,27 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     if _distinct(env.copy()):
         weights = np.bincount(row_kept, np.abs(psi.amplitudes) ** 2, reached.size)
         nonzero = np.flatnonzero(weights)
-        return reached[nonzero], weights[nonzero]
-    envs, row_env = np.unique(env, return_inverse=True)
-    _guard(reached.size * max(reached.size, envs.size),
-           f"reduced state on {reached.size} kept x {envs.size} environment keys")
-    matrix = np.zeros((reached.size, envs.size), dtype=np.complex128)
-    matrix[row_kept, row_env] = psi.amplitudes
-    return reached, matrix @ matrix.conj().T
+        reached, rho = reached[nonzero], weights[nonzero]
+    else:
+        envs, row_env = np.unique(env, return_inverse=True)
+        _guard(reached.size * max(reached.size, envs.size),
+               f"reduced state on {reached.size} kept x {envs.size} environment keys")
+        matrix = np.zeros((reached.size, envs.size), dtype=np.complex128)
+        matrix[row_kept, row_env] = psi.amplitudes
+        rho = matrix @ matrix.conj().T
+    _check_trace(complex(rho.sum() if rho.ndim == 1 else np.trace(rho)))
+    return reached, rho
 
 
-def partial_trace(psi: StateVector, keep: SubsystemSpec) -> DensityMatrix:
+def partial_trace(psi: StateVector, keep: SubsystemSpec) -> np.ndarray:
     """Reduced density matrix of the kept subsystem over its full basis.
 
     rho[i, j] = sum_e psi[i, e] conj(psi[j, e]) over environment
-    configurations e, as a dense q**|keep| square matrix indexed by the kept
-    registers' big-endian value; kept values the support never reaches get
-    zero rows and columns.  The kept set must be nonempty and proper; empty
-    and full bipartitions have entropy zero by purity and are
+    configurations e, as a dense, read-only q**|keep| square complex array
+    indexed by the kept registers' big-endian value: _reduce's result, its
+    trace checked, with zero rows and columns for the kept values the
+    support never reaches.  The kept set must be nonempty and proper;
+    empty and full bipartitions have entropy zero by purity and are
     short-circuited by the entropy function instead.
     """
     positions = _positions_of(psi, keep)
@@ -281,7 +268,8 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> DensityMatrix:
         full[reached, reached] = rho
     else:
         full[np.ix_(reached, reached)] = rho
-    return DensityMatrix(full)
+    full.flags.writeable = False
+    return full
 
 
 def _clamped_descending(values: np.ndarray) -> np.ndarray:
@@ -296,14 +284,13 @@ def _clamped_descending(values: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(rho) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix.
 
-    Accepts a DensityMatrix or a plain Hermitian ndarray.  A matrix whose
-    off-diagonal Frobenius norm is below 1e-12 is read off its diagonal;
-    any other goes to numpy's Hermitian solver.  Eigenvalues within 1e-10
-    of 0 or 1 are clamped onto the boundary.  Returned sorted in
-    descending order.
+    Takes a square array and refuses one not Hermitian within 1e-12.  A
+    matrix whose off-diagonal Frobenius norm is below 1e-12 is read off its
+    diagonal; any other goes to numpy's Hermitian solver.  Eigenvalues
+    within 1e-10 of 0 or 1 are clamped onto the boundary.  Returned sorted
+    in descending order.
     """
-    a = np.asarray(rho.entries if isinstance(rho, DensityMatrix) else rho,
-                   dtype=np.complex128)
+    a = np.asarray(rho, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.size and float(np.max(np.abs(a - a.conj().T))) > HERMITIAN_TOL:
@@ -430,11 +417,7 @@ def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
 def _entropy(psi: StateVector, positions: list[int]) -> float:
     """Per-mask entropy of the registers at ``positions``, ascending, 0 < size <= half."""
     _, rho = _reduce(psi, positions)
-    if rho.ndim == 1:
-        _check_trace(complex(rho.sum()))
-        values = _clamped_descending(rho)
-    else:
-        values = hermitian_eigenvalues(DensityMatrix(rho))
+    values = _clamped_descending(rho) if rho.ndim == 1 else hermitian_eigenvalues(rho)
     if np.any(values < -EIGENVALUE_CLAMP):
         raise ValueError(
             f"reduced state has eigenvalue {float(values.min())} below -1e-10"

@@ -17,8 +17,10 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(qmds.__file__).resolve().parents[1]))
+    # warnings are errors, as pyproject.toml makes them for in-process tests
     done = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-W", "error", str(demo)],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

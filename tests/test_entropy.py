@@ -18,9 +18,10 @@ from qmds import (
     extended_profile,
     full_profile,
     decode,
+    decode_target,
     encode_state,
+    erasure_submatrices,
     product_state_checks,
-    register_subset_entropy,
     subsystem_entropy,
     von_neumann_entropy,
 )
@@ -35,6 +36,14 @@ from conftest import (
     spec_at,
     span_vectors,
 )
+
+
+def rank_identity(code, inside):
+    """rank(G_S) + rank(G_{S^c}) - m for 0-based register positions S, by two
+    eliminations: a reference beside the rank lattice that the oracle reads."""
+    p, g = code.params, code.G
+    outside = [r for r in range(p.num_registers) if r not in inside]
+    return linalg.rank(g[:, list(inside)], p.q) + linalg.rank(g[:, outside], p.q) - p.generator_rank
 
 
 class TestSubsystemSpec:
@@ -86,22 +95,13 @@ class TestOracle:
         with pytest.raises(ValueError, match="out of range"):
             subsystem_entropy(code, SubsystemSpec(False, [4]))
 
-    def test_register_subset_entropy_validates(self):
-        code = make_code(4, 2, 2, 5)
-        with pytest.raises(ValueError, match="duplicate"):
-            register_subset_entropy(code, [0, 0])
-        with pytest.raises(ValueError, match="0..5"):
-            register_subset_entropy(code, [6])
-
     def test_register_oracle_consistent_with_atomic_specs(self):
         code = make_code(4, 2, 2, 5)
         for inc in (False, True):
             for size in range(5):
                 for combo in itertools.combinations(range(1, 5), size):
                     spec = SubsystemSpec(inc, combo)
-                    assert subsystem_entropy(code, spec) == register_subset_entropy(
-                        code, spec.registers(2)
-                    )
+                    assert subsystem_entropy(code, spec) == rank_identity(code, spec.registers(2))
 
 
 class TestRankIdentityBruteForce:
@@ -117,6 +117,7 @@ class TestRankIdentityBruteForce:
             code = make_code(*params)
             n, k, q = code.params.n, code.params.k, code.params.q
             table = entropy_table(code)
+            register_table = extended_profile(code).register_table
             all_r = (1 << k) - 1
             for regmask in range(1 << (k + n)):
                 inside = [r for r in range(k + n) if regmask >> r & 1]
@@ -130,7 +131,7 @@ class TestRankIdentityBruteForce:
                     index = (r_bits == all_r) << n | regmask >> k
                     assert table[index] == expected, (params, inside)
                 else:
-                    assert register_subset_entropy(code, inside) == expected, (params, inside)
+                    assert register_table[regmask] == expected, (params, inside)
 
 
 class TestExpectedEntropy:
@@ -202,9 +203,9 @@ class TestProfiles:
         for row in extra:
             assert row["expected"] is None and row["match"] is None
             assert row["subsystem"][0] in ("R1", "R2")
-            # reported value must be the register oracle's, nothing else asserted
+            # reported value must be the rank identity's, nothing else asserted
             registers = registers_of(row["subsystem"], 2)
-            assert row["entropy"] == register_subset_entropy(code, registers)
+            assert row["entropy"] == rank_identity(code, registers)
 
     def test_extended_profile_trivial_for_k1(self):
         code = make_code(3, 1, 2, 3)
@@ -275,18 +276,19 @@ class TestCharacterization:
 class TestChecks:
     def test_decoding_condition_values_3_1_2(self):
         profile = full_profile(make_code(3, 1, 2, 3))
-        h = profile.entropy_of
-        # surviving {1,2}: 1 + 2 - 1 = 2 = 2k
-        assert h(True, ()) + h(False, (1, 2)) - h(True, (1, 2)) == 2
+        h = profile.table
+        # index R * 2^3 + Q-bitmask; surviving {1,2}: 1 + 2 - 1 = 2 = 2k
+        assert h[0b1000] + h[0b0011] - h[0b1011] == 2
         # erasable {3}: 1 + 1 - 2 = 0
-        assert h(True, ()) + h(False, (3,)) - h(True, (3,)) == 0
+        assert h[0b1000] + h[0b0100] - h[0b1100] == 0
         report = check_decoding_condition(profile)
         assert report.ok
 
     def test_no_leakage_5_1_3(self):
         profile = full_profile(make_code(5, 1, 3, 5))
-        h = profile.entropy_of
-        assert h(True, ()) + h(False, (1, 2)) - h(True, (1, 2)) == 0
+        h = profile.table
+        # index R * 2^5 + Q-bitmask: I(R; Q1 Q2) = 0
+        assert h[0b100000] + h[0b000011] - h[0b100011] == 0
         assert check_decoding_condition(profile).ok
 
     def test_decoding_condition_check_counts(self):
@@ -312,14 +314,15 @@ class TestChecks:
 
     def test_product_state_identities(self):
         profile_3 = full_profile(make_code(3, 1, 2, 3))
-        h3 = profile_3.entropy_of
-        assert h3(False, (1, 2)) == h3(False, (1,)) + h3(False, (2,)) == 2
+        h3 = profile_3.table
+        # Q-bitmask indices: Q1 Q2, Q1, Q2
+        assert h3[0b011] == h3[0b001] + h3[0b010] == 2
         assert product_state_checks(profile_3).ok
 
         profile_4 = full_profile(make_code(4, 2, 2, 5))
-        h4 = profile_4.entropy_of
-        assert h4(False, (1, 2, 3)) == 3
-        assert h4(False, (1, 2, 3)) == h4(False, (1, 2)) + h4(False, (3,))
+        h4 = profile_4.table
+        assert h4[0b0111] == 3
+        assert h4[0b0111] == h4[0b0011] + h4[0b0100]
         assert product_state_checks(profile_4).ok
 
     def test_product_state_checks_on_desk_codes(self, desk_codes):
@@ -364,7 +367,7 @@ class TestTable:
         assert len(rows) == 2 ** (n + 1) + (2**k - 2) * 2**n
         for row in rows:
             registers = registers_of(row["subsystem"], k)
-            assert row["entropy"] == register_subset_entropy(code, registers)
+            assert row["entropy"] == rank_identity(code, registers)
         assert profile.table.tolist() == full_profile(code).table.tolist()
 
     def test_table_is_indexed_by_sort_key(self):
@@ -394,14 +397,6 @@ class TestTable:
         elapsed = time.perf_counter() - start
         assert profile.all_match
         assert elapsed < 2.5, f"full_profile on [[16,2,8]]_17 took {elapsed:.2f} s"
-
-    def test_entropy_of_rejects_out_of_range_index(self):
-        profile = full_profile(make_code(3, 1, 2, 3))
-        assert profile.entropy_of(False, (1, 1)) == 1
-        with pytest.raises(KeyError):
-            profile.entropy_of(False, (4,))
-        with pytest.raises(KeyError):
-            profile.entropy_of(False, (0,))
 
     def test_profile_checks_table_length(self):
         code = make_code(3, 1, 2, 3)
@@ -701,9 +696,9 @@ class TestNonMdsControl:
 
 INDEX_TAKERS = {
     "SubsystemSpec": lambda code, bad: SubsystemSpec(False, [bad]),
-    "entropy_of": lambda code, bad: full_profile(code).entropy_of(False, [bad]),
-    "register_subset_entropy": lambda code, bad: register_subset_entropy(code, [bad, 2]),
     "decode": lambda code, bad: decode(encode_state(code), code, [bad, 2]),
+    "decode_target": lambda code, bad: decode_target(code, [bad, 2]),
+    "erasure_submatrices": lambda code, bad: erasure_submatrices(code, [bad, 2]),
 }
 
 
