@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -17,9 +16,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .code import (
-    MAX_CELLS,
-    CodeParams,
     QuantumMdsCode,
+    _check_cells,
     _check_index_set,
     from_descriptor,
     group_indices,
@@ -74,28 +72,28 @@ def _add_code_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_code(args) -> QuantumMdsCode:
+    """The code of ``--code PATH`` or of the parameter flags, both read by ``from_descriptor``."""
+    flags = {name: getattr(args, name) for name in ("n", "k", "d", "q", "alphas")
+             if getattr(args, name) is not None}
     if args.code is not None:
-        given = [f"--{name}" for name in ("n", "k", "d", "q", "alphas")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--code cannot be combined with {', '.join(given)}")
+        if flags:
+            raise ValueError(f"--code cannot be combined with {', '.join('--' + f for f in flags)}")
         with open(args.code, "r", encoding="utf-8") as handle:
-            descriptor = json.load(handle)
-        return from_descriptor(descriptor)
+            return from_descriptor(json.load(handle))
     if args.n is None or args.k is None or args.d is None:
         raise ValueError("provide either --code PATH or all of --n, --k, --d")
-    q = args.q if args.q is not None else smallest_prime_at_least(args.n)
-    params = CodeParams(n=args.n, k=args.k, d=args.d, q=q)
-    alphas = None if args.alphas is None else _parse_int_list(args.alphas, "--alphas")
-    return QuantumMdsCode(params, alphas)
+    if args.q is None:
+        flags["q"] = smallest_prime_at_least(args.n)
+    if args.alphas is not None:
+        flags["alphas"] = _parse_int_list(args.alphas, "--alphas")
+    return from_descriptor(flags)
 
 
-def _csv_chunks(rows: Iterable[tuple]) -> Iterator[str]:
-    """The CSV of ``(size, entropy)`` rows: its header, then CSV_CHUNK_ROWS rows per string."""
+def _csv_chunks(columns: Iterable[tuple[Iterable[int], Iterable[int]]]) -> Iterator[str]:
+    """The CSV of ``(sizes, entropies)`` column pairs: its header, then one string per pair."""
     yield "size,entropy\n"
-    rows = iter(rows)
-    while chunk := "".join(f"{s},{h}\n" for s, h in itertools.islice(rows, CSV_CHUNK_ROWS)):
-        yield chunk
+    for sizes, entropies in columns:
+        yield "".join([f"{s},{h}\n" for s, h in zip(sizes, entropies)])
 
 
 def cmd_construct(args) -> int:
@@ -108,7 +106,8 @@ def cmd_profile(args) -> int:
     code = _load_code(args)
     # the CSV aggregates R-atomic subsystems only, so --extended-R adds nothing to it
     if args.format == "csv":
-        _emit(_csv_chunks(full_profile(code).csv_rows()), args.out)
+        sizes, entropies = zip(*full_profile(code).csv_rows())
+        _emit(_csv_chunks([(sizes, entropies)]), args.out)
     else:
         profile = extended_profile(code) if args.extended_r else full_profile(code)
         _emit(json.dumps(profile.to_dict(), indent=2) + "\n", args.out)
@@ -212,11 +211,12 @@ def cmd_figure(args) -> int:
         raise ValueError(f"k must be at least 1: got k={args.k}")
     if args.d < 2:
         raise ValueError(f"d must be at least 2: got d={args.d}")
-    total = 2 * (args.k + args.d - 1)
-    if total + 1 > MAX_CELLS:
-        raise ValueError(f"figure would need {total + 1} rows, beyond the {MAX_CELLS} guard")
-    rows = ((s, expected_subsystem_entropy(s, args.k, args.d)) for s in range(total + 1))
-    _emit(_csv_chunks(rows), args.out)
+    rows = 2 * (args.k + args.d - 1) + 1
+    _check_cells("figure", rows, unit="rows")
+    starts = range(0, rows, CSV_CHUNK_ROWS)
+    sizes = (np.arange(start, min(start + CSV_CHUNK_ROWS, rows)) for start in starts)
+    columns = ((s.tolist(), expected_subsystem_entropy(s, args.k, args.d).tolist()) for s in sizes)
+    _emit(_csv_chunks(columns), args.out)
     return 0
 
 

@@ -22,6 +22,7 @@ bitmasks that index the rank and entropy tables; ``group_indices`` decodes one.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -33,8 +34,17 @@ from . import linalg
 from .linalg import SingularMatrixError, rank, subset_ranks
 from .reporting import CheckReport
 
-# the most cells of a generator G here, and of any support or dense block in sim
+# the most cells of a generator G, a figure, and any support or dense block in sim
 MAX_CELLS = 1 << 24
+
+
+def _check_cells(what: str, *shape: int, unit: str = "entries", statevec: bool = False) -> None:
+    """Refuse ``what``, ``shape`` counted in ``unit``, past MAX_CELLS before it is allocated;
+    a ``statevec`` refusal names the exact oracle, which needs no such array."""
+    if math.prod(shape) > MAX_CELLS:
+        fallback = "; use the exact rank-identity oracle (entropy module) for these parameters"
+        raise ValueError(f"{what} would need {' x '.join(map(str, shape))} {unit}, beyond the "
+                         f"{MAX_CELLS} guard{fallback if statevec else ''}")
 
 
 def _as_int(value, what: str) -> int:
@@ -52,6 +62,7 @@ class CodeParams:
     """Parameters (n, k, d, q) of an [[n, k, d]]_q quantum MDS code.
 
     Invariants enforced at construction:
+      * each an int (numpy integers are converted; anything else is refused);
       * k >= 1, d >= 2;
       * n = k + 2(d - 1)  (MDS equality of the quantum Singleton bound);
       * q prime, q >= n (so n distinct evaluation points exist) and
@@ -64,6 +75,9 @@ class CodeParams:
     q: int
 
     def __post_init__(self):
+        for name in ("n", "k", "d", "q"):
+            value = _as_int(getattr(self, name), f"code parameter {name!r}")
+            object.__setattr__(self, name, value)
         if self.k < 1:
             raise ValueError(f"k must be at least 1: got k={self.k}")
         if self.d < 2:
@@ -113,9 +127,7 @@ class QuantumMdsCode:
         self.params = params
         n, k, d, q = params.n, params.k, params.d, params.q
         m = params.generator_rank
-        if m * params.num_registers > MAX_CELLS:
-            raise ValueError(f"generator G would need {m} x {params.num_registers} "
-                             f"entries, beyond the {MAX_CELLS} guard")
+        _check_cells("generator G", m, params.num_registers)
 
         if alphas is None:
             alphas = tuple(range(n))
@@ -281,7 +293,9 @@ def to_descriptor(code) -> dict:
 
 
 def from_descriptor(descriptor: dict) -> QuantumMdsCode:
-    """Build a code from a descriptor dict, validating shape and values."""
+    """Build a code from a descriptor dict, validating shape and values: the one
+    path from outside input to a code, which the CLI's ``--code`` file and
+    parameter flags both take."""
     if not isinstance(descriptor, dict):
         raise ValueError("code descriptor must be a JSON object")
     unknown = [key for key in descriptor if key not in ("q", "n", "k", "d", "alphas")]
@@ -290,8 +304,6 @@ def from_descriptor(descriptor: dict) -> QuantumMdsCode:
     missing = [key for key in ("q", "n", "k", "d") if key not in descriptor]
     if missing:
         raise ValueError(f"code descriptor missing keys: {missing}")
-    for key in ("q", "n", "k", "d"):
-        _as_int(descriptor[key], f"descriptor field {key!r}")
     params = CodeParams(
         n=descriptor["n"], k=descriptor["k"], d=descriptor["d"], q=descriptor["q"]
     )

@@ -137,12 +137,14 @@ def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
     return int(_entropy_table(code, [sub.registers(k), sub.complement(n).registers(k)])[1])
 
 
-def expected_subsystem_entropy(sub_size: int, k: int, d: int) -> int:
-    """The size-pyramid value min(size, 2(k+d-1) - size)."""
+def expected_subsystem_entropy(sizes, k: int, d: int) -> NDArray[np.int64]:
+    """The size-pyramid value min(size, 2(k+d-1) - size) of one size, or of each
+    of an array of sizes (then as an array of their shape)."""
     total = 2 * (k + d - 1)
-    if not 0 <= sub_size <= total:
-        raise ValueError(f"subsystem size must lie in [0, {total}]: got {sub_size}")
-    return min(sub_size, total - sub_size)
+    sizes = np.asarray(sizes)
+    if np.any(outside := (sizes < 0) | (sizes > total)):
+        raise ValueError(f"subsystem size must lie in [0, {total}]: got {sizes[outside][0]}")
+    return np.minimum(sizes, total - sizes)
 
 
 # keys of one JSON profile row, in output order
@@ -174,8 +176,7 @@ class EntropyProfile:
 
     def expected(self) -> NDArray[np.int64]:
         """The size pyramid min(size, (k + n) - size) per table index."""
-        sizes = self.sizes()
-        return np.minimum(sizes, self.params.num_registers - sizes)
+        return expected_subsystem_entropy(self.sizes(), self.params.k, self.params.d)
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """Labels of the R-atomic subsystem at a table index."""

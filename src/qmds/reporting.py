@@ -40,13 +40,3 @@ class CheckReport:
     def lines(self) -> list[str]:
         """The report as ``qmds verify`` prints it: its status line, then one per result."""
         return _status_lines(self.ok, self.title, [r.line() for r in self.results])
-
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in self.results
-            ],
-        }

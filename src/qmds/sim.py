@@ -55,20 +55,21 @@ entangled register pairs, so its support is the basis states on which
 every pair agrees: target_fidelity sums the amplitudes of a state's
 agreeing rows, without listing the target.
 
-A work guard bounds the support array at q**m rows x (k+n) digits <=
-2**24 cells, and any dense reduced block at 2**24 entries; larger
-parameters belong to the exact oracle in the entropy module.  Since
-k + n = 2m, the support guard also keeps every key below q**(2m) < 2**63,
-so no key can overflow int64; a StateVector built by hand is refused
-unless q**registers keys fit.  That refusal bounds decodable states at
-q <= 55103 (q**4 < 2**63), far inside decoding's float64 bound.
+The code module's cell guard bounds the support array at q**m rows x
+(k+n) digits <= 2**24 cells, and any dense reduced block at 2**24
+entries; larger parameters belong to the exact oracle in the entropy
+module.  Since k + n = 2m, the support guard also keeps every key below
+q**(2m) < 2**63, so no key can overflow int64; a StateVector built by
+hand is refused unless q**registers keys fit.  That refusal bounds
+decodable states at q <= 55103 (q**4 < 2**63), far inside decoding's
+float64 bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .code import MAX_CELLS, QuantumMdsCode, _check_index_set, _decoding_blocks
+from .code import QuantumMdsCode, _check_cells, _check_index_set, _decoding_blocks
 from .entropy import SubsystemSpec
 
 MAX_KEY = np.iinfo(np.int64).max
@@ -166,18 +167,10 @@ def _check_trace(trace: complex) -> None:
         raise ValueError(f"trace must be 1: got {trace}")
 
 
-def _guard(cells: int, what: str) -> None:
-    if cells > MAX_CELLS:
-        raise ValueError(
-            f"{what} would need {cells} cells, beyond the {MAX_CELLS} guard; use "
-            "the exact rank-identity oracle (entropy module) for these parameters"
-        )
-
-
 def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
     """The uniform superposition over x . g, x in GF(q)^m big-endian, by Horner's rule on x."""
     m, total = g.shape
-    _guard(q**m * total, f"state vector support of {q}^{m} rows x {total} registers")
+    _check_cells(f"state vector support of {q}^{m} rows", q**m, total, statevec=True)
     digit = np.min_scalar_type(q - 1)
     rows = np.zeros((1, total), dtype=digit)
     for row in g:
@@ -235,8 +228,8 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
         reached, rho = reached[nonzero], weights[nonzero]
     else:
         envs, row_env = np.unique(env, return_inverse=True)
-        _guard(reached.size * max(reached.size, envs.size),
-               f"reduced state on {reached.size} kept x {envs.size} environment keys")
+        _check_cells(f"reduced state on {reached.size} kept x {envs.size} environment keys",
+                     reached.size, max(reached.size, envs.size), statevec=True)
         matrix = np.zeros((reached.size, envs.size), dtype=np.complex128)
         matrix[row_kept, row_env] = psi.amplitudes
         rho = matrix @ matrix.conj().T
@@ -261,7 +254,7 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> np.ndarray:
     if len(positions) == psi.num_registers:
         raise ValueError("keep set is the full system; its entropy is 0 (pure state)")
     dim = psi.q ** len(positions)
-    _guard(dim * dim, f"reduced state on {dim} kept values")
+    _check_cells(f"reduced state on {dim} kept values", dim, dim, statevec=True)
     reached, rho = _reduce(psi, positions)
     full = np.zeros((dim, dim), dtype=np.complex128)
     if rho.ndim == 1:

@@ -75,6 +75,21 @@ class TestConstruct:
         assert from_file == run_cli(capsys, "verify", *flags, "--oracle", "lemma")
         assert from_file[0] == 0
 
+    @pytest.mark.parametrize("params", DESK_PARAMS, ids=str)
+    def test_code_file_matches_flags_on_every_command(self, capsys, tmp_path, params):
+        # --code and the parameter flags reach a code by the same loader
+        flags = [arg for name, value in zip("nkdq", params) for arg in (f"--{name}", str(value))]
+        path = tmp_path / "code.json"
+        assert run_cli(capsys, "construct", *flags, "--out", str(path))[0] == 0
+        runs = [["profile"], ["profile", "--format", "csv"], ["profile", "--extended-R"],
+                ["decode-test", "--all"]]
+        runs += [["verify", "--oracle", oracle, *extra]
+                 for oracle in ("lemma", "statevec", "both") for extra in ([], ["--inequalities"])]
+        for command, *extra in runs:
+            from_file = run_cli(capsys, command, "--code", str(path), *extra)
+            assert from_file == run_cli(capsys, command, *flags, *extra), (command, extra)
+            assert from_file[0] == 0 and from_file[1], (command, extra)
+
 
 class TestProfile:
     def test_csv_size_aggregation(self, capsys):

@@ -62,6 +62,22 @@ class TestCodeParams:
         with pytest.raises(ValueError, match="d must be"):
             CodeParams(n=1, k=1, d=1, q=3)
 
+    @pytest.mark.parametrize("field", ["n", "k", "d", "q"])
+    @pytest.mark.parametrize("bad", [5.0, True, "5", None], ids=["float", "bool", "str", "None"])
+    def test_non_integer_field_refused(self, field, bad):
+        # refused by name, not coerced and not left to fail later
+        values = {**dict(n=5, k=1, d=3, q=5), field: bad}
+        with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+            CodeParams(**values)
+
+    @pytest.mark.parametrize("field", ["n", "k", "d", "q"])
+    def test_numpy_integer_field_accepted(self, field):
+        values = dict(n=5, k=1, d=3, q=5)
+        values[field] = np.int64(values[field])
+        params = CodeParams(**values)
+        assert params == CodeParams(n=5, k=1, d=3, q=5)
+        assert type(getattr(params, field)) is int
+
 
 class TestConstruction:
     def test_vandermonde_3_1_2(self):
