@@ -19,6 +19,7 @@ from .code import (
     QuantumMdsCode,
     _check_cells,
     _check_index_set,
+    _check_k_d,
     from_descriptor,
     group_indices,
     index_groups,
@@ -207,10 +208,7 @@ def cmd_decode_test(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"k must be at least 1: got k={args.k}")
-    if args.d < 2:
-        raise ValueError(f"d must be at least 2: got d={args.d}")
+    _check_k_d(args.k, args.d)
     rows = 2 * (args.k + args.d - 1) + 1
     _check_cells("figure", rows, unit="rows")
     starts = range(0, rows, CSV_CHUNK_ROWS)

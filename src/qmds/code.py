@@ -57,6 +57,13 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer: got {value!r}") from None
 
 
+def _check_k_d(k: int, d: int) -> None:
+    """k >= 1 and d >= 2, the rules a code and the pyramid figure share."""
+    for name, value, least in (("k", k, 1), ("d", d, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}: got {name}={value}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Parameters (n, k, d, q) of an [[n, k, d]]_q quantum MDS code.
@@ -78,10 +85,7 @@ class CodeParams:
         for name in ("n", "k", "d", "q"):
             value = _as_int(getattr(self, name), f"code parameter {name!r}")
             object.__setattr__(self, name, value)
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1: got k={self.k}")
-        if self.d < 2:
-            raise ValueError(f"d must be at least 2: got d={self.d}")
+        _check_k_d(self.k, self.d)
         if self.n != self.k + 2 * (self.d - 1):
             raise ValueError(
                 f"n must equal k+2(d-1): got n={self.n}, k={self.k}, d={self.d} "
@@ -188,8 +192,8 @@ def _check_index_set(n: int, indices, what: str, formula: str, size: int) -> lis
     return idx
 
 
-def _decoding_blocks(code: QuantumMdsCode, surviving):
-    """(step, AB_surviving, AB_erased), each block's invertibility checked.
+def _decoding_blocks(code: QuantumMdsCode, idx: list[int]):
+    """(step, AB_surviving, AB_erased) of checked surviving indices ``idx``, blocks invertible.
 
     step = AB_surviving^-1 [E | AB_erased], the m x m matrix of both decode
     steps, read off one Gauss-Jordan elimination of [AB_surviving | E |
@@ -198,9 +202,7 @@ def _decoding_blocks(code: QuantumMdsCode, surviving):
     the step.  The step is invertible exactly when the erased seed block
     (the last d - 1 rows of AB_erased) is, which is checked by its rank.
     """
-    p = code.params
-    m = p.generator_rank
-    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
+    p, m = code.params, code.params.generator_rank
     erased = [i for i in range(1, p.n + 1) if i not in idx]
     ab_s = code.AB[:, [i - 1 for i in idx]]
     ab_e = code.AB[:, [i - 1 for i in erased]]
@@ -227,7 +229,9 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     fails one (a non-MDS generator) raises ``linalg.SingularMatrixError``
     naming its columns.
     """
-    return _decoding_blocks(code, surviving)[1:]
+    p = code.params
+    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
+    return _decoding_blocks(code, idx)[1:]
 
 
 def validate(code: QuantumMdsCode) -> CheckReport:

@@ -11,26 +11,28 @@ larger than its complement is reduced once, and the larger side reads its
 entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
-The table's reduction is batched by register count: all subsystems of
-s registers are reduced together, in chunks whose kept-key arrays (masks x
+The table's reduction is batched by register count: all subsystems of s
+registers are reduced together, in chunks whose kept-key arrays (masks x
 support rows x 8 bytes) stay within KEY_BUDGET, or hold one mask where
 that alone is larger; the chunk's other temporaries are no larger.  A
 chunk builds its kept keys by Horner's rule over a register-major copy of
-the digits made once per call and forms every diagonal with one offset
-bincount; the trace check, clamp, sort and -sum(lam log_q lam) run
-row-wise.  Each bin sums in row order, as one mask's bincount does, so
-the values equal the per-mask reduction's bit for bit when rho is
-diagonal.  No environment key is built: a diagonal with N nonzero bins
-over the N support rows shows its register set injective (every row has
-its own kept key), any register set holding an injective one is
-injective, and a side is diagonal when its complement is injective.  So
-the batch closes the injective flags upward over the mask table and
-keeps a side's value when its complement is flagged and its diagonal
-reaches all q^s kept keys, as on every side of an MDS state (each
-R-atomic set of half the registers is maximally mixed, so injective).
-Any other side, reached only by non-MDS states, takes the per-mask path,
-which sorts its environment keys to test them distinct; so does
-von_neumann_entropy, which has no table to certify from.
+the digits made once per call, forms every diagonal with one offset
+bincount and ends row-wise as the per-mask reduction does: trace check,
+clamp and -sum(lam log_q lam).  Both bin in row order and sum in ascending
+kept-key order, so they agree bit for bit when rho is diagonal.  Neither
+sorts: on a row-space state (every state the CLI builds) each reached kept
+key holds q^(m - rank G_S) rows of one weight, a flat diagonal.  No
+environment key is built: a diagonal with N nonzero bins over the N
+support rows shows its register set injective (every row has its own kept
+key), any register set holding an injective one is injective, and a side
+is diagonal when its complement is injective.  So the batch closes the
+injective flags upward over the mask table and keeps a side's value when
+its complement is flagged and its diagonal reaches all q^s kept keys, as
+on every side of an MDS state (each R-atomic set of half the registers is
+maximally mixed, so injective).  Any other side, reached only by non-MDS
+states, takes the per-mask path, which sorts its environment keys to test
+them distinct; so does von_neumann_entropy, which has no table to certify
+from.
 
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
@@ -162,9 +164,11 @@ class StateVector:
         )
 
 
-def _check_trace(trace: complex) -> None:
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace must be 1: got {trace}")
+def _check_trace(traces) -> None:
+    """Refuse a trace, or an array of traces, more than TRACE_TOL from 1."""
+    off = np.ravel(traces)[np.ravel(np.abs(traces - 1.0) > TRACE_TOL)]
+    if off.size:
+        raise ValueError(f"trace must be 1: got {complex(off[0])}")
 
 
 def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
@@ -211,11 +215,11 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     Returns those keys, ascending, and rho restricted to them.  When every
     environment key meets one support row, no two kept keys share an
     environment and rho is diagonal: it is returned as its diagonal,
-    sum |amp|^2 per kept key.  Otherwise rho = M M^dag with M[kept, env]
-    the amplitudes, returned as a square block and refused past the
-    2**24-entry guard before either matrix is allocated.  Both bin over the
-    reached keys, never over all q^s kept values, and have their trace
-    checked.
+    sum |amp|^2 per kept key, zeros included.  Otherwise rho = M M^dag
+    with M[kept, env] the amplitudes, returned as a square block and
+    refused past the 2**24-entry guard before either matrix is allocated.
+    Both bin over the reached keys, never over all q^s kept values, and
+    have their trace checked.
     """
     rest = [p for p in range(psi.num_registers) if p not in positions]
     # a batch of one, in the entropy table's (B, s) layout
@@ -223,9 +227,7 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
     env = _horner(psi.digits.T, np.array([rest]), psi.q)[0]
     reached, row_kept = np.unique(kept, return_inverse=True)
     if _distinct(env.copy()):
-        weights = np.bincount(row_kept, np.abs(psi.amplitudes) ** 2, reached.size)
-        nonzero = np.flatnonzero(weights)
-        reached, rho = reached[nonzero], weights[nonzero]
+        rho = np.bincount(row_kept, np.abs(psi.amplitudes) ** 2, reached.size)
     else:
         envs, row_env = np.unique(env, return_inverse=True)
         _check_cells(f"reduced state on {reached.size} kept x {envs.size} environment keys",
@@ -233,7 +235,7 @@ def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndar
         matrix = np.zeros((reached.size, envs.size), dtype=np.complex128)
         matrix[row_kept, row_env] = psi.amplitudes
         rho = matrix @ matrix.conj().T
-    _check_trace(complex(rho.sum() if rho.ndim == 1 else np.trace(rho)))
+    _check_trace(rho.sum() if rho.ndim == 1 else np.trace(rho))
     return reached, rho
 
 
@@ -265,13 +267,19 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> np.ndarray:
     return full
 
 
-def _clamped_descending(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues within 1e-10 of 0 or 1 moved onto the boundary, sorted descending."""
-    near_zero = (values < 0.0) & (values >= -EIGENVALUE_CLAMP)
-    values[near_zero] = 0.0
-    near_one = (values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)
-    values[near_one] = 1.0
-    return np.sort(values, axis=-1)[..., ::-1]
+def _clamp(values: np.ndarray) -> np.ndarray:
+    """``values``, with eigenvalues within 1e-10 of 0 or 1 moved onto the boundary in place."""
+    values[(values < 0.0) & (values >= -EIGENVALUE_CLAMP)] = 0.0
+    values[(values > 1.0) & (values <= 1.0 + EIGENVALUE_CLAMP)] = 1.0
+    return values
+
+
+def _entropies(spectra: np.ndarray, q: int) -> np.ndarray:
+    """-sum(lam log_q lam) over the last axis of positive ``spectra``, in their order."""
+    terms = np.log(spectra)
+    terms /= np.log(q)
+    terms *= spectra
+    return -terms.sum(axis=-1)
 
 
 def hermitian_eigenvalues(rho) -> np.ndarray:
@@ -293,7 +301,7 @@ def hermitian_eigenvalues(rho) -> np.ndarray:
         values = np.real(np.diag(a)).copy()
     else:
         values = np.linalg.eigvalsh(a)
-    return _clamped_descending(values)
+    return np.sort(_clamp(values))[::-1]
 
 
 def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
@@ -304,9 +312,9 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     vector's two reduced states share their nonzero spectrum) on the
     per-mask path, the entropy table's fallback.  When the environment
     keys are distinct, as on a valid code's smaller side (it is maximally
-    mixed), the reduced state is diagonal and gives its spectrum directly,
-    with its trace checked; any other goes to hermitian_eigenvalues.  The
-    entropy is -sum(lam * log_q lam) with 0 log 0 = 0.
+    mixed), the reduced state is diagonal and is its spectrum, in kept-key
+    order, with its trace checked; any other goes to hermitian_eigenvalues.
+    The entropy -sum(lam * log_q lam), 0 log 0 = 0, is summed in that order.
     """
     positions = _positions_of(psi, sub)
     if 2 * len(positions) > psi.num_registers:
@@ -379,9 +387,9 @@ def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
     Row i of ``kept`` holds s ascending register positions.  Its diagonal
     of rho, sum |amp|^2 per kept key, comes from one offset bincount, row
     i * q^s + kept key, which sums each bin in row order as a single
-    subset's bincount does; a diagonal that reaches all q^s kept keys gets
-    -sum(lam log_q lam), equal to the per-mask path's bit for bit when rho
-    is diagonal, and any other gets NaN.
+    subset's bincount does.  A diagonal that reaches all q^s kept keys ends
+    as the per-mask path does, in ascending kept-key order, so the two are
+    equal bit for bit when rho is diagonal; any other gets NaN.
     """
     width = q ** kept.shape[1]
     keys = _horner(registers, kept, q)
@@ -394,33 +402,23 @@ def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
     full = nonzero == width
     values = np.full(len(kept), np.nan)
     diagonals = diagonals[full]
-    traces = diagonals.sum(axis=1)
-    off = np.abs(traces - 1.0) > TRACE_TOL
-    if off.any():
-        _check_trace(complex(traces[off][0]))
+    _check_trace(diagonals.sum(axis=1))
     # every entry is a nonzero sum of |amp|^2, so the spectrum is positive
-    spectra = np.ascontiguousarray(_clamped_descending(diagonals))
-    terms = np.log(spectra)
-    terms /= np.log(q)
-    terms *= spectra
-    values[full] = -terms.sum(axis=1)
+    values[full] = _entropies(_clamp(diagonals), q)
     return values, nonzero
 
 
 def _entropy(psi: StateVector, positions: list[int]) -> float:
     """Per-mask entropy of the registers at ``positions``, ascending, 0 < size <= half."""
     _, rho = _reduce(psi, positions)
-    values = _clamped_descending(rho) if rho.ndim == 1 else hermitian_eigenvalues(rho)
+    values = _clamp(rho) if rho.ndim == 1 else hermitian_eigenvalues(rho)
     if np.any(values < -EIGENVALUE_CLAMP):
-        raise ValueError(
-            f"reduced state has eigenvalue {float(values.min())} below -1e-10"
-        )
-    positive = values[values > 0.0]
-    return float(-(positive * (np.log(positive) / np.log(psi.q))).sum())
+        raise ValueError(f"reduced state has eigenvalue {float(values.min())} below -1e-10")
+    return float(_entropies(values[values > 0.0], psi.q))
 
 
-def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray) -> np.ndarray:
-    """Both decode steps on joint values of the surviving block, one per row.
+def _decode_block(code: QuantumMdsCode, idx: list[int], values: np.ndarray) -> np.ndarray:
+    """Both decode steps on joint values of the surviving block ``idx``, one per row.
 
     Step one relabels the block value y to y . (AB_surviving)^-1, exposing
     the generator row (a, b); step two maps (a, b) to (a, (a, b) AB_erased),
@@ -444,7 +442,7 @@ def _decode_block(code: QuantumMdsCode, surviving: list[int], values: np.ndarray
             f"decoding sums reach m(q-1)^2 = {m * (q - 1) ** 2}, beyond the 2^53 "
             "that float64 holds exactly"
         )
-    step = _decoding_blocks(code, surviving)[0].astype(np.float64)
+    step = _decoding_blocks(code, idx)[0].astype(np.float64)
     floats = values.astype(np.float64)
     sums = floats @ step
     quotients = np.divide(sums, q, out=floats)

@@ -427,8 +427,11 @@ class TestCoercedInputRejected:
             ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": [False, True, 2]}, "bool"),
             ({"q": 3, "n": 3, "k": True, "d": 2}, "'k' must be an integer"),
             ({"q": 5, "n": 4, "k": 2, "d": 2, "alpha": [4, 3, 2, 1]}, "unknown keys: ['alpha']"),
+            ([5, 4, 2, 2], "code descriptor must be a JSON object"),
+            ({"q": 3, "n": 3, "k": 1, "d": 2, "alphas": "012"}, "'alphas' must be a list"),
         ],
-        ids=["float-alpha", "string-alphas", "bool-alphas", "bool-k", "misspelt-key"],
+        ids=["float-alpha", "string-alphas", "bool-alphas", "bool-k", "misspelt-key",
+             "not-an-object", "alphas-not-a-list"],
     )
     def test_descriptor_exits_2(self, capsys, tmp_path, descriptor, message):
         path = tmp_path / "code.json"
@@ -653,6 +656,28 @@ class TestDecodeTest:
         assert code_exit == 0
         assert out.count("[ok]") == math.comb(5, 2)
         assert len(calls) == construction + 2 * math.comb(5, 2)
+
+    def test_each_pattern_checks_its_surviving_set_twice(self, capsys, monkeypatch):
+        # decode and target_fidelity each check the set once; the decoding
+        # blocks trust decode's check
+        import qmds.cli as cli_module
+        from qmds import code as code_module, sim
+
+        calls = []
+        check = code_module._check_index_set
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (code_module, sim, cli_module):
+            monkeypatch.setattr(module, "_check_index_set", counting)
+        code_exit, out, _ = run_cli(
+            capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
+        )
+        assert code_exit == 0
+        assert out.count("[ok]") == math.comb(5, 2)
+        assert len(calls) == 2 * math.comb(5, 2)
 
     @pytest.mark.parametrize(
         "argv, golden",

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -94,6 +95,15 @@ class TestOracle:
         code = make_code(3, 1, 2, 3)
         with pytest.raises(ValueError, match="out of range"):
             subsystem_entropy(code, SubsystemSpec(False, [4]))
+
+    def test_rank_deficient_generator_refused(self):
+        # a zero row leaves G at rank 1 of m = 2, so H would not be an entropy
+        code = make_code(3, 1, 2, 3)
+        g = code.G.copy()
+        g[1] = 0
+        forged = types.SimpleNamespace(params=code.params, G=g)
+        with pytest.raises(ValueError, match="generator must have full row rank"):
+            entropy_table(forged)
 
     def test_register_oracle_consistent_with_atomic_specs(self):
         code = make_code(4, 2, 2, 5)

@@ -21,6 +21,11 @@ def test_rref_zero_fixed_point():
     assert pivots == []
 
 
+def test_rref_refuses_a_vector():
+    with pytest.raises(ValueError, match="2-dimensional, got ndim=1"):
+        rref(np.arange(3), 5)
+
+
 def test_rref_hand_worked_example():
     # row-reduce [[0,1,2],[1,1,1]] over GF(3) by hand: swap rows, then
     # subtract the second row from the first -> [[1,0,2],[0,1,2]]

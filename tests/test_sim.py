@@ -112,6 +112,14 @@ class TestStateVector:
             StateVector(11, 19, [[0] * 19], [1.0])
         StateVector(11, 18, [[10] * 18], [1.0])
 
+    def test_local_dimension_below_two_rejected(self):
+        with pytest.raises(ValueError, match="local dimension must be >= 2: got 1"):
+            StateVector(1, 1, [[0]], [1.0])
+
+    def test_reference_block_beyond_registers_rejected(self):
+        with pytest.raises(ValueError, match="reference block cannot exceed"):
+            StateVector(2, 1, [[0]], [1.0], num_ref=2)
+
 
 class TestEncodeState:
     def test_3_1_2_superposition(self):
@@ -290,6 +298,21 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace must be 1"):
             run()
 
+    def test_negative_eigenvalue_refused(self, monkeypatch):
+        # Q1 Q2 Q3 of the control reduce to a block, whose spectrum comes
+        # from the solver; one eigenvalue past the clamp is an error
+        control = encode_state(non_mds_control())
+        eigvalsh = np.linalg.eigvalsh
+
+        def shifted(a):
+            values = eigvalsh(a)
+            values[0] = -1e-9
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        with pytest.raises(ValueError, match="eigenvalue -1e-09 below -1e-10"):
+            von_neumann_entropy(control, SubsystemSpec(False, [1, 2, 3]))
+
 
 class TestJacobiEigenvalues:
     def test_maximally_mixed(self):
@@ -372,6 +395,17 @@ class TestVonNeumannEntropy:
         values = hermitian_eigenvalues(rho_full)
         assert abs(values[0] - 1.0) < 1e-9
         assert np.all(np.abs(values[1:]) < 1e-9)
+
+    def test_reference_block_needed_for_include_R(self):
+        psi = basis_state(3, (0, 0))
+        with pytest.raises(ValueError, match="no reference block but include_R"):
+            von_neumann_entropy(psi, SubsystemSpec(True, [1]))
+
+    def test_coded_qudit_out_of_range(self):
+        # one reference register and Q1, Q2: Q3 would be register 3 of 0..2
+        psi = basis_state(3, (0, 0, 0), num_ref=1)
+        with pytest.raises(ValueError, match="coded qudit Q3 out of range for 3 registers"):
+            von_neumann_entropy(psi, SubsystemSpec(False, [3]))
 
 
 class TestOracleAgreement:
