@@ -191,14 +191,14 @@ def cmd_decode_test(args) -> int:
     all_ok = True
     for erased in patterns:
         surviving = [i for i in range(1, p.n + 1) if i not in erased]
+        # the decoded state is dropped before the next pattern decodes
         try:
-            recovered = sim.decode(psi, code, surviving)
+            f = sim.target_fidelity(sim.decode(psi, code, surviving), code, surviving)
         except SingularMatrixError as exc:
             # a generator that cannot decode this pattern fails it
             all_ok = False
             lines.append(f"erasures {list(erased)}: {exc} [FAIL]")
             continue
-        f = sim.target_fidelity(recovered, code, surviving)
         ok = f >= 1.0 - FIDELITY_TOL
         all_ok &= ok
         lines.append(

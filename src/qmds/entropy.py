@@ -12,19 +12,26 @@ the dimension of the intersection of the two column spans of the
 bipartition.  Every entropy is therefore a nonnegative integer read off
 one table of ranks, one per union of atomic parts, indexed by bitmask.
 
-With R atomic the n + 1 parts are Q1..Qn (bits 0..n-1) and R (bit n), so
-the table has 2^(n+1) entries in the order R * 2^n + Q-bitmask, which is
+With R atomic there are n + 1 parts, and the table has 2^(n+1) entries
+in the order R * 2^n + Q-bitmask (Q_i is bit i - 1, R is bit n), which is
 ``SubsystemSpec.sort_key`` order.  The ranks come from the GF(q) rank
 lattice ``linalg.subset_ranks``, which cuts each union's left kernel down
 from the kernel of the union without its highest part, so every added
 column costs one matrix-vector product and one rank-one update instead of
-an elimination; its memory is bounded by ``linalg.BASIS_BUDGET`` kernels
-per level, and ``linalg.MAX_MASKS`` bounds the table itself.  The
-table's last rank is rank(G) and must equal m.  The profile is that
-table; sizes, expected values and JSON rows are derived from its masks on
-demand.  The check suites (size pyramid H(S) =
-min(|S|, (k + n) - |S|), decoding / no-leakage conditions, product-state
-identities and the standard quantum entropy inequalities) all index it,
+an elimination, and a kernel already at rank m costs nothing; its memory
+is bounded by ``linalg.BASIS_BUDGET`` kernels per level, and
+``linalg.MAX_MASKS`` bounds the table itself.  The lattice takes R, the
+one part of k columns, as its root (part 0), so R's columns extend one
+kernel where as the last part they would extend 2^n; the lattice-order
+table (index 2 * Q-bitmask + R) is put in R * 2^n + Q-bitmask order by
+one reshape-transpose.  The table's last rank is rank(G) and must equal
+m.  The profile is that table, one int8 per subsystem; sizes, expected
+values and JSON rows are derived from its masks on demand.  Every entry
+lies in [0, m], and m <= n, which MAX_MASKS bounds, so the suites' int8
+sums and differences of two or three entries cannot wrap.  The check
+suites (size pyramid H(S) = min(|S|, (k + n) - |S|), decoding /
+no-leakage conditions, product-state identities and the standard quantum
+entropy inequalities) all index it,
 with their groups of coded qudits as ``code.index_groups`` bitmasks
 (``code.group_indices`` decodes only those a line names), as whole-table
 array passes.  The inequality sweep over all 3^(n+1) assignments of the
@@ -108,20 +115,26 @@ def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
         raise ValueError(f"subsystem indices out of range 1..{n}: {sorted(bad)}")
 
 
-def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int64]:
-    """H[mask] = r[mask] + r[full ^ mask] - m over unions of ``parts``."""
+def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int8]:
+    """H[mask] = r[mask] + r[full ^ mask] - m over unions of ``parts``, in int8."""
     ranks = subset_ranks(code.G, code.params.q, parts)
     m = code.params.generator_rank
     if ranks[-1] != m:
         raise ValueError("generator must have full row rank")
-    # masks run 0..full, so full ^ mask = full - mask is the reversed index
-    return ranks + ranks[::-1] - m
+    # masks run 0..full, so full ^ mask = full - mask is the reversed index;
+    # r - m lies in [-m, 0], so no int8 sum leaves [-m, m]
+    return (ranks - m) + ranks[::-1]
 
 
-def entropy_table(code: QuantumMdsCode) -> NDArray[np.int64]:
-    """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask."""
+def entropy_table(code: QuantumMdsCode) -> NDArray[np.int8]:
+    """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask.
+
+    The lattice ranks R first (bit 0, then Q_i at bit i), and the table is
+    transposed from that order, 2 * Q-bitmask + R, into R * 2^n + Q-bitmask.
+    """
     k, n = code.params.k, code.params.n
-    return _entropy_table(code, [[k + i] for i in range(n)] + [list(range(k))])
+    table = _entropy_table(code, [list(range(k))] + [[k + i] for i in range(n)])
+    return table.reshape(1 << n, 2).T.ravel()
 
 
 def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
@@ -162,19 +175,25 @@ class EntropyProfile:
 
     params: CodeParams
     alphas: tuple[int, ...]
-    table: NDArray[np.int64] = field(repr=False, compare=False)
-    register_table: NDArray[np.int64] | None = field(default=None, repr=False, compare=False)
+    table: NDArray[np.integer] = field(repr=False, compare=False)
+    register_table: NDArray[np.integer] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.table.shape != (1 << (self.params.n + 1),):
             raise ValueError(f"entropy table must have 2^(n+1) = {2 << self.params.n} entries")
 
-    def sizes(self) -> NDArray[np.int64]:
-        """Qudit count per table index: k * R + popcount(Q-bitmask)."""
-        n, masks = self.params.n, np.arange(self.table.size)
-        return self.params.k * (masks >> n) + sum(masks >> bit & 1 for bit in range(n))
+    def sizes(self) -> NDArray[np.int8]:
+        """Qudit count per table index: k * R + popcount(Q-bitmask), in int8.
 
-    def expected(self) -> NDArray[np.int64]:
+        The popcounts of 2^(j+1) masks are those of 2^j masks, then the same
+        plus one, so n doublings of one byte per mask build them.
+        """
+        counts = np.zeros(1, dtype=np.int8)
+        for _ in range(self.params.n):
+            counts = np.concatenate((counts, counts + 1))
+        return np.concatenate((counts, counts + self.params.k))
+
+    def expected(self) -> NDArray[np.int8]:
         """The size pyramid min(size, (k + n) - size) per table index."""
         return expected_subsystem_entropy(self.sizes(), self.params.k, self.params.d)
 
@@ -322,16 +341,17 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
     at a time (4 bit pairs to 9 digit pairs), innermost first; the result
     is in ``itertools.product`` order, with no per-entry index.  A u B u C is
     every part, so H(ABC) is the table's last entry, one constant.
-    ``values`` is an int8 copy of the table when every entry lies in
-    [-64, 63]: each family compares a sum or difference of two entries
-    with an entry or another such sum, and those lie in [-128, 126] and
-    [-127, 127], inside int8.  Otherwise the int64 table is expanded.
+    ``values`` is the table in int8 (a profile's own table already is)
+    when every entry lies in [-64, 63]: each family compares a sum or
+    difference of two entries with an entry or another such sum, and those
+    lie in [-128, 126] and [-127, 127], inside int8.  A table with any
+    other entry is widened to int64, whatever its own dtype.
     """
     p = profile.params
     n = p.n
-    values = np.asarray(profile.table, dtype=np.int64)
-    if -64 <= values.min() and values.max() <= 63:
-        values = values.astype(np.int8)
+    values = np.asarray(profile.table)
+    narrow = -64 <= values.min() and values.max() <= 63
+    values = values.astype(np.int8 if narrow else np.int64, copy=False)
     habc = values[-1]
     # axis 0 is R (bit n) and axis i is Q_i (bit i - 1), so the last axis
     # is contiguous

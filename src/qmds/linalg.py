@@ -14,11 +14,17 @@ rank(G_S) = m - their number.  The kernel of a union is the kernel of the
 union without its highest group, cut down by that group's columns: one
 matrix-vector product and one rank-one update per added column, for all
 kernels of one lattice level in lockstep, and the child without a group
-keeps its parent's kernel in place.  Memory is bounded: a lattice holds at
-most BASIS_BUDGET kernels of m x m int64, and a wider one is finished
-chunk by chunk from a level of BASIS_BUDGET kernels, so one table needs two
-such buffers beside its 2^P ranks (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
-bounds 2^P.
+keeps its parent's kernel in place.  Part 0 is the root, so its columns
+extend one kernel and the last part's extend half the table: a caller
+lists its widest part first.  A kernel at rank m is Y = 0 and stays at
+rank m in every superset, so it is never updated: a level of at least
+COMPACT_KERNELS kernels returns at once when all of them are at rank m,
+and updates only the others, gathered, when at least a quarter are.
+Memory is bounded: a lattice holds at most BASIS_BUDGET kernels of m x m
+int64, and a wider one is finished chunk by chunk from a level of
+BASIS_BUDGET kernels, so one table needs two such buffers beside its 2^P
+int8 ranks, one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
+bounds 2^P, and an m past int8 is refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  ``rref``, and so ``rank`` and ``invert``, eliminate on
@@ -41,6 +47,11 @@ BASIS_BUDGET = 1 << 11
 # most masks one rank table may have: the R-atomic profile admits n <= 17,
 # the split-R profile k + n <= 18 and ``code.validate`` n <= 18
 MAX_MASKS = 1 << 18
+# narrowest lattice level that skips its kernels at rank m: a gather and a
+# scatter of the others cost about the update of a quarter of the level, and
+# a narrower level (every level of a table of at most 256 masks) makes no
+# numpy call for the skip
+COMPACT_KERNELS = 256
 
 
 class SingularMatrixError(ValueError):
@@ -116,22 +127,25 @@ def invert(a, q: int) -> NDArray[np.int64]:
     return reduced[:, n:]
 
 
-def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
+def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
     """rank(G_S) over GF(q) for every union S of ``parts``, indexed by bitmask.
 
     ``parts`` lists column groups of G; part j is bit j, so the result has
-    2^len(parts) entries.  The ranks come from a lattice over the parts:
-    level j holds a left kernel for each of the 2^j unions of parts
-    0..j-1.  Level j + 1 keeps those kernels in place as the children
-    without part j, and extends a copy of each by part j's columns for the
-    child with it, at index t + 2^j.  A lattice holds at most BASIS_BUDGET
-    kernels: past that, it is built at full width down to a level of
-    BASIS_BUDGET kernels, and chunks of that level then run the remaining
-    levels one after another, each writing its ranks at the level's stride.
+    2^len(parts) entries, one int8 each.  The ranks come from a lattice
+    over the parts: level j holds a left kernel for each of the 2^j unions
+    of parts 0..j-1.  Level j + 1 keeps those kernels in place as the
+    children without part j, and extends a copy of each by part j's
+    columns for the child with it, at index t + 2^j, so part j's columns
+    cost 2^j updates each: list the widest part first.  A lattice holds at
+    most BASIS_BUDGET kernels: past that, it is built at full width down to
+    a level of BASIS_BUDGET kernels, and chunks of that level then run the
+    remaining levels one after another, each writing its ranks at the
+    level's stride.
 
     Raises:
-        ValueError: if there are more than MAX_MASKS masks, before any
-            table is allocated, or if ``G`` is not 2-dimensional.
+        ValueError: if there are more than MAX_MASKS masks, if ``G`` is not
+            2-dimensional, or if it has more rows than int8 holds, each
+            before any table is allocated.
     """
     if 1 << len(parts) > MAX_MASKS:
         raise ValueError(
@@ -141,11 +155,13 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
     g = np.asarray(G, dtype=np.int64)
     if g.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")
-    g = g % q
     m = g.shape[0]
+    if m > np.iinfo(np.int8).max:
+        raise ValueError(f"ranks of a matrix of {m} rows do not fit the int8 rank table")
+    g = g % q
     levels, spare = len(parts), BASIS_BUDGET.bit_length() - 1
     if not m:
-        return np.zeros(1 << levels, dtype=np.int64)
+        return np.zeros(1 << levels, dtype=np.int8)
     columns = [g[:, list(part)].T for part in parts]
     # past the unreduced bound (module docstring), the kernels stay reduced
     # and Y x is summed in runs of products of two residues
@@ -158,7 +174,7 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int64]:
         top = max(spare, levels - spare)
         width = max(1, BASIS_BUDGET >> (levels - top))
     level = _grow(_kernels(m, 1 << top), columns[:top], q, run)
-    ranks = np.empty(1 << levels, dtype=np.int64)
+    ranks = np.empty(1 << levels, dtype=np.int8)
     by_chunk = ranks.reshape(-1, 1 << top)
     # every chunk overwrites all of the buffer past its first width kernels
     chunk = _kernels(m, width << (levels - top))
@@ -175,12 +191,12 @@ def _kernels(m: int, capacity: int):
 
     A set of kernels is (Y, ranks): the nonzero rows of the m x m matrix
     Y[t] (mod q) are a basis of {y : y G_S = 0} for the union S at slot t,
-    and ranks[t] = rank(G_S) = m - their number.  Slots past the first are
-    left for ``_grow`` to write.
+    and ranks[t] = rank(G_S) = m - their number, in int8.  Slots past the
+    first are left for ``_grow`` to write.
     """
     y = np.empty((capacity, m, m), dtype=np.int64)
     y[0] = np.eye(m, dtype=np.int64)
-    return y, np.zeros(capacity, dtype=np.int64)
+    return y, np.zeros(capacity, dtype=np.int8)
 
 
 def _grow(kernels, column_sets, q: int, run: int | None, count: int = 1):
@@ -198,7 +214,7 @@ def _grow(kernels, column_sets, q: int, run: int | None, count: int = 1):
 
 
 def _extend(y, ranks, columns, q: int, run: int | None) -> None:
-    """Extend every kernel of (``y``, ``ranks``) by the same ``columns``, in place.
+    """Extend every kernel of (``y``, ``ranks``) below rank m by the same ``columns``, in place.
 
     For a column x, c = Y x mod q.  If c = 0, x lies in the span of G_S
     and Y is kept.  Otherwise, for i with c_i != 0, Y <- c_i Y - c (x) Y_i
@@ -206,7 +222,11 @@ def _extend(y, ranks, columns, q: int, run: int | None) -> None:
     c_i c_j - c_j c_i = 0.  The rows stay independent, because c_i is a
     unit, so the kernel loses one dimension and the rank gains one.  This
     is one matrix-vector product and one rank-one update for all kernels,
-    with no inverse.
+    with no inverse.  A zeroed row stays exactly 0, so a kernel at rank m
+    is Y = 0, and its update would change nothing: a level of at least
+    COMPACT_KERNELS kernels returns at once when every kernel is at rank
+    m, and when at least a quarter are, it updates a gathered copy of the
+    others and scatters it back.
 
     Y changes only when its rank grows, so at most m times, and each change
     at most multiplies max |Y| by 2(q - 1): every entry and partial sum of
@@ -216,6 +236,14 @@ def _extend(y, ranks, columns, q: int, run: int | None) -> None:
     (q - 1)^2 < 2^62 (q < gf.MAX_Q), and Y x is summed in runs of ``run``
     such products, each run reduced.
     """
+    whole = None
+    if ranks.size >= COMPACT_KERNELS:
+        live = np.flatnonzero(ranks < y.shape[1])
+        if not live.size:
+            return
+        # the gather pays only when a quarter or more are at rank m
+        if 4 * live.size <= 3 * ranks.size:
+            whole, y, ranks = (y, ranks), y[live], ranks[live]
     batch = np.arange(ranks.size)
     for column in columns:
         if run is None:
@@ -234,3 +262,5 @@ def _extend(y, ranks, columns, q: int, run: int | None) -> None:
         if run is not None:
             y %= q
         ranks += head > 0
+    if whole is not None:
+        whole[0][live], whole[1][live] = y, ranks

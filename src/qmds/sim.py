@@ -50,8 +50,9 @@ keys, by one per-mask reduction that checks its trace: von_neumann_entropy
 and the table's fallback take its spectrum, and partial_trace returns it
 embedded in a dense, read-only q^s x q^s numpy array.  Decoding permutes
 the computational basis: one invertible m x m matrix over GF(q) maps the
-surviving registers of each support row, in one float64 product that is
-exact while m (q-1)^2 < 2^53; the result is a permutation of a valid
+surviving registers of each support row, in one float64 product per
+chunk of rows (DECODE_BYTES of float64 at most) that is exact while
+m (q-1)^2 < 2^53; the result is a permutation of a valid
 state, so it is not validated again.  The decoding target is m maximally
 entangled register pairs, so its support is the basis states on which
 every pair agrees: target_fidelity sums the amplitudes of a state's
@@ -84,6 +85,9 @@ EIGENVALUE_CLAMP = 1e-10
 # x 8), unless one mask's keys alone are larger; 512 KiB keeps a chunk's
 # arrays in cache
 KEY_BUDGET = 1 << 19
+# most bytes of one float64 temporary of _decode_block (rows x m x 8): decode
+# steps a larger state in row chunks of this size
+DECODE_BYTES = 1 << 22
 
 
 def _horner(registers: np.ndarray, columns: np.ndarray, q: int) -> np.ndarray:
@@ -143,12 +147,13 @@ class StateVector:
         # checked in the input dtype, so the narrowing cast below cannot wrap
         if rows.size and not (0 <= rows.min() and rows.max() < q):
             raise ValueError(f"register values must lie in [0, {q - 1}]")
-        rows = rows.astype(np.min_scalar_type(q - 1))
         if not _distinct(_horner(rows.T, np.arange(num_registers), q)):
             raise ValueError("support rows must be distinct")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+        # copied last, so no check's temporaries meet both copies of the digits
+        rows = rows.astype(np.min_scalar_type(q - 1))
         rows.flags.writeable = False
         amps.flags.writeable = False
         self.q = q
@@ -456,7 +461,8 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     """Erasure decoding on the surviving registers of the encoded state.
 
     Applies the basis permutation of _decode_block to the surviving coded
-    registers of every support row; the reference block, the erased
+    registers of every support row, in chunks of rows whose float64 block
+    is at most DECODE_BYTES; the reference block, the erased
     registers and the amplitudes are untouched.  Norm is preserved exactly
     (permutations are unitary), and the output matches decode_target with
     fidelity 1.
@@ -475,7 +481,12 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
         raise ValueError("state shape does not match the code's joint state")
     positions = [p.k + i - 1 for i in idx]
     digits = psi.digits.copy()
-    digits[:, positions] = _decode_block(code, idx, psi.digits[:, positions])
+    # each chunk derives the step again (an m x 2m elimination and a seed
+    # rank), small beside the chunk's product
+    rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
+    for start in range(0, len(digits), rows):
+        chunk = digits[start : start + rows]
+        chunk[:, positions] = _decode_block(code, idx, chunk[:, positions])
     digits.flags.writeable = False
     out = StateVector.__new__(StateVector)
     out.q, out.num_registers, out.num_ref = p.q, p.num_registers, p.k
@@ -519,7 +530,9 @@ def target_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float:
     The target's support is exactly the basis states on which both
     registers of every target pair agree, each with amplitude q^(-m/2),
     so the overlap is q^(-m/2) times the sum of psi's amplitudes on its
-    rows whose pairs agree.
+    rows whose pairs agree.  When every row agrees, as on any correctly
+    decoded state, the amplitudes are summed in place: the masked copy
+    would hold the same values in the same order.
     """
     p = code.params
     if psi.q != p.q or psi.num_registers != p.num_registers:
@@ -528,7 +541,8 @@ def target_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float:
     agree = np.ones(len(psi.amplitudes), dtype=bool)
     for i, j in zip(left, right):
         agree &= psi.digits[:, i] == psi.digits[:, j]
-    overlap = psi.amplitudes[agree].sum() * p.q ** (-p.generator_rank / 2)
+    amplitudes = psi.amplitudes if agree.all() else psi.amplitudes[agree]
+    overlap = amplitudes.sum() * p.q ** (-p.generator_rank / 2)
     return float(abs(overlap) ** 2)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds import entropy, linalg
-from qmds.code import group_indices, index_groups
+from qmds.code import CodeParams, group_indices, index_groups
 from qmds import (
     SubsystemSpec,
     check_decoding_condition,
@@ -397,6 +397,29 @@ class TestTable:
         for budget in (1, 2, 4, 16):
             monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
             assert entropy_table(code).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("control", [non_mds_control, lambda: make_code(9, 3, 4, 11)],
+                             ids=["non-mds-control", "9-3-4-11"])
+    def test_reference_block_at_the_root_gives_the_r_last_table(self, control):
+        # the table ranked with R as the last part is already in R * 2^n +
+        # Q-bitmask order; the R-first lattice must give it back transposed
+        code = control()
+        k, n = code.params.k, code.params.n
+        r_last = entropy._entropy_table(code, [[k + i] for i in range(n)] + [list(range(k))])
+        table = entropy_table(code)
+        assert table.dtype == np.int8
+        assert table.tolist() == r_last.tolist()
+
+    def test_sizes_are_reference_block_plus_popcount(self):
+        for n in range(1, 13):
+            for k in range(1, 6):
+                if (n - k) % 2 or n - k < 2:
+                    continue
+                params = CodeParams(n=n, k=k, d=(n - k) // 2 + 1, q=13)
+                profile = EntropyProfile(params, (), np.zeros(2 << n, dtype=np.int8))
+                sizes = [k * (mask >> n) + bin(mask % (1 << n)).count("1") for mask in range(2 << n)]
+                assert profile.sizes().dtype == profile.expected().dtype == np.int8
+                assert profile.sizes().tolist() == sizes
 
     def test_profile_at_n16_within_time_bound(self):
         # the lattice takes about 0.3 s here; eliminating each of the 2^17

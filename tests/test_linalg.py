@@ -234,3 +234,55 @@ def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, bu
     ranks = subset_ranks(G, q, parts).tolist()
     assert ranks == ranks_by_slicing(G, q, parts)
     assert ranks[-1] == m
+
+
+def dead_kernel_levels(monkeypatch):
+    """Record, for each lattice level ``_extend`` is handed, its kernel count
+    and how many of them are already at rank m."""
+    levels = []
+    extend = linalg._extend
+
+    def recording(y, ranks, *rest):
+        levels.append((ranks.size, int(np.count_nonzero(ranks == y.shape[1]))))
+        extend(y, ranks, *rest)
+
+    monkeypatch.setattr(linalg, "_extend", recording)
+    return levels
+
+
+@pytest.mark.parametrize("q", [3, 13, 4093, BIG_Q])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("budget", [1, 512, linalg.BASIS_BUDGET])
+def test_subset_ranks_skips_kernels_at_full_rank(monkeypatch, q, m, budget):
+    # ten parts and m <= 4: most unions of the wide levels already have rank
+    # m, so those levels are compacted; part 8 alone spans GF(q)^m, so at
+    # budget 512 the second chunk starts at rank m and its 256-kernel level
+    # returns at once.  q = 4093 is past the unreduced bound only at m = 4,
+    # and q = 2^31 - 1 at every m
+    reduced = m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63
+    assert reduced == (q == BIG_Q or (q, m) == (4093, 4))
+    rng = np.random.default_rng(10 * q + m)
+    low = q - 1000 if q == BIG_Q else 0
+    G = rng.integers(low, q, size=(m, 9)).astype(object)
+    # a repeated, a zero and a dependent column, and a unit upper triangle
+    extra = [G[:, 0], 0 * G[:, 0], (G[:, 1] + 2 * G[:, 2]) % q]
+    triangle = np.triu(rng.integers(low, q, size=(m, m)), 1) + np.eye(m, dtype=np.int64)
+    G = np.column_stack([G, *extra, triangle]).astype(np.int64)
+    parts = [[0], [1, 9], [2], [10], [3], [4, 11], [5], [6], list(range(12, 12 + m)), [7, 8]]
+    levels = dead_kernel_levels(monkeypatch)
+    monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
+    ranks = subset_ranks(G, q, parts).tolist()
+    assert ranks == ranks_by_slicing(G, q, parts)
+    wide = [(size, dead) for size, dead in levels if size >= linalg.COMPACT_KERNELS]
+    # a compacted level: at least a quarter of its kernels at rank m, not all
+    assert any(size <= 4 * dead < 4 * size for size, dead in wide)
+    assert ((256, 256) in wide) == (budget == 512)
+
+
+def test_subset_ranks_refuses_ranks_past_int8():
+    # m = 127 is the largest rank an int8 table holds
+    ranks = subset_ranks(np.eye(127, 2, dtype=np.int64), 5, [[0], [1]])
+    assert ranks.dtype == np.int8
+    assert ranks.tolist() == [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="int8"):
+        subset_ranks(np.zeros((128, 2), dtype=np.int64), 5, [[0], [1]])

@@ -485,6 +485,36 @@ class TestDecode:
         assert np.array_equal(out.digits[:, [0, 3]], psi.digits[:, [0, 3]])
         assert np.array_equal(out.amplitudes, psi.amplitudes)
 
+    @pytest.mark.parametrize("rows", [1, 100, 1330])
+    def test_row_chunks_match_one_chunk(self, monkeypatch, rows):
+        # [[5,1,3]]_11 has 1331 support rows of m = 3 surviving digits, one
+        # chunk at the default budget; a budget of `rows` float64 rows steps
+        # them in ragged chunks
+        code = make_code(5, 1, 3, 11)
+        psi = encode_state(code)
+        calls = []
+        block = sim._decode_block
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return block(*args)
+
+        monkeypatch.setattr(sim, "_decode_block", counting)
+        patterns = ([1, 2, 3], [2, 4, 5])
+        whole = [decode(psi, code, s).digits for s in patterns]
+        assert calls == [1331, 1331]
+        monkeypatch.setattr(sim, "DECODE_BYTES", 8 * 3 * rows)
+        for surviving, expected in zip(patterns, whole):
+            calls.clear()
+            out = decode(psi, code, surviving)
+            assert calls == [rows] * (1331 // rows) + [1331 % rows] * (1331 % rows > 0)
+            assert np.array_equal(out.digits, expected)
+            assert not out.digits.flags.writeable
+
+    def test_desk_states_decode_in_one_chunk(self):
+        # [[7,1,4]]_7, 7^4 rows of m = 4 digits, and every smaller state
+        assert 8 * 4 * 7**4 <= sim.DECODE_BYTES
+
     def test_wrong_surviving_size_rejected(self):
         code = make_code(3, 1, 2, 3)
         psi = encode_state(code)
