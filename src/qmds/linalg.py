@@ -19,7 +19,7 @@ extend one kernel and the last part's extend half the table: a caller
 lists its widest part first.  A kernel at rank m is Y = 0 and stays at
 rank m in every superset, so it is never updated: a level of at least
 COMPACT_KERNELS kernels returns at once when all of them are at rank m,
-and updates only the others, gathered, when at least a quarter are.
+and updates only the others, gathered, when any of them is.
 Memory is bounded: a lattice holds at most BASIS_BUDGET kernels of m x m
 int64, and a wider one is finished chunk by chunk from a level of
 BASIS_BUDGET kernels, so one table needs two such buffers beside its 2^P
@@ -47,10 +47,9 @@ BASIS_BUDGET = 1 << 11
 # most masks one rank table may have: the R-atomic profile admits n <= 17,
 # the split-R profile k + n <= 18 and ``code.validate`` n <= 18
 MAX_MASKS = 1 << 18
-# narrowest lattice level that skips its kernels at rank m: a gather and a
-# scatter of the others cost about the update of a quarter of the level, and
-# a narrower level (every level of a table of at most 256 masks) makes no
-# numpy call for the skip
+# narrowest lattice level that skips its kernels at rank m; a narrower level
+# (every level of a table of at most 256 masks) makes no numpy call for the
+# skip
 COMPACT_KERNELS = 256
 
 
@@ -225,8 +224,8 @@ def _extend(y, ranks, columns, q: int, run: int | None) -> None:
     with no inverse.  A zeroed row stays exactly 0, so a kernel at rank m
     is Y = 0, and its update would change nothing: a level of at least
     COMPACT_KERNELS kernels returns at once when every kernel is at rank
-    m, and when at least a quarter are, it updates a gathered copy of the
-    others and scatters it back.
+    m, and when any is, it updates a gathered copy of the others and
+    scatters it back.
 
     Y changes only when its rank grows, so at most m times, and each change
     at most multiplies max |Y| by 2(q - 1): every entry and partial sum of
@@ -241,8 +240,7 @@ def _extend(y, ranks, columns, q: int, run: int | None) -> None:
         live = np.flatnonzero(ranks < y.shape[1])
         if not live.size:
             return
-        # the gather pays only when a quarter or more are at rank m
-        if 4 * live.size <= 3 * ranks.size:
+        if live.size < ranks.size:
             whole, y, ranks = (y, ranks), y[live], ranks[live]
     batch = np.arange(ranks.size)
     for column in columns:

@@ -274,8 +274,8 @@ def test_subset_ranks_skips_kernels_at_full_rank(monkeypatch, q, m, budget):
     ranks = subset_ranks(G, q, parts).tolist()
     assert ranks == ranks_by_slicing(G, q, parts)
     wide = [(size, dead) for size, dead in levels if size >= linalg.COMPACT_KERNELS]
-    # a compacted level: at least a quarter of its kernels at rank m, not all
-    assert any(size <= 4 * dead < 4 * size for size, dead in wide)
+    # a compacted level: some of its kernels at rank m, not all
+    assert any(0 < dead < size for size, dead in wide)
     assert ((256, 256) in wide) == (budget == 512)
 
 
