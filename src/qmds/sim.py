@@ -11,28 +11,23 @@ larger than its complement is reduced once, and the larger side reads its
 entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
-The table's reduction is batched by register count: all subsystems of s
-registers are reduced together, in chunks whose kept-key arrays (masks x
-support rows x 8 bytes) stay within KEY_BUDGET, or hold one mask where
-that alone is larger; the chunk's other temporaries are no larger.  A
-chunk builds its kept keys by Horner's rule over a register-major copy of
-the digits made once per call, forms every diagonal with one offset
-bincount and ends row-wise as the per-mask reduction does: trace check,
-clamp and -sum(lam log_q lam).  Both bin in row order and sum in ascending
-kept-key order, so they agree bit for bit when rho is diagonal.  Neither
-sorts: on a row-space state (every state the CLI builds) each reached kept
-key holds q^(m - rank G_S) rows of one weight, a flat diagonal.  No
-environment key is built: a diagonal with N nonzero bins over the N
-support rows shows its register set injective (every row has its own kept
-key), any register set holding an injective one is injective, and a side
-is diagonal when its complement is injective.  So the batch closes the
-injective flags upward over the mask table and keeps a side's value when
-its complement is flagged and its diagonal reaches all q^s kept keys, as
-on every side of an MDS state (each R-atomic set of half the registers is
-maximally mixed, so injective).  Any other side, reached only by non-MDS
-states, takes the per-mask path, which sorts its environment keys to test
-them distinct; so does von_neumann_entropy, which has no table to certify
-from.
+The table's reduction is batched by register count, in chunks whose
+kept-key arrays (masks x rows x 8 bytes) stay within KEY_BUDGET, or hold
+one mask where that alone is larger; its other temporaries are no
+larger.  Kept keys come by Horner's rule over a register-major copy of
+the digits, and a chunk's diagonals from one offset bincount.  On a
+state with one weight per row, as encode_state builds, it counts rows in
+integers, so the trace is exact and a flat diagonal (one count in every
+bin) has entropy s, no log per entry; other states sum |amp|^2 and
+end as the per-mask path does.  Both paths read a flat diagonal by one
+helper, so they agree bit for bit when rho is diagonal.  No environment
+key is built: a diagonal with one row per bin shows its register set
+injective, so is any register set holding it, and a side is diagonal
+when its complement is injective, as on every side of an MDS state (each
+R-atomic set of half the registers is maximally mixed, so injective).
+Any other side takes the per-mask path, which sorts its environment keys
+to test them distinct; so does von_neumann_entropy, which has no table
+to certify from.
 
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
@@ -44,11 +39,9 @@ listed by one builder: x . g for every x in GF(q)^m, m = k+d-1, by
 Horner's rule over x's digits, with g = G for the code state (q**m of its
 q**(k+n) basis states) and a 0/1 layout matrix for the decoding target.
 Where a set of registers needs one index per row, its key is their values
-read big-endian, by Horner's rule over columns into int64.  A reduced
-state is built by grouping the support rows on their kept and environment
-keys, by one per-mask reduction that checks its trace: von_neumann_entropy
-and the table's fallback take its spectrum, and partial_trace returns it
-embedded in a dense, read-only q^s x q^s numpy array.  Decoding permutes
+read big-endian, by Horner's rule over columns into int64.  A per-mask
+reduction groups the support rows on their kept and environment keys and
+checks its trace.  Decoding permutes
 the computational basis: one invertible m x m matrix over GF(q) maps the
 surviving registers of each support row, in one float64 product per
 chunk of rows (DECODE_BYTES of float64 at most) that is exact while
@@ -251,9 +244,8 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> np.ndarray:
     configurations e, as a dense, read-only q**|keep| square complex array
     indexed by the kept registers' big-endian value: _reduce's result, its
     trace checked, with zero rows and columns for the kept values the
-    support never reaches.  The kept set must be nonempty and proper;
-    empty and full bipartitions have entropy zero by purity and are
-    short-circuited by the entropy function instead.
+    support never reaches.  The kept set must be nonempty and proper:
+    the entropy of an empty or full one is 0 by purity.
     """
     positions = _positions_of(psi, keep)
     if len(positions) == 0:
@@ -313,13 +305,12 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     """Von Neumann entropy of a subsystem in q-ary units.
 
     Empty and full subsystems return 0 (the state is pure).  Otherwise the
-    reduced state of the smaller side of the bipartition is taken (a state
-    vector's two reduced states share their nonzero spectrum) on the
-    per-mask path, the entropy table's fallback.  When the environment
-    keys are distinct, as on a valid code's smaller side (it is maximally
-    mixed), the reduced state is diagonal and is its spectrum, in kept-key
-    order, with its trace checked; any other goes to hermitian_eigenvalues.
-    The entropy -sum(lam * log_q lam), 0 log 0 = 0, is summed in that order.
+    smaller side (both share their nonzero spectrum) is reduced on the
+    per-mask path, the entropy table's fallback.  With distinct environment
+    keys, as on a valid code, rho is diagonal and is its spectrum; any
+    other goes to hermitian_eigenvalues.  A diagonal whose nonzero entries
+    are all equal has entropy log_q of their count, as in the table's
+    batch; any other gives -sum(lam log_q lam) over its nonzero entries.
     """
     positions = _positions_of(psi, sub)
     if 2 * len(positions) > psi.num_registers:
@@ -334,13 +325,11 @@ def entropy_table(psi: StateVector) -> np.ndarray:
 
     The twin of ``entropy.entropy_table``, with R the reference block.  A
     subsystem no larger than its complement is reduced, all those of one
-    register count in one batch; a larger one takes its complement's entry,
-    the side von_neumann_entropy reduces for it.  The batch keeps a
-    subsystem's value when its diagonal reaches all q^s kept keys and its
-    complement holds a batch-reduced subset whose diagonal has one nonzero
-    bin per support row: the support is injective on that subset, hence on
-    the complement, so the environment keys are distinct and rho is that
-    diagonal.  Any other subsystem takes the per-mask path.
+    register count in one batch; a larger one takes its complement's entry.
+    The batch keeps a subsystem's value when its diagonal is full (and
+    flat, if counted) and its complement holds a batch-reduced subset with
+    one row per bin: the support is injective on it, hence on the
+    complement, so rho is that diagonal.  Any other takes the per-mask path.
     """
     k, total = psi.num_ref, psi.num_registers
     if k == 0:
@@ -357,6 +346,10 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     # view of the row-major digits makes about 1.5 times as slow
     registers = np.ascontiguousarray(psi.digits.T)
     weights = np.abs(psi.amplitudes) ** 2
+    # one weight per row: the batch counts rows; each trace is N w
+    if weights.min() == weights.max():
+        weights = weights[0]
+        _check_trace(rows * weights)
     per_chunk = max(1, KEY_BUDGET // (8 * rows))
     table = np.full(full + 1, np.nan)
     table[[0, full]] = 0.0
@@ -367,11 +360,9 @@ def entropy_table(psi: StateVector) -> np.ndarray:
             continue
         for start in range(0, len(masks), per_chunk):
             chunk = slice(start, start + per_chunk)
-            table[masks[chunk]], nonzero = _diagonal_entropies(
+            table[masks[chunk]], injective[masks[chunk]] = _diagonal_entropies(
                 q, registers, weights, positions[chunk]
             )
-            # N nonzero bins need N distinct kept keys
-            injective[masks[chunk]] = nonzero == rows
     # a register set holding an injective one is injective
     for bit in range(total - k + 1):
         halves = injective.reshape(-1, 2, 1 << bit)
@@ -385,32 +376,48 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     return table
 
 
-def _diagonal_entropies(q: int, registers: np.ndarray, weights: np.ndarray,
+def _diagonal_entropies(q: int, registers: np.ndarray, weights,
                         kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal entropies of one chunk's subsets, and each diagonal's nonzero-bin count.
+    """Diagonal entropies of one chunk's subsets, and whether each is injective.
 
-    Row i of ``kept`` holds s ascending register positions.  Its diagonal
-    of rho, sum |amp|^2 per kept key, comes from one offset bincount, row
-    i * q^s + kept key, which sums each bin in row order as a single
-    subset's bincount does.  A diagonal that reaches all q^s kept keys ends
-    as the per-mask path does, in ascending kept-key order, so the two are
-    equal bit for bit when rho is diagonal; any other gets NaN.
+    Row i of ``kept`` holds s ascending register positions, binned at
+    i * q^s + kept key.  Given one weight, whose trace N w the caller
+    checks, bins count rows: each diagonal must count all N, and one with
+    no bin above 1 is injective.  Given the rows' |amp|^2, bins sum them in
+    row order, as _reduce's do; N nonzero bins show a diagonal injective,
+    and a full one ends as the per-mask path does.  A flat diagonal reads
+    log_q q^s either way; others get NaN.
     """
-    width = q ** kept.shape[1]
+    width, rows = q ** kept.shape[1], registers.shape[1]
+    bins, common = len(kept) * width, np.ndim(weights) == 0
     keys = _horner(registers, kept, q)
-    keys += np.arange(0, len(kept) * width, width)[:, None]
-    diagonals = np.bincount(
-        keys.ravel(), np.tile(weights, len(kept)), len(kept) * width
-    ).reshape(len(kept), width)
+    keys += np.arange(0, bins, width)[:, None]
+    # a key past its row's bins lands in the next row's or is dropped, so
+    # some row counts fewer than N
+    diagonals = np.bincount(keys.ravel(), None if common else np.tile(weights, len(kept)), bins)
+    diagonals = diagonals[:bins].reshape(len(kept), width)
     del keys
-    nonzero = np.count_nonzero(diagonals, axis=1)
-    full = nonzero == width
+    low, high = diagonals.min(axis=1), diagonals.max(axis=1)
     values = np.full(len(kept), np.nan)
-    diagonals = diagonals[full]
-    _check_trace(diagonals.sum(axis=1))
-    # every entry is a nonzero sum of |amp|^2, so the spectrum is positive
-    values[full] = _entropies(_clamp(diagonals), q)
-    return values, nonzero
+    if common:
+        counts = diagonals.sum(axis=1)
+        if np.any(counts != rows):
+            raise ValueError(f"a diagonal must count all {rows} rows: got {counts.min()}")
+        injective = high == 1
+    else:
+        nonzero = np.count_nonzero(diagonals, axis=1)
+        full, injective = nonzero == width, nonzero == rows
+        _check_trace(diagonals[full].sum(axis=1))
+        # every entry is a nonzero sum of |amp|^2, so the spectrum is positive
+        values[full] = _entropies(_clamp(diagonals[full]), q)
+    values[low == high] = _flat_entropy(width, q)
+    return values, injective
+
+
+def _flat_entropy(bins: int, q: int) -> float:
+    """log_q(bins), a flat diagonal's entropy over ``bins`` keys, exact on powers of q."""
+    power = np.log(bins) / np.log(q)
+    return float(round(power) if q ** round(power) == bins else power)
 
 
 def _entropy(psi: StateVector, positions: list[int]) -> float:
@@ -419,7 +426,11 @@ def _entropy(psi: StateVector, positions: list[int]) -> float:
     values = _clamp(rho) if rho.ndim == 1 else hermitian_eigenvalues(rho)
     if np.any(values < -EIGENVALUE_CLAMP):
         raise ValueError(f"reduced state has eigenvalue {float(values.min())} below -1e-10")
-    return float(_entropies(values[values > 0.0], psi.q))
+    values = values[values > 0.0]
+    # flat diagonals end as in the batch
+    if rho.ndim == 1 and values.min() == values.max():
+        return _flat_entropy(values.size, psi.q)
+    return float(_entropies(values, psi.q))
 
 
 def _decode_block(code: QuantumMdsCode, idx: list[int], values: np.ndarray) -> np.ndarray:
@@ -434,9 +445,7 @@ def _decode_block(code: QuantumMdsCode, idx: list[int], values: np.ndarray) -> n
     returned in the digit dtype.  Every sum is an integer below
     m (q-1)^2 < 2^53, so the product is exact in any summation order, and
     floor(s / q) of a correctly rounded quotient is the exact s // q for
-    s < 2^53, so s - q floor(s / q) is the exact residue.  decode reaches
-    q <= 55103 (StateVector's q^(k+n) < 2^63 key guard), where the bound
-    is about 6.1e9.
+    s < 2^53, so s - q floor(s / q) is the exact residue.
 
     Raises:
         ValueError: if m (q-1)^2 >= 2^53, where the float64 sums could round.
@@ -467,13 +476,11 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     (permutations are unitary), and the output matches decode_target with
     fidelity 1.
 
-    The result is built without StateVector's validation, because each of
-    its invariants holds by construction: the step is invertible (the
-    surviving block and the erased seed block are checked by
-    code._decoding_blocks), so it permutes GF(q)^m and distinct support
-    rows stay distinct; the reduction mod q puts every digit in [0, q), in
-    psi's digit dtype; and the amplitudes are psi's read-only array, so
-    the norm is psi's.
+    The result skips StateVector's validation, as each invariant holds by
+    construction: the step is invertible (code._decoding_blocks checks
+    both blocks), so it permutes GF(q)^m and rows stay distinct; mod q
+    puts every digit in [0, q), in psi's dtype; and the amplitudes are
+    psi's read-only array.
     """
     p = code.params
     idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))

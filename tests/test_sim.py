@@ -1063,3 +1063,77 @@ class TestChunking:
         if per_chunk > 1:
             # some size group splits unevenly
             assert min(chunks) < per_chunk
+
+
+class TestCountedDiagonals:
+    """A state with one weight on every row has its diagonals counted in
+    integers: each must count every row, and a flat one reads log_q q^s
+    exactly; the count path refuses what it cannot certify."""
+
+    def test_trace_of_823543_equal_weights_is_exact(self):
+        # summing 7^7 equal float weights drifts past TRACE_TOL = 1e-12
+        # (1.0000000000016718); counting them does not
+        digits = np.indices((7,) * 7, dtype=np.uint8).reshape(7, -1).T
+        psi = StateVector(7, 7, digits, np.full(7**7, 7**-3.5), num_ref=1)
+        registers = np.ascontiguousarray(psi.digits.T)
+        weight = np.abs(psi.amplitudes[0]) ** 2
+        values, injective = sim._diagonal_entropies(7, registers, weight, np.arange(7)[:, None])
+        assert values.tolist() == [1.0] * 7
+        assert not injective.any()
+
+    @pytest.mark.parametrize("params", DESK_PARAMS)
+    def test_mds_tables_are_the_rank_table_exactly(self, params):
+        code = make_code(*params)
+        assert sim_entropy_table(encode_state(code)).tolist() == full_profile(code).table.tolist()
+
+    def test_flat_entropy_is_the_exponent_on_powers_of_q(self):
+        assert [sim._flat_entropy(bins, 7) for bins in (1, 7, 49, 7**6)] == [0.0, 1.0, 2.0, 6.0]
+        assert sim._flat_entropy(6, 3) == pytest.approx(np.log(6) / np.log(3), abs=1e-15)
+
+    def test_full_diagonal_that_is_not_flat_leaves_the_batch(self, monkeypatch):
+        # nine rows of one weight, injective on Q1 Q2, so R is certified
+        # diagonal; its full diagonal counts 4, 3 and 2 rows, not flat
+        rows = np.arange(9)
+        digits = np.column_stack([[0, 0, 0, 0, 1, 1, 1, 2, 2], rows // 3, rows % 3, 0 * rows])
+        psi = StateVector(3, 4, digits, np.full(9, 1 / 3), num_ref=1)
+        diagonal, blocks, _ = per_mask_paths(monkeypatch, psi)
+        assert (0,) in diagonal
+        table = sim_entropy_table(psi)
+        # R alone is mask 2^3 = 8
+        assert table[8] == pytest.approx(dense_entropy(psi, [0]), abs=1e-12)
+        assert abs(table[8] - 1.0) > 0.03
+        assert table.tolist() == per_mask_path_entropies(psi)
+
+    def test_flat_diagonal_without_a_common_weight(self, monkeypatch):
+        # five unequal weights, added in one order to each of R's five
+        # bins: the weighted batch and the per-mask path both read the
+        # diagonal flat, where -sum(lam log_5 lam) would give 1 + 2^-52
+        rows = np.arange(25)
+        digits = np.column_stack([rows % 5, rows // 5, rows % 5, 0 * rows])
+        weights = np.random.default_rng(0).random(5)
+        amps = np.sqrt(np.repeat(weights / (5 * weights.sum()), 5))
+        psi = StateVector(5, 4, digits, amps, num_ref=1)
+        diagonal = np.bincount(rows % 5, np.abs(psi.amplitudes) ** 2)
+        assert diagonal.min() == diagonal.max()
+        assert sim._entropies(diagonal, 5) == 1.0000000000000002
+        paths, blocks, _ = per_mask_paths(monkeypatch, psi)
+        assert (0,) not in paths + blocks
+        table = sim_entropy_table(psi)
+        assert table[8] == 1.0
+        assert table.tolist() == per_mask_path_entropies(psi)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_key_past_its_width_is_refused(self, monkeypatch, row):
+        # row 0's key lands in row 1's bins; the last row's is dropped
+        psi = encode_state(make_code(5, 1, 3, 7))
+        horner = sim._horner
+
+        def pushed(registers, columns, q):
+            keys = horner(registers, columns, q)
+            if np.ndim(columns) == 2 and len(columns) > 1:
+                keys[row, 0] += q ** np.shape(columns)[1]
+            return keys
+
+        monkeypatch.setattr(sim, "_horner", pushed)
+        with pytest.raises(ValueError, match="a diagonal must count all 343 rows: got 342"):
+            sim_entropy_table(psi)
