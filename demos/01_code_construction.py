@@ -31,7 +31,6 @@ for row in code2.AB.tolist():
     print("   ", row)
 
 # the validator re-proves every invertibility claim by brute force
-report = validate(code2)
 print()
-for line in report.lines():
+for line in validate(code2).lines():
     print(line)

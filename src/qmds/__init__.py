@@ -42,7 +42,7 @@ from .sim import (
     target_fidelity,
     von_neumann_entropy,
 )
-from .reporting import CheckReport, CheckResult
+from .reporting import Check
 
 __version__ = "0.1.0"
 
@@ -79,6 +79,5 @@ __all__ = [
     "decode_target",
     "target_fidelity",
     "fidelity",
-    "CheckReport",
-    "CheckResult",
+    "Check",
 ]

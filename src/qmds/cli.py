@@ -27,15 +27,15 @@ from .code import (
     to_descriptor,
 )
 from .entropy import (
+    check_decoding_condition,
     check_entropy_inequalities,
-    decoding_failures,
     expected_subsystem_entropy,
     extended_profile,
     full_profile,
     product_state_checks,
 )
 from .linalg import SingularMatrixError
-from .reporting import _status_lines
+from .reporting import Check
 from . import sim
 
 FIDELITY_TOL = 1e-12
@@ -131,14 +131,14 @@ def cmd_verify(args) -> int:
     psi = sim.encode_state(code) if simulate else None
     profile = full_profile(code)
     table, expected = profile.table, profile.expected()
-    checks = []  # (ok, header, details), in output order
+    checks = []
     if args.oracle in ("lemma", "both"):
-        mismatches = [
+        mismatches = tuple(
             f"mismatch {list(profile.labels(mask))}: entropy {table[mask]}, "
             f"expected {expected[mask]}"
             for mask in np.flatnonzero(table != expected)
-        ]
-        checks.append((
+        )
+        checks.append(Check(
             not mismatches,
             f"rank-identity profile matches min(size, {p.num_registers} - size) "
             f"on {table.size} subsystems",
@@ -152,29 +152,26 @@ def cmd_verify(args) -> int:
         references = table if args.oracle == "both" else expected
         values = sim.entropy_table(psi)
         deltas = np.abs(values - references)
-        bad = [
+        bad = tuple(
             f"{list(profile.labels(mask))}: statevec {float(values[mask])!r} "
             f"vs {against} {references[mask]}"
             for mask in np.flatnonzero(deltas > ORACLE_TOL)
-        ]
-        checks.append((
+        )
+        checks.append(Check(
             not bad,
             f"state-vector entropies within {ORACLE_TOL} of the {against} on "
             f"{table.size} subsystems (max oracle delta {deltas.max():.3e})",
             bad,
         ))
 
-    failures, count = decoding_failures(profile)
-    checks.append((failures.ok, f"{failures.title} ({count} checks)",
-                   [result.line() for result in failures.results]))
+    checks.append(check_decoding_condition(profile))
     if args.inequalities:
-        for report in (check_entropy_inequalities(profile), product_state_checks(profile)):
-            checks.append((report.ok, report.title, [result.line() for result in report.results]))
+        checks += [check_entropy_inequalities(profile), product_state_checks(profile)]
 
     lines = [f"verify [[{p.n},{p.k},{p.d}]]_{p.q} (oracle: {args.oracle})"]
     for check in checks:
-        lines += _status_lines(*check)
-    return _verdict(lines, all(ok for ok, _, _ in checks), args.out)
+        lines += check.lines()
+    return _verdict(lines, all(check.ok for check in checks), args.out)
 
 
 def cmd_decode_test(args) -> int:
@@ -298,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 from .gf import MAX_Q, check_modulus, is_prime
 from . import linalg
 from .linalg import SingularMatrixError, rank, subset_ranks
-from .reporting import CheckReport
+from .reporting import Check, status_line
 
 # the most cells of a generator G, a figure, and any support or dense block in sim
 MAX_CELLS = 1 << 24
@@ -234,8 +234,9 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     return _decoding_blocks(code, idx)[1:]
 
 
-def validate(code: QuantumMdsCode) -> CheckReport:
-    """Exhaustively check the code invariants; failures become report entries.
+def validate(code: QuantumMdsCode) -> Check:
+    """Exhaustively check the code invariants; the title counts the checks,
+    and only a failing check gets a line.
 
     Checks evaluation-point distinctness, the rank of AB and G, the
     reference-block layout of G, invertibility of every full-size square
@@ -245,27 +246,23 @@ def validate(code: QuantumMdsCode) -> CheckReport:
     """
     p = code.params
     m = p.generator_rank
-    report = CheckReport(f"validation of [[{p.n},{p.k},{p.d}]]_{p.q}")
-
-    report.add(
-        "evaluation points distinct",
-        len(set(code.alphas)) == p.n,
-        f"alphas={list(code.alphas)}",
+    checks = (
+        (f"evaluation points distinct: alphas={list(code.alphas)}", len(set(code.alphas)) == p.n),
+        (f"rank(AB) = {m}", rank(code.AB, p.q) == m),
+        (f"rank(G) = {m}", rank(code.G, p.q) == m),
+        ("reference block of G is the first k standard basis columns",
+         np.array_equal(code.G[:, : p.k], np.eye(m, p.k, dtype=np.int64))),
     )
-    report.add(f"rank(AB) = {m}", rank(code.AB, p.q) == m)
-    report.add(f"rank(G) = {m}", rank(code.G, p.q) == m)
-
-    report.add(
-        "reference block of G is the first k standard basis columns",
-        bool(np.array_equal(code.G[:, : p.k], np.eye(m, p.k, dtype=np.int64))),
-    )
-
+    count = len(checks)
+    failures = [status_line(False, text) for text, ok in checks if not ok]
     for name, block, size in (("AB", code.AB, m), ("B", code.B, p.d - 1)):
         ranks = subset_ranks(block, p.q, [[c] for c in range(p.n)])
         masks = index_groups(p.n, [size])
-        for mask, full in zip(masks, (ranks[masks] == size).tolist()):
-            report.add(f"{name} columns {list(group_indices(mask))} invertible", full)
-    return report
+        count += masks.size
+        failures += [status_line(False, f"{name} columns {list(group_indices(mask))} invertible")
+                     for mask in masks[ranks[masks] != size]]
+    return Check(not failures, f"validation of [[{p.n},{p.k},{p.d}]]_{p.q} ({count} checks)",
+                 tuple(failures))
 
 
 def index_groups(n: int, sizes) -> NDArray[np.int64]:

@@ -52,7 +52,7 @@ from numpy.typing import NDArray
 
 from .code import CodeParams, QuantumMdsCode, _as_int, group_indices, index_groups, to_descriptor
 from .linalg import subset_ranks
-from .reporting import CheckReport
+from .reporting import Check, status_line
 
 # the inequality sweep works in blocks of 3^SWEEP_DIGITS assignments, and
 # the product-state pairs in chunks of at most 3^BLOCK_DIGITS cells (or one
@@ -257,18 +257,22 @@ def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
     return EntropyProfile(code.params, code.alphas, registers[atomic], registers)
 
 
-def _decoding_report(profile: EntropyProfile, failures_only: bool) -> tuple[CheckReport, int]:
-    """The decoding checks as one I(R;Q_I) array per condition, and their count.
+def check_decoding_condition(profile: EntropyProfile) -> Check:
+    """Recovery and no-leakage conditions on the profile entropies.
 
-    Every check is evaluated; with ``failures_only`` the report holds, in
-    the same order, only the failing checks, so no passing check gets a line.
+    For every surviving set I of size n-(d-1) the mutual information
+    between R and Q_I must equal 2H(R) = 2k (all reference entanglement is
+    preserved); for every potential erasure set of size d-1 it must vanish
+    (nothing leaks to qudits that may be lost).  All checks are exact
+    integer identities, evaluated as one I(R;Q_I) array per condition;
+    the title counts them, and only a failing check gets a line.
     """
     p = profile.params
     n, k, d = p.n, p.k, p.d
     table = profile.table
-    report = CheckReport(f"decoding conditions for [[{n},{k},{d}]]_{p.q}")
     count = 0
-    for kind, size, target, detail in (
+    failures = []
+    for kind, size, target, expected in (
         ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
         ("no-leakage", d - 1, 0, "expected 0"),
     ):
@@ -276,31 +280,11 @@ def _decoding_report(profile: EntropyProfile, failures_only: bool) -> tuple[Chec
         # I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I); R is bit n
         mutual = table[1 << n] + table[masks] - table[masks | 1 << n]
         count += mutual.size
-        shown = np.flatnonzero(mutual != target) if failures_only else range(mutual.size)
-        values = mutual.tolist()
-        for at in shown:
-            value = values[at]
-            indices = list(group_indices(masks[at]))
-            report.add(f"{kind} I={indices}: I(R;Q_I) = {value}", value == target, detail)
-    return report, count
-
-
-def check_decoding_condition(profile: EntropyProfile) -> CheckReport:
-    """Recovery and no-leakage conditions on the profile entropies.
-
-    For every surviving set I of size n-(d-1) the mutual information
-    between R and Q_I must equal 2H(R) = 2k (all reference entanglement is
-    preserved); for every potential erasure set of size d-1 it must vanish
-    (nothing leaks to qudits that may be lost).  All checks are exact
-    integer identities.
-    """
-    return _decoding_report(profile, failures_only=False)[0]
-
-
-def decoding_failures(profile: EntropyProfile) -> tuple[CheckReport, int]:
-    """``check_decoding_condition`` with only its failing checks, and the
-    number of checks it makes."""
-    return _decoding_report(profile, failures_only=True)
+        for at in np.flatnonzero(mutual != target):
+            text = f"{kind} I={list(group_indices(masks[at]))}: I(R;Q_I) = {mutual[at]}: {expected}"
+            failures.append(status_line(False, text))
+    return Check(not failures, f"decoding conditions for [[{n},{k},{d}]]_{p.q} ({count} checks)",
+                 tuple(failures))
 
 
 INEQUALITY_FAMILIES = (
@@ -319,7 +303,7 @@ _MEMBER = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1]])
 _MEMBER_PAIRS = (2 * _MEMBER[:, :, None] + _MEMBER[:, None, :]).reshape(5, 9)
 
 
-def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
+def check_entropy_inequalities(profile: EntropyProfile) -> Check:
     """Subadditivity, triangle, strong subadditivity, weak monotonicity.
 
     Runs over every assignment of the n + 1 atomic parts (R, Q1..Qn) to
@@ -388,18 +372,17 @@ def check_entropy_inequalities(profile: EntropyProfile) -> CheckReport:
             counts[family] += violated
 
     total = 3 ** (n + 1)
-    report = CheckReport(
-        f"entropy inequalities for [[{n},{p.k},{p.d}]]_{p.q}"
-    )
+    details = []
     for name, violated, assign in zip(INEQUALITY_FAMILIES, counts, first):
-        detail = f"{total} assignments, {violated} violations"
+        text = f"{name}: {total} assignments, {violated} violations"
         if violated:
-            detail += f"; first violating assignment {assign}"
-        report.add(name, not violated, detail)
-    return report
+            text += f"; first violating assignment {assign}"
+        details.append(status_line(not violated, text))
+    return Check(not any(counts), f"entropy inequalities for [[{n},{p.k},{p.d}]]_{p.q}",
+                 tuple(details))
 
 
-def product_state_checks(profile: EntropyProfile) -> CheckReport:
+def product_state_checks(profile: EntropyProfile) -> Check:
     """Product-state identities among small groups of coded qudits.
 
     Any group of at most k coded qudits is in a product state with any
@@ -414,7 +397,6 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
     p = profile.params
     n, k, d = p.n, p.k, p.d
     table = profile.table
-    report = CheckReport(f"product-state identities for [[{n},{k},{d}]]_{p.q}")
 
     first_masks = index_groups(n, range(k + 1))
     second_masks = index_groups(n, range(d))
@@ -437,27 +419,23 @@ def product_state_checks(profile: EntropyProfile) -> CheckReport:
             groups = group_indices(first_masks[start + at[0]]), group_indices(second_masks[at[1]])
             pair_first = (*groups, int(joint[at]), int(split[at]))
         pair_violations += violations
-    detail = f"{pair_count} disjoint pairs, {pair_violations} violations"
+    pair_text = (f"H(K1 u K2) = H(K1)+H(K2) for |K1| <= k, |K2| <= d-1 disjoint: "
+                 f"{pair_count} disjoint pairs, {pair_violations} violations")
     if pair_violations:
-        detail += f"; first: {pair_first}"
-    report.add(
-        "H(K1 u K2) = H(K1)+H(K2) for |K1| <= k, |K2| <= d-1 disjoint",
-        not pair_violations,
-        detail,
-    )
+        pair_text += f"; first: {pair_first}"
 
     singles = table[1 << np.arange(n)]
     members = (first_masks[:, None] >> np.arange(n)) & 1
     joint = table[first_masks]
     split = members @ singles
     bad = np.flatnonzero(joint != split)
-    detail = f"{first_masks.size} groups, {bad.size} violations"
+    group_text = (f"H(K) = sum_i H(Qi) for |K| <= k: "
+                  f"{first_masks.size} groups, {bad.size} violations")
     if bad.size:
         at = bad[0]
-        detail += f"; first: {(group_indices(first_masks[at]), int(joint[at]), int(split[at]))}"
-    report.add(
-        "H(K) = sum_i H(Qi) for |K| <= k",
-        not bad.size,
-        detail,
+        group_text += f"; first: {(group_indices(first_masks[at]), int(joint[at]), int(split[at]))}"
+    return Check(
+        not (pair_violations or bad.size),
+        f"product-state identities for [[{n},{k},{d}]]_{p.q}",
+        (status_line(not pair_violations, pair_text), status_line(not bad.size, group_text)),
     )
-    return report

@@ -1,42 +1,24 @@
-"""Pass/fail report containers shared by the verification suites, and the one
-status-line format that they and every section of ``qmds verify`` print in."""
+"""The check record every verification suite returns, and the one status-line
+format that it and every section of ``qmds verify`` print in."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-def _status_lines(ok: bool, header: str, details=()) -> list[str]:
-    """``[ok] header`` or ``[FAIL] header``, then each detail indented two spaces."""
-    return [f"[{'ok' if ok else 'FAIL'}] {header}", *("  " + line for line in details)]
+def status_line(ok: bool, text: str) -> str:
+    """``[ok] text`` or ``[FAIL] text``."""
+    return f"[{'ok' if ok else 'FAIL'}] {text}"
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check:
+    """One verified claim: its outcome, its title and its finished detail lines."""
 
-    def line(self) -> str:
-        header = f"{self.name}: {self.detail}" if self.detail else self.name
-        return _status_lines(self.passed, header)[0]
-
-
-@dataclass
-class CheckReport:
+    ok: bool
     title: str
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.results.append(CheckResult(name, passed, detail))
+    details: tuple[str, ...]
 
     def lines(self) -> list[str]:
-        """The report as ``qmds verify`` prints it: its status line, then one per result."""
-        return _status_lines(self.ok, self.title, [r.line() for r in self.results])
+        """The block ``qmds verify`` prints: the status line, then each detail indented."""
+        return [status_line(self.ok, self.title), *("  " + line for line in self.details)]

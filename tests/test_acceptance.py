@@ -26,6 +26,7 @@ from qmds import (
     von_neumann_entropy,
 )
 from qmds.cli import main
+from qmds.entropy import INEQUALITY_FAMILIES
 
 from conftest import REFERENCE_PARAMS, make_code
 
@@ -140,8 +141,9 @@ def test_criterion_5_proof_machinery_properties(capsys):
 
         inequalities = check_entropy_inequalities(profile)
         assert inequalities.ok, inequalities.lines()
-        for result in inequalities.results:
-            assert f"{3 ** (n + 1)} assignments, 0 violations" in result.detail
+        assert len(inequalities.details) == 4
+        for family, line in zip(INEQUALITY_FAMILIES, inequalities.details):
+            assert line.endswith(f"{family}: {3 ** (n + 1)} assignments, 0 violations")
 
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qmds
-from qmds import reporting
+from qmds import entropy
 from qmds.cli import build_parser, main
 from qmds.entropy import (
     check_decoding_condition,
@@ -370,13 +370,13 @@ class TestDecodingSummary:
 
     def test_passing_checks_build_no_result(self, capsys, monkeypatch):
         built = []
-        check_result = reporting.CheckResult
+        status_line = entropy.status_line
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             built.append(args)
-            return check_result(*args, **kwargs)
+            return status_line(*args)
 
-        monkeypatch.setattr(reporting, "CheckResult", counting)
+        monkeypatch.setattr(entropy, "status_line", counting)
         code_exit, out, _ = run_cli(
             capsys, "verify", "--n", "10", "--k", "2", "--d", "5", "--q", "11", "--oracle", "lemma"
         )
@@ -384,6 +384,9 @@ class TestDecodingSummary:
         # C(10, 6) recovery sets and C(10, 4) erasure sets
         assert "[ok] decoding conditions for [[10,2,5]]_11 (420 checks)\n" in out
         assert built == []
+        # the count sees the lines of failing checks: the control fails six
+        check_decoding_condition(full_profile(non_mds_control()))
+        assert len(built) == 6
 
     @pytest.mark.parametrize(
         "params, raise_at",
@@ -407,13 +410,26 @@ class TestDecodingSummary:
         monkeypatch.setattr(cli_module, "_load_code", lambda args: code)
         monkeypatch.setattr(cli_module, "full_profile", lambda code: profile)
         code_exit, out, _ = run_cli(capsys, "verify", "--oracle", "lemma")
-        report = check_decoding_condition(profile)
-        assert code_exit == 1 and report.failures()
+        # the reference: I(R;Q_I) = H(R) + H(Q_I) - H(R Q_I) per index set,
+        # read off the table by a plain loop over itertools.combinations
+        n, k, d, q = code.params.n, code.params.k, code.params.d, code.params.q
+        table = profile.table.tolist()
+        h_r = table[1 << n]
+        expected, count = [], 0
+        for kind, size, target, note in (
+            ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
+            ("no-leakage", d - 1, 0, "expected 0"),
+        ):
+            for group in itertools.combinations(range(1, n + 1), size):
+                qmask = sum(1 << (i - 1) for i in group)
+                mutual = h_r + table[qmask] - table[1 << n | qmask]
+                count += 1
+                if mutual != target:
+                    expected.append(f"  [FAIL] {kind} I={list(group)}: I(R;Q_I) = {mutual}: {note}")
+        assert code_exit == 1 and expected
         lines = out.splitlines()
-        header = lines.index(f"[FAIL] {report.title} ({len(report.results)} checks)")
-        failures = lines[header + 1 : header + 1 + len(report.failures())]
-        assert failures == ["  " + result.line() for result in report.failures()]
-        assert lines[header + 1 + len(failures)] == "result: FAIL"
+        header = lines.index(f"[FAIL] decoding conditions for [[{n},{k},{d}]]_{q} ({count} checks)")
+        assert lines[header + 1 :] == [*expected, "result: FAIL"]
 
 
 class TestCoercedInputRejected:

@@ -18,6 +18,7 @@ from qmds import (
 )
 from qmds import code as code_module, linalg
 from qmds.code import _check_index_set, group_indices, index_groups
+from qmds.reporting import Check, status_line
 
 from conftest import DESK_PARAMS, make_code, non_mds_control
 
@@ -252,7 +253,7 @@ class TestValidate:
     def test_reference_codes_pass(self, params):
         report = validate(make_code(*params))
         assert report.ok
-        assert all(r.passed for r in report.results)
+        assert report.details == ()
 
     def test_check_counts(self):
         import math
@@ -260,12 +261,13 @@ class TestValidate:
         code = make_code(5, 1, 3, 5)
         report = validate(code)
         expected = 4 + math.comb(5, 3) + math.comb(5, 2)
-        assert len(report.results) == expected
+        assert report.title == f"validation of [[5,1,3]]_5 ({expected} checks)"
 
     def test_report_lines_open_with_the_status_line(self):
         good, bad = validate(make_code(3, 1, 2, 3)), validate(forged_non_mds_code())
         assert good.lines()[0] == f"[ok] {good.title}"
-        assert bad.lines() == [f"[FAIL] {bad.title}", *("  " + r.line() for r in bad.results)]
+        assert bad.details
+        assert bad.lines() == [f"[FAIL] {bad.title}", *("  " + line for line in bad.details)]
 
     def test_tampered_code_fails_distinctness(self):
         # forge an object with a duplicated evaluation point, bypassing the
@@ -277,8 +279,18 @@ class TestValidate:
         bad.alphas = (0, 1, 1)
         report = validate(bad)
         assert not report.ok
-        failing = [r.name for r in report.failures()]
-        assert "evaluation points distinct" in failing
+        assert "[FAIL] evaluation points distinct: alphas=[0, 1, 1]" in report.details
+
+
+def failing_minor_lines(code):
+    """The status lines ``validate`` prints for the failing ``per_minor_lines``."""
+    return [status_line(False, name) for name, passed in per_minor_lines(code) if not passed]
+
+
+def validation_title(code):
+    """``validate``'s title: four whole-code checks, then one per minor."""
+    p = code.params
+    return f"validation of [[{p.n},{p.k},{p.d}]]_{p.q} ({4 + len(per_minor_lines(code))} checks)"
 
 
 def per_minor_lines(code):
@@ -309,22 +321,22 @@ class TestValidateMinorTable:
     def test_desk_codes_match_per_minor_ranks(self, params):
         code = make_code(*params)
         report = validate(code)
-        assert [(r.name, r.passed) for r in report.results[4:]] == per_minor_lines(code)
-        assert report.ok
+        assert report == Check(True, validation_title(code), ())
+        assert failing_minor_lines(code) == []
 
     def test_repeated_points_fail_the_same_minors(self):
         code = forged_non_mds_code()
         report = validate(code)
-        expected = per_minor_lines(code)
-        assert [(r.name, r.passed) for r in report.results[4:]] == expected
-        failing = [r.name for r in report.failures()]
+        expected = failing_minor_lines(code)
+        assert report.details == ("[FAIL] evaluation points distinct: alphas=[0, 1, 2, 3, 3]",
+                                  *expected)
+        assert report.title == validation_title(code)
         # a minor fails exactly when it holds both copies of the point 3
-        assert "evaluation points distinct" in failing
-        assert "AB columns [1, 4, 5] invertible" in failing
-        assert "B columns [4, 5] invertible" in failing
-        assert len(failing) == 1 + 3 + 1
-        # JSON-ready Python bools, not numpy ones
-        assert {type(r.passed) for r in report.results} == {bool}
+        assert "[FAIL] AB columns [1, 4, 5] invertible" in expected
+        assert "[FAIL] B columns [4, 5] invertible" in expected
+        assert len(expected) == 3 + 1
+        # a Python bool, not a numpy one
+        assert type(report.ok) is bool
 
     def test_past_the_mask_guard_is_refused(self, monkeypatch):
         # 2^19 column subsets of AB; [[19,1,10]] once took C(19,10) eliminations.

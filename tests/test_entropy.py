@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 import types
@@ -27,7 +28,8 @@ from qmds import (
     von_neumann_entropy,
 )
 
-from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, decoding_failures, entropy_table
+from qmds.entropy import INEQUALITY_FAMILIES, EntropyProfile, entropy_table
+from qmds.reporting import Check, status_line
 
 from conftest import (
     DESK_PARAMS,
@@ -302,11 +304,11 @@ class TestChecks:
         assert check_decoding_condition(profile).ok
 
     def test_decoding_condition_check_counts(self):
-        import math
-
         profile = full_profile(make_code(5, 1, 3, 5))
         report = check_decoding_condition(profile)
-        assert len(report.results) == math.comb(5, 3) + math.comb(5, 2)
+        count = math.comb(5, 3) + math.comb(5, 2)
+        assert report.title == f"decoding conditions for [[5,1,3]]_5 ({count} checks)"
+        assert report.details == ()
 
     def test_inequalities_pass_on_desk_codes(self, desk_codes):
         for code in desk_codes:
@@ -318,9 +320,9 @@ class TestChecks:
     def test_inequality_assignment_count(self):
         profile = full_profile(make_code(3, 1, 2, 3))
         report = check_entropy_inequalities(profile)
-        assert len(report.results) == 4
-        for result in report.results:
-            assert "81 assignments" in result.detail
+        assert len(report.details) == 4
+        for line in report.details:
+            assert "81 assignments" in line
 
     def test_product_state_identities(self):
         profile_3 = full_profile(make_code(3, 1, 2, 3))
@@ -467,6 +469,17 @@ def brute_force_inequalities(profile):
     return {name: (len(v), v[0] if v else None) for name, v in found.items()}
 
 
+def inequality_lines(expected, total):
+    """The status lines of ``brute_force_inequalities``' counts, one per family."""
+    lines = []
+    for name, (count, first) in expected.items():
+        text = f"{name}: {total} assignments, {count} violations"
+        if count:
+            text += f"; first violating assignment {first}"
+        lines.append(status_line(not count, text))
+    return tuple(lines)
+
+
 def fabricated_profile(raise_at, params=(5, 1, 3, 5)):
     """A valid code's profile with the entropy at each (R flag, Q indices)
     raised by one; the result breaks the size-pyramid law."""
@@ -478,8 +491,8 @@ def fabricated_profile(raise_at, params=(5, 1, 3, 5)):
     return EntropyProfile(profile.params, profile.alphas, table)
 
 
-def brute_force_product_details(profile):
-    """Detail lines of the two product-state checks, by the plain loops over
+def brute_force_product_lines(profile):
+    """Status lines of the two product-state checks, by the plain loops over
     itertools.combinations and a dict of the profile table."""
     p = profile.params
     n, k, d = p.n, p.k, p.d
@@ -497,7 +510,8 @@ def brute_force_product_details(profile):
                     count += 1
                     if H(first + second) != H(first) + H(second):
                         pairs.append((first, second, H(first + second), H(first) + H(second)))
-    pair_detail = f"{count} disjoint pairs, {len(pairs)} violations"
+    pair_detail = (f"H(K1 u K2) = H(K1)+H(K2) for |K1| <= k, |K2| <= d-1 disjoint: "
+                   f"{count} disjoint pairs, {len(pairs)} violations")
     if pairs:
         pair_detail += f"; first: {pairs[0]}"
     sums, count = [], 0
@@ -507,10 +521,10 @@ def brute_force_product_details(profile):
             split = sum(H((i,)) for i in group)
             if H(group) != split:
                 sums.append((group, H(group), split))
-    sum_detail = f"{count} groups, {len(sums)} violations"
+    sum_detail = f"H(K) = sum_i H(Qi) for |K| <= k: {count} groups, {len(sums)} violations"
     if sums:
         sum_detail += f"; first: {sums[0]}"
-    return [pair_detail, sum_detail]
+    return (status_line(not pairs, pair_detail), status_line(not sums, sum_detail))
 
 
 class TestNegativeControls:
@@ -526,7 +540,7 @@ class TestNegativeControls:
         profile = fabricated_profile(raise_at, params)
         report = product_state_checks(profile)
         assert not report.ok
-        assert [r.detail for r in report.results] == brute_force_product_details(profile)
+        assert report.details == brute_force_product_lines(profile)
 
     @pytest.mark.parametrize("sweep_digits", [8, 3, 2])
     @pytest.mark.parametrize(
@@ -537,15 +551,8 @@ class TestNegativeControls:
         monkeypatch.setattr(entropy, "SWEEP_DIGITS", sweep_digits)
         profile = fabricated_profile(raise_at)
         report = check_entropy_inequalities(profile)
-        expected = brute_force_inequalities(profile)
         assert not report.ok
-        for result in report.results:
-            count, first = expected[result.name]
-            detail = f"729 assignments, {count} violations"
-            if count:
-                detail += f"; first violating assignment {first}"
-            assert result.detail == detail
-            assert result.passed == (count == 0)
+        assert report.details == inequality_lines(brute_force_inequalities(profile), 729)
 
     @pytest.mark.parametrize(
         "params, raise_at, uneven",
@@ -564,11 +571,11 @@ class TestNegativeControls:
         rows = 3**uneven // seconds
         assert rows > 1 and firsts % rows, "the chunks must split the K1 groups unevenly"
         profile = fabricated_profile(raise_at, params)
-        expected = brute_force_product_details(profile)
+        expected = brute_force_product_lines(profile)
         # a bound of 3^0 = 1 cell leaves one K1 group per chunk
         for block_digits in (0, uneven):
             monkeypatch.setattr(entropy, "BLOCK_DIGITS", block_digits)
-            assert [r.detail for r in product_state_checks(profile).results] == expected
+            assert product_state_checks(profile).details == expected
 
     @pytest.mark.parametrize("raise_at", [[], [(False, (2, 7)), (False, (5,))]])
     def test_product_chunks_match_one_broadcast(self, monkeypatch, raise_at):
@@ -584,12 +591,12 @@ class TestNegativeControls:
         profile = fabricated_profile([(False, (2,)), (False, (3,))], params=(6, 2, 3, 7))
         assert [profile.labels(mask) for mask in profile.mismatches()] == [("Q2",), ("Q3",)]
         report = product_state_checks(profile)
-        pair, group = report.results
-        assert not pair.passed and not group.passed
+        pair, group = report.details
+        assert pair.startswith("[FAIL] ") and group.startswith("[FAIL] ")
         # groups run by size, then lexicographically.  K1 = () always holds;
         # the first violation is K1 = (1,), K2 = (2,): H(Q1 Q2) = 2 vs 1 + 2
-        assert pair.detail.endswith("violations; first: ((1,), (2,), 2, 3)")
-        assert group.detail.endswith("violations; first: ((1, 2), 2, 3)")
+        assert pair.endswith("violations; first: ((1,), (2,), 2, 3)")
+        assert group.endswith("violations; first: ((1, 2), 2, 3)")
 
 
 # int8 holds every sum and difference of two entries in [-64, 63]; 64 and
@@ -617,14 +624,7 @@ class TestInequalitySweep:
         expected = brute_force_inequalities(profile)
         with mock.patch.object(entropy, "SWEEP_DIGITS", sweep_digits):
             report = check_entropy_inequalities(profile)
-        total = 3 ** (params[0] + 1)
-        for result in report.results:
-            count, first = expected[result.name]
-            detail = f"{total} assignments, {count} violations"
-            if count:
-                detail += f"; first violating assignment {first}"
-            assert result.detail == detail
-            assert result.passed == (count == 0)
+        assert report.details == inequality_lines(expected, 3 ** (params[0] + 1))
 
     def test_first_violation_past_the_first_block(self, monkeypatch):
         # blocks of 3^2 share the leading four digits; every first violation
@@ -634,12 +634,7 @@ class TestInequalitySweep:
         expected = brute_force_inequalities(profile)
         firsts = [first for count, first in expected.values() if count]
         assert len(firsts) == 3 and all(first[:4] != (0, 0, 0, 0) for first in firsts)
-        for result in check_entropy_inequalities(profile).results:
-            count, first = expected[result.name]
-            detail = f"729 assignments, {count} violations"
-            if count:
-                detail += f"; first violating assignment {first}"
-            assert result.detail == detail
+        assert check_entropy_inequalities(profile).details == inequality_lines(expected, 729)
 
     def test_default_blocks_find_a_violation_in_the_last_block(self, monkeypatch):
         # at n = 10 the default sweep runs three blocks, one per digit of R;
@@ -647,7 +642,9 @@ class TestInequalitySweep:
         profile = fabricated_profile([(False, (1, 2))], params=(10, 2, 5, 11))
         report = check_entropy_inequalities(profile)
         first = "first violating assignment (2, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2)"
-        assert report.results[0].detail == f"177147 assignments, 2 violations; {first}"
+        assert report.details[0] == (
+            f"[FAIL] subadditivity H(AB) <= H(A)+H(B): 177147 assignments, 2 violations; {first}"
+        )
         table = profile.table
         # A = {Q1} (bit 0), B = {Q2} (bit 1)
         assert table[0b11] > table[0b01] + table[0b10]
@@ -666,8 +663,11 @@ class TestGroupsDecodedWherePrinted:
             raise AssertionError(f"mask {mask} decoded for no printed line")
 
         monkeypatch.setattr(entropy, "group_indices", refuse)
-        failures, checks = decoding_failures(profile)
-        assert failures.ok and not failures.results and checks
+        decoding = check_decoding_condition(profile)
+        n, k, d, q = params
+        count = math.comb(n, d - 1) + math.comb(n, n - d + 1)
+        title = f"decoding conditions for [[{n},{k},{d}]]_{q} ({count} checks)"
+        assert decoding == Check(True, title, ())
         assert product_state_checks(profile).ok
 
     def test_negative_control_prints_its_indices(self, monkeypatch):
@@ -679,10 +679,9 @@ class TestGroupsDecodedWherePrinted:
             return group_indices(mask)
 
         monkeypatch.setattr(entropy, "group_indices", recording)
-        failures, _ = decoding_failures(profile)
-        assert [r.name for r in failures.results] == ["no-leakage I=[1, 3]: I(R;Q_I) = 1"]
-        product = product_state_checks(profile)
-        assert [r.detail for r in product.results] == brute_force_product_details(profile)
+        decoding = check_decoding_condition(profile)
+        assert decoding.details == ("[FAIL] no-leakage I=[1, 3]: I(R;Q_I) = 1: expected 0",)
+        assert product_state_checks(profile).details == brute_force_product_lines(profile)
         # the failing erasure set, the first violating pair's two groups and
         # the first violating group
         assert len(decoded) == 4
@@ -697,14 +696,14 @@ class TestNonMdsControl:
         assert ("Q4", "Q5") in [profile.labels(mask) for mask in profile.mismatches()]
         decoding = check_decoding_condition(profile)
         assert not decoding.ok
-        assert len(decoding.failures()) == 6
+        assert len(decoding.details) == 6
         assert not product_state_checks(profile).ok
 
     def test_inequalities_still_hold(self):
         # they hold for every quantum state, MDS or not
         report = check_entropy_inequalities(full_profile(non_mds_control()))
         assert report.ok
-        assert [r.passed for r in report.results] == [True] * 4
+        assert [line.startswith("[ok] ") for line in report.details] == [True] * 4
 
     def test_oracles_agree_off_the_diagonal(self, monkeypatch):
         code = non_mds_control()
