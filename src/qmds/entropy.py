@@ -27,8 +27,10 @@ table (index 2 * Q-bitmask + R) is put in R * 2^n + Q-bitmask order by
 one reshape-transpose.  The table's last rank is rank(G) and must equal
 m.  The profile is that table, one int8 per subsystem; sizes, expected
 values and JSON rows are derived from its masks on demand.  Every entry
-lies in [0, m], and m <= n, which MAX_MASKS bounds, so the suites' int8
-sums and differences of two or three entries cannot wrap.  The check
+lies in [0, m], and m <= n, which MAX_MASKS bounds.  A profile stores
+any integer table as int8 when every entry lies in [-42, 42], and as
+int64 otherwise, so the suites' sums and differences of two or three
+entries cannot wrap.  The check
 suites (size pyramid H(S) = min(|S|, (k + n) - |S|), decoding /
 no-leakage conditions, product-state identities and the standard quantum
 entropy inequalities) all index it,
@@ -38,8 +40,7 @@ array passes.  The inequality sweep over all 3^(n+1) assignments of the
 parts to A, B, C views the table as one 2 x ... x 2 tensor, an axis per
 part, and expands it per block for A, B, C, A u B and B u C by ``np.take``
 along its axes, with no per-entry index (H(ABC) is the table's last entry,
-a constant), from an int8 copy of the table when every entry lies in
-[-64, 63].
+a constant).
 """
 
 from __future__ import annotations
@@ -179,8 +180,18 @@ class EntropyProfile:
     register_table: NDArray[np.integer] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.table.shape != (1 << (self.params.n + 1),):
+        table = np.asarray(self.table)
+        if table.dtype.kind not in "iu":
+            raise ValueError(f"entropy table must hold integers: got dtype {table.dtype}")
+        if table.shape != (1 << (self.params.n + 1),):
             raise ValueError(f"entropy table must have 2^(n+1) = {2 << self.params.n} entries")
+        # the suites compute in the stored dtype, and no sum or difference of
+        # three entries may wrap: 3 x 42 <= 127 in int8
+        low, high = int(table.min()), int(table.max())
+        bound = ((1 << 63) - 1) // 3
+        if low < -bound or high > bound:
+            raise ValueError(f"entropy table entries must lie within +-{bound}: got {low}..{high}")
+        self.table = table.astype(np.int8 if -42 <= low and high <= 42 else np.int64, copy=False)
 
     def sizes(self) -> NDArray[np.int8]:
         """Qudit count per table index: k * R + popcount(Q-bitmask), in int8.
@@ -325,17 +336,12 @@ def check_entropy_inequalities(profile: EntropyProfile) -> Check:
     at a time (4 bit pairs to 9 digit pairs), innermost first; the result
     is in ``itertools.product`` order, with no per-entry index.  A u B u C is
     every part, so H(ABC) is the table's last entry, one constant.
-    ``values`` is the table in int8 (a profile's own table already is)
-    when every entry lies in [-64, 63]: each family compares a sum or
-    difference of two entries with an entry or another such sum, and those
-    lie in [-128, 126] and [-127, 127], inside int8.  A table with any
-    other entry is widened to int64, whatever its own dtype.
+    Each family compares a sum or difference of two entries with an entry
+    or another such sum, in the table's own dtype, which holds them.
     """
     p = profile.params
     n = p.n
-    values = np.asarray(profile.table)
-    narrow = -64 <= values.min() and values.max() <= 63
-    values = values.astype(np.int8 if narrow else np.int64, copy=False)
+    values = profile.table
     habc = values[-1]
     # axis 0 is R (bit n) and axis i is Q_i (bit i - 1), so the last axis
     # is contiguous

@@ -15,19 +15,18 @@ The table's reduction is batched by register count, in chunks whose
 kept-key arrays (masks x rows x 8 bytes) stay within KEY_BUDGET, or hold
 one mask where that alone is larger; its other temporaries are no
 larger.  Kept keys come by Horner's rule over a register-major copy of
-the digits, and a chunk's diagonals from one offset bincount.  On a
-state with one weight per row, as encode_state builds, it counts rows in
-integers, so the trace is exact and a flat diagonal (one count in every
-bin) has entropy s, no log per entry; other states sum |amp|^2 and
-end as the per-mask path does.  Both paths read a flat diagonal by one
-helper, so they agree bit for bit when rho is diagonal.  No environment
-key is built: a diagonal with one row per bin shows its register set
-injective, so is any register set holding it, and a side is diagonal
-when its complement is injective, as on every side of an MDS state (each
-R-atomic set of half the registers is maximally mixed, so injective).
-Any other side takes the per-mask path, which sorts its environment keys
-to test them distinct; so does von_neumann_entropy, which has no table
-to certify from.
+the digits, and a chunk's diagonals from one offset bincount that counts
+rows.  It runs only on a state with one weight per row, as encode_state
+builds, so the trace N w is checked once and exactly, and a flat
+diagonal (one count in every bin) has entropy s, no log per entry.  No
+environment key is built: a diagonal with one row per bin shows its
+register set injective, so is any register set holding it, and a side is
+diagonal when its complement is injective, as on every side of an MDS
+state (each R-atomic set of half the registers is maximally mixed, so
+injective).  Any other side, and every side of a state without a common
+weight, takes the per-mask path, which sorts its environment keys to
+test them distinct; so does von_neumann_entropy, which has no table to
+certify from.
 
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
@@ -162,11 +161,10 @@ class StateVector:
         )
 
 
-def _check_trace(traces) -> None:
-    """Refuse a trace, or an array of traces, more than TRACE_TOL from 1."""
-    off = np.ravel(traces)[np.ravel(np.abs(traces - 1.0) > TRACE_TOL)]
-    if off.size:
-        raise ValueError(f"trace must be 1: got {complex(off[0])}")
+def _check_trace(trace) -> None:
+    """Refuse a trace more than TRACE_TOL from 1."""
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace must be 1: got {complex(trace)}")
 
 
 def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
@@ -271,14 +269,6 @@ def _clamp(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _entropies(spectra: np.ndarray, q: int) -> np.ndarray:
-    """-sum(lam log_q lam) over the last axis of positive ``spectra``, in their order."""
-    terms = np.log(spectra)
-    terms /= np.log(q)
-    terms *= spectra
-    return -terms.sum(axis=-1)
-
-
 def hermitian_eigenvalues(rho) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix.
 
@@ -324,12 +314,13 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     """Entropies of all 2^(n+1) R-atomic subsystems, indexed R * 2^n + Q-bitmask.
 
     The twin of ``entropy.entropy_table``, with R the reference block.  A
-    subsystem no larger than its complement is reduced, all those of one
-    register count in one batch; a larger one takes its complement's entry.
-    The batch keeps a subsystem's value when its diagonal is full (and
-    flat, if counted) and its complement holds a batch-reduced subset with
-    one row per bin: the support is injective on it, hence on the
-    complement, so rho is that diagonal.  Any other takes the per-mask path.
+    subsystem no larger than its complement is reduced; a larger one takes
+    its complement's entry.  On a state with one weight per row, all
+    subsystems of one register count are counted in one batch, and one of
+    s registers reads s when its diagonal is flat and its complement holds
+    a counted subset with one row per bin: the support is injective on it,
+    hence on the complement, so rho is that diagonal.  Any other takes the
+    per-mask path.
     """
     k, total = psi.num_ref, psi.num_registers
     if k == 0:
@@ -342,76 +333,62 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     groups = [np.flatnonzero(sizes == size) for size in range(1, total // 2 + 1)]
     kept = [np.nonzero(member[masks])[1].reshape(masks.size, size)
             for size, masks in enumerate(groups, start=1)]
-    # one register per row: keys gather whole registers, which a strided
-    # view of the row-major digits makes about 1.5 times as slow
-    registers = np.ascontiguousarray(psi.digits.T)
-    weights = np.abs(psi.amplitudes) ** 2
-    # one weight per row: the batch counts rows; each trace is N w
-    if weights.min() == weights.max():
-        weights = weights[0]
-        _check_trace(rows * weights)
-    per_chunk = max(1, KEY_BUDGET // (8 * rows))
-    table = np.full(full + 1, np.nan)
-    table[[0, full]] = 0.0
+    table = np.zeros(full + 1)
+    flat = np.zeros(full + 1, dtype=bool)
     injective = np.zeros(full + 1, dtype=bool)
-    for masks, positions in zip(groups, kept):
-        # a diagonal over fewer rows than q^s kept keys cannot reach them all
-        if q ** positions.shape[1] > rows:
-            continue
-        for start in range(0, len(masks), per_chunk):
-            chunk = slice(start, start + per_chunk)
-            table[masks[chunk]], injective[masks[chunk]] = _diagonal_entropies(
-                q, registers, weights, positions[chunk]
-            )
+    # one weight per row: the batch counts rows, and the trace is N w
+    if np.ptp(np.abs(psi.amplitudes) ** 2) == 0:
+        _check_trace(rows * abs(psi.amplitudes[0]) ** 2)
+        # one register per row: keys gather whole registers, which a strided
+        # view of the row-major digits makes about 1.5 times as slow
+        registers = np.ascontiguousarray(psi.digits.T)
+        per_chunk = max(1, KEY_BUDGET // (8 * rows))
+        for masks, positions in zip(groups, kept):
+            # a diagonal over fewer rows than q^s kept keys cannot reach them all
+            if q ** positions.shape[1] > rows:
+                continue
+            for start in range(0, len(masks), per_chunk):
+                chunk = slice(start, start + per_chunk)
+                flat[masks[chunk]], injective[masks[chunk]] = _diagonal_counts(
+                    q, registers, positions[chunk]
+                )
     # a register set holding an injective one is injective
     for bit in range(total - k + 1):
         halves = injective.reshape(-1, 2, 1 << bit)
         halves[:, 1] |= halves[:, 0]
     for size, (masks, positions) in enumerate(zip(groups, kept), start=1):
         # masks run 0..full, so the complement full ^ mask is full - mask
-        for i in np.flatnonzero(np.isnan(table[masks]) | ~injective[full - masks]):
+        certified = flat[masks] & injective[full - masks]
+        table[masks[certified]] = size
+        for i in np.flatnonzero(~certified):
             table[masks[i]] = _entropy(psi, positions[i].tolist())
         if 2 * size < total:
             table[full - masks] = table[masks]
     return table
 
 
-def _diagonal_entropies(q: int, registers: np.ndarray, weights,
-                        kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal entropies of one chunk's subsets, and whether each is injective.
+def _diagonal_counts(q: int, registers: np.ndarray,
+                     kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of one chunk's subsets has a flat diagonal, and whether it is injective.
 
     Row i of ``kept`` holds s ascending register positions, binned at
-    i * q^s + kept key.  Given one weight, whose trace N w the caller
-    checks, bins count rows: each diagonal must count all N, and one with
-    no bin above 1 is injective.  Given the rows' |amp|^2, bins sum them in
-    row order, as _reduce's do; N nonzero bins show a diagonal injective,
-    and a full one ends as the per-mask path does.  A flat diagonal reads
-    log_q q^s either way; others get NaN.
+    i * q^s + kept key, and each bin counts rows; each diagonal must count
+    all N.  A diagonal is flat with one count in every bin, and injective
+    with no bin above 1.
     """
     width, rows = q ** kept.shape[1], registers.shape[1]
-    bins, common = len(kept) * width, np.ndim(weights) == 0
+    bins = len(kept) * width
     keys = _horner(registers, kept, q)
     keys += np.arange(0, bins, width)[:, None]
     # a key past its row's bins lands in the next row's or is dropped, so
     # some row counts fewer than N
-    diagonals = np.bincount(keys.ravel(), None if common else np.tile(weights, len(kept)), bins)
-    diagonals = diagonals[:bins].reshape(len(kept), width)
+    diagonals = np.bincount(keys.ravel(), None, bins)[:bins].reshape(len(kept), width)
     del keys
-    low, high = diagonals.min(axis=1), diagonals.max(axis=1)
-    values = np.full(len(kept), np.nan)
-    if common:
-        counts = diagonals.sum(axis=1)
-        if np.any(counts != rows):
-            raise ValueError(f"a diagonal must count all {rows} rows: got {counts.min()}")
-        injective = high == 1
-    else:
-        nonzero = np.count_nonzero(diagonals, axis=1)
-        full, injective = nonzero == width, nonzero == rows
-        _check_trace(diagonals[full].sum(axis=1))
-        # every entry is a nonzero sum of |amp|^2, so the spectrum is positive
-        values[full] = _entropies(_clamp(diagonals[full]), q)
-    values[low == high] = _flat_entropy(width, q)
-    return values, injective
+    counts = diagonals.sum(axis=1)
+    if np.any(counts != rows):
+        raise ValueError(f"a diagonal must count all {rows} rows: got {counts.min()}")
+    high = diagonals.max(axis=1)
+    return diagonals.min(axis=1) == high, high == 1
 
 
 def _flat_entropy(bins: int, q: int) -> float:
@@ -427,10 +404,14 @@ def _entropy(psi: StateVector, positions: list[int]) -> float:
     if np.any(values < -EIGENVALUE_CLAMP):
         raise ValueError(f"reduced state has eigenvalue {float(values.min())} below -1e-10")
     values = values[values > 0.0]
-    # flat diagonals end as in the batch
+    # a flat diagonal reads log_q of its count, as the table's batch reads s
     if rho.ndim == 1 and values.min() == values.max():
         return _flat_entropy(values.size, psi.q)
-    return float(_entropies(values, psi.q))
+    # -sum(lam log_q lam), in the spectrum's order
+    terms = np.log(values)
+    terms /= np.log(psi.q)
+    terms *= values
+    return float(-terms.sum())
 
 
 def _decode_block(code: QuantumMdsCode, idx: list[int], values: np.ndarray) -> np.ndarray:

@@ -308,11 +308,11 @@ class TestVerify:
         from qmds import sim
 
         reduced, tables = [], []
-        diagonals, reduce, entropy_table = sim._diagonal_entropies, sim._reduce, sim.entropy_table
+        diagonals, reduce, entropy_table = sim._diagonal_counts, sim._reduce, sim.entropy_table
 
-        def batched(q, registers, weights, kept):
+        def batched(q, registers, kept):
             reduced.extend(map(tuple, kept.tolist()))
-            return diagonals(q, registers, weights, kept)
+            return diagonals(q, registers, kept)
 
         def per_mask(psi, positions):
             reduced.append(tuple(positions))
@@ -322,7 +322,7 @@ class TestVerify:
             tables.append(entropy_table(psi))
             return tables[-1]
 
-        monkeypatch.setattr(sim, "_diagonal_entropies", batched)
+        monkeypatch.setattr(sim, "_diagonal_counts", batched)
         monkeypatch.setattr(sim, "_reduce", per_mask)
         monkeypatch.setattr(sim, "entropy_table", recording)
         code_exit, out, _ = run_cli(

@@ -599,28 +599,54 @@ class TestNegativeControls:
         assert group.endswith("violations; first: ((1, 2), 2, 3)")
 
 
-# int8 holds every sum and difference of two entries in [-64, 63]; 64 and
-# -65 lie outside that range and send the sweep to the int64 table
-EDGE_ENTRIES = [-64, 63]
-WIDE_ENTRIES = [-65, 64]
+# int8 holds every sum and difference of three entries in [-42, 42]; -43,
+# 43 and the int8 extremes lie outside that range and make the profile
+# store an int64 table
+EDGE_ENTRIES = [-42, 42]
+WIDE_ENTRIES = [-128, -127, -43, 43, 127]
+
+
+def drawn_profile(params, wide, data):
+    """A valid code's profile with random entries overridden, the int8
+    edge entries among them, and the wide ones when ``wide``."""
+    profile = full_profile(make_code(*params))
+    entries = EDGE_ENTRIES + WIDE_ENTRIES * wide
+    values = st.one_of(st.integers(-3, 6), st.sampled_from(entries))
+    table = profile.table.copy()
+    overrides = data.draw(st.dictionaries(st.integers(0, table.size - 1), values))
+    table[list(overrides)] = list(overrides.values())
+    return EntropyProfile(profile.params, profile.alphas, table)
+
+
+def brute_force_decoding_lines(profile):
+    """The failure lines of the decoding check, by itertools.combinations
+    and Python ints over the profile table."""
+    p = profile.params
+    n, k, d = p.n, p.k, p.d
+    h, r = profile.table.tolist(), 1 << n
+    lines = []
+    for kind, size, target, expected in (
+        ("recovery", n - (d - 1), 2 * k, f"expected 2k = {2 * k}"),
+        ("no-leakage", d - 1, 0, "expected 0"),
+    ):
+        for group in itertools.combinations(range(1, n + 1), size):
+            mask = sum(1 << (i - 1) for i in group)
+            mutual = h[r] + h[mask] - h[r | mask]
+            if mutual != target:
+                text = f"{kind} I={list(group)}: I(R;Q_I) = {mutual}: {expected}"
+                lines.append(status_line(False, text))
+    return tuple(lines)
+
+
+RANDOM_TABLE_PARAMS = [p for p in DESK_PARAMS if p[0] <= 5]
 
 
 class TestInequalitySweep:
     @pytest.mark.parametrize("sweep_digits", [1, 2, 3, 8])
     @settings(max_examples=40, deadline=None)
-    @given(
-        params=st.sampled_from([p for p in DESK_PARAMS if p[0] <= 5]),
-        wide=st.booleans(),
-        data=st.data(),
-    )
+    @given(params=st.sampled_from(RANDOM_TABLE_PARAMS), wide=st.booleans(), data=st.data())
     def test_random_tables_match_brute_force(self, sweep_digits, params, wide, data):
-        profile = full_profile(make_code(*params))
-        entries = EDGE_ENTRIES + WIDE_ENTRIES * wide
-        values = st.one_of(st.integers(-3, 6), st.sampled_from(entries))
-        table = profile.table.copy()
-        overrides = data.draw(st.dictionaries(st.integers(0, table.size - 1), values))
-        table[list(overrides)] = list(overrides.values())
-        profile = EntropyProfile(profile.params, profile.alphas, table)
+        profile = drawn_profile(params, wide, data)
         expected = brute_force_inequalities(profile)
         with mock.patch.object(entropy, "SWEEP_DIGITS", sweep_digits):
             report = check_entropy_inequalities(profile)
@@ -650,6 +676,75 @@ class TestInequalitySweep:
         assert table[0b11] > table[0b01] + table[0b10]
         monkeypatch.setattr(entropy, "SWEEP_DIGITS", 11)
         assert check_entropy_inequalities(profile).lines() == report.lines()
+
+
+class TestTableWidth:
+    """A profile stores its table in int8 only where no sum or difference of
+    three entries can wrap, and every suite computes in that dtype."""
+
+    @pytest.mark.parametrize(
+        "entries, dtype",
+        [([-42, 42], np.int8), ([-43, 0], np.int64), ([0, 43], np.int64), ([0, 127], np.int64)],
+    )
+    def test_dtype_follows_the_entries(self, entries, dtype):
+        profile = full_profile(make_code(3, 1, 2, 3))
+        for given_dtype in (np.int8, np.int64):
+            table = profile.table.astype(given_dtype)
+            table[[1, 2]] = entries
+            stored = EntropyProfile(profile.params, profile.alphas, table).table
+            assert stored.dtype == dtype
+            assert stored.tolist() == table.tolist()
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            # H(Q1) = 1.9 would pass as 1 once cast to an integer table
+            (np.where(np.arange(16) == 1, 1.9, 0.0), "must hold integers: got dtype float64"),
+            (np.zeros(16, dtype=bool), "must hold integers: got dtype bool"),
+            (np.full(16, 2**63, dtype=np.uint64), "must lie within"),
+            (np.full(16, -(2**62), dtype=np.int64), "must lie within"),
+        ],
+        ids=["float", "bool", "past-int64", "past-a-third-of-int64"],
+    )
+    def test_table_that_cannot_be_held_exactly_is_refused(self, table, message):
+        params = make_code(3, 1, 2, 3).params
+        with pytest.raises(ValueError, match=message):
+            EntropyProfile(params, (), table)
+
+    def test_wrapped_mutual_information_fails_recovery(self):
+        # I(R;Q_I) = 100 + 100 + 58 = 258 on every recovery set, which int8
+        # would wrap to 2 = 2k; each no-leakage set gives 100 + 0 - 100 = 0
+        profile = full_profile(make_code(3, 1, 2, 3))
+        table = profile.table.copy()
+        table[0b1000] = 100
+        table[index_groups(3, [2])] = 100
+        table[index_groups(3, [2]) | 0b1000] = -58
+        table[index_groups(3, [1])] = 0
+        table[index_groups(3, [1]) | 0b1000] = 100
+        report = check_decoding_condition(EntropyProfile(profile.params, profile.alphas, table))
+        assert not report.ok
+        assert report.details == tuple(
+            status_line(False, f"recovery I={group}: I(R;Q_I) = 258: expected 2k = 2")
+            for group in ([1, 2], [1, 3], [2, 3])
+        )
+
+    def test_wrapped_product_pair_fails(self):
+        # H(Q1) + H(Q2) = 200, which int8 would wrap to -56 = H(Q1 Q2)
+        profile = full_profile(make_code(3, 1, 2, 3))
+        table = profile.table.copy()
+        table[[0b001, 0b010, 0b011]] = [100, 100, -56]
+        profile = EntropyProfile(profile.params, profile.alphas, table)
+        report = product_state_checks(profile)
+        assert not report.ok
+        assert report.details[0].endswith("violations; first: ((1,), (2,), -56, 200)")
+        assert report.details == brute_force_product_lines(profile)
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.sampled_from(RANDOM_TABLE_PARAMS), wide=st.booleans(), data=st.data())
+    def test_random_tables_match_brute_force(self, params, wide, data):
+        profile = drawn_profile(params, wide, data)
+        assert check_decoding_condition(profile).details == brute_force_decoding_lines(profile)
+        assert product_state_checks(profile).details == brute_force_product_lines(profile)
 
 
 class TestGroupsDecodedWherePrinted:

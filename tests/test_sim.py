@@ -923,6 +923,24 @@ class TestBatchAgainstPerMaskPath:
                           amps / np.linalg.norm(amps), num_ref=code.num_ref)
         assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
 
+    @pytest.mark.parametrize(
+        "make_psi",
+        [lambda: encode_state(make_code(5, 1, 3, 5)), lambda: encode_state(non_mds_control())],
+        ids=["5-1-3-5", "non-mds-control"],
+    )
+    def test_state_without_a_common_weight_skips_the_batch(self, monkeypatch, make_psi):
+        # one amplitude scaled away from the rest: no diagonal is counted
+        code = make_psi()
+        amps = np.array(code.amplitudes)
+        amps[0] *= 1j
+        amps[1] *= 0.5
+        psi = StateVector(code.q, code.num_registers, code.digits, amps / np.linalg.norm(amps),
+                          num_ref=code.num_ref)
+        batches = []
+        monkeypatch.setattr(sim, "_diagonal_counts", lambda *args: batches.append(args))
+        assert sim_entropy_table(psi).tobytes() == np.array(per_mask_path_entropies(psi)).tobytes()
+        assert batches == []
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sets(st.integers(0, 80), min_size=1, max_size=30),
@@ -975,11 +993,16 @@ class TestDiagonalCertificate:
             digits = np.array([[key // 3**r % 3 for r in (3, 2, 1, 0)] for key in keys])
         else:
             pair = data.draw(st.sampled_from(pairs))
-            rest = data.draw(st.lists(st.integers(0, 8), min_size=9, max_size=9))
+            # a permutation makes the other two registers injective too
+            rest = data.draw(st.permutations(range(9)) | st.lists(st.integers(0, 8), min_size=9,
+                                                                  max_size=9))
             digits = np.zeros((9, 4), dtype=np.int64)
             digits[:, pair] = np.column_stack(np.divmod(np.arange(9), 3))
             digits[:, [r for r in range(4) if r not in pair]] = np.column_stack(np.divmod(rest, 3))
-        psi = qutrit_state(digits, seed, num_ref)
+        # one weight on every row, so the batch counts the diagonals; the
+        # random signs leave every |amp|^2 bit-equal
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=len(digits))
+        psi = StateVector(3, 4, digits, signs / np.sqrt(len(digits)), num_ref=num_ref)
         with pytest.MonkeyPatch.context() as monkeypatch:
             diagonal, blocks, _ = per_mask_paths(monkeypatch, psi)
         kept = [side for side in smaller_sides(psi) if side not in diagonal + blocks]
@@ -987,10 +1010,11 @@ class TestDiagonalCertificate:
             assert injective(psi, [p for p in range(4) if p not in side]), side
         assert sim_entropy_table(psi).tolist() == per_mask_path_entropies(psi)
         if pair is not None:
-            # complete: a side outside the pair whose diagonal is full is kept
+            # complete: a side outside the pair whose diagonal is flat is kept
             for side in smaller_sides(psi):
-                reached = set(map(tuple, psi.digits[:, list(side)].tolist()))
-                if not set(pair) & set(side) and len(reached) == 3 ** len(side):
+                _, counts = np.unique(psi.digits[:, list(side)], axis=0, return_counts=True)
+                flat = counts.size == 3 ** len(side) and counts.min() == counts.max()
+                if not set(pair) & set(side) and flat:
                     assert side in kept, side
 
     def test_distinct_environments_without_an_injective_set(self, monkeypatch):
@@ -1076,9 +1100,8 @@ class TestCountedDiagonals:
         digits = np.indices((7,) * 7, dtype=np.uint8).reshape(7, -1).T
         psi = StateVector(7, 7, digits, np.full(7**7, 7**-3.5), num_ref=1)
         registers = np.ascontiguousarray(psi.digits.T)
-        weight = np.abs(psi.amplitudes[0]) ** 2
-        values, injective = sim._diagonal_entropies(7, registers, weight, np.arange(7)[:, None])
-        assert values.tolist() == [1.0] * 7
+        flat, injective = sim._diagonal_counts(7, registers, np.arange(7)[:, None])
+        assert flat.all()
         assert not injective.any()
 
     @pytest.mark.parametrize("params", DESK_PARAMS)
@@ -1106,8 +1129,8 @@ class TestCountedDiagonals:
 
     def test_flat_diagonal_without_a_common_weight(self, monkeypatch):
         # five unequal weights, added in one order to each of R's five
-        # bins: the weighted batch and the per-mask path both read the
-        # diagonal flat, where -sum(lam log_5 lam) would give 1 + 2^-52
+        # bins: R takes the per-mask path, which reads the diagonal flat,
+        # where -sum(lam log_5 lam) would give 1 + 2^-52
         rows = np.arange(25)
         digits = np.column_stack([rows % 5, rows // 5, rows % 5, 0 * rows])
         weights = np.random.default_rng(0).random(5)
@@ -1115,9 +1138,9 @@ class TestCountedDiagonals:
         psi = StateVector(5, 4, digits, amps, num_ref=1)
         diagonal = np.bincount(rows % 5, np.abs(psi.amplitudes) ** 2)
         assert diagonal.min() == diagonal.max()
-        assert sim._entropies(diagonal, 5) == 1.0000000000000002
+        assert -np.sum(np.log(diagonal) / np.log(5) * diagonal) == 1.0000000000000002
         paths, blocks, _ = per_mask_paths(monkeypatch, psi)
-        assert (0,) not in paths + blocks
+        assert (0,) in paths
         table = sim_entropy_table(psi)
         assert table[8] == 1.0
         assert table.tolist() == per_mask_path_entropies(psi)
