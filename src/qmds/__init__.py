@@ -35,11 +35,11 @@ from .sim import (
     StateVector,
     decode,
     decode_target,
+    decoded_fidelity,
     encode_state,
     fidelity,
     hermitian_eigenvalues,
     partial_trace,
-    target_fidelity,
     von_neumann_entropy,
 )
 from .reporting import Check
@@ -77,7 +77,7 @@ __all__ = [
     "von_neumann_entropy",
     "decode",
     "decode_target",
-    "target_fidelity",
+    "decoded_fidelity",
     "fidelity",
     "Check",
 ]

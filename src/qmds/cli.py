@@ -191,9 +191,8 @@ def cmd_decode_test(args) -> int:
     all_ok = True
     for erased in patterns:
         surviving = [i for i in range(1, p.n + 1) if i not in erased]
-        # the decoded state is dropped before the next pattern decodes
         try:
-            f = sim.target_fidelity(sim.decode(psi, code, surviving), code, surviving)
+            f = sim.decoded_fidelity(psi, code, surviving)
         except SingularMatrixError as exc:
             # a generator that cannot decode this pattern fails it
             all_ok = False

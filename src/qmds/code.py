@@ -192,29 +192,29 @@ def _check_index_set(n: int, indices, what: str, formula: str, size: int) -> lis
     return idx
 
 
-def _decoding_blocks(code: QuantumMdsCode, idx: list[int]):
-    """(step, AB_surviving, AB_erased) of checked surviving indices ``idx``, blocks invertible.
+def _decoding_step(code: QuantumMdsCode, idx: list[int]) -> list[list[int]]:
+    """AB_surviving^-1 [E | AB_erased] of checked surviving indices ``idx``, as lists.
 
-    step = AB_surviving^-1 [E | AB_erased], the m x m matrix of both decode
-    steps, read off one Gauss-Jordan elimination of [AB_surviving | E |
-    AB_erased]: the surviving block is invertible exactly when that leaves
-    m pivots among its columns, and the reduced right-hand block is then
-    the step.  The step is invertible exactly when the erased seed block
-    (the last d - 1 rows of AB_erased) is, which is checked by its rank.
+    Decoding maps the surviving value y to y . AB_surviving^-1 = (a, b), a
+    generator row, and then to (a, (a, b) AB_erased): this m x m matrix, read
+    off one elimination of lists [AB_surviving | E | AB_erased] from G, with
+    m pivots among its first m columns exactly when AB_surviving is
+    invertible.  A second elimination checks the erased seed block (the
+    last d - 1 rows of AB_erased), invertible exactly when the step is.
     """
     p, m = code.params, code.params.generator_rank
     erased = [i for i in range(1, p.n + 1) if i not in idx]
-    ab_s = code.AB[:, [i - 1 for i in idx]]
-    ab_e = code.AB[:, [i - 1 for i in erased]]
-    reduced, pivots = linalg.rref(np.hstack((ab_s, code.G[:, :p.k], ab_e)), p.q)
+    rows = [[row[p.k + i - 1] for i in idx] + row[:p.k] + [row[p.k + i - 1] for i in erased]
+            for row in code.G.tolist()]
+    seed = [row[m + p.k:] for row in rows[p.k:]]
+    reduced, pivots = linalg._rref_rows(rows, p.q)
     r = sum(1 for c in pivots if c < m)
     if r != m:
         raise SingularMatrixError(m, r, f"surviving-column block {idx}")
-    seed = ab_e[p.k:]
-    r = rank(seed, p.q)
+    r = len(linalg._rref_rows(seed, p.q)[1])
     if r != len(seed):
         raise SingularMatrixError(len(seed), r, f"erased-column seed block {erased}")
-    return reduced[:, m:], ab_s, ab_e
+    return [row[m:] for row in reduced]
 
 
 def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
@@ -224,14 +224,15 @@ def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np
     were not erased.  Returns (AB_surviving, AB_erased), columns in
     ascending index order.  The surviving block is a full-size square
     Vandermonde submatrix and the bottom (d-1)-row block of the erased part
-    is itself square Vandermonde; both invertibility facts are asserted
-    here because the decoding unitaries depend on them, and a block that
-    fails one (a non-MDS generator) raises ``linalg.SingularMatrixError``
-    naming its columns.
+    is itself square Vandermonde; the decoding unitaries depend on both, so
+    a block that is not (a non-MDS generator) raises
+    ``linalg.SingularMatrixError`` naming its columns.
     """
     p = code.params
     idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
-    return _decoding_blocks(code, idx)[1:]
+    _decoding_step(code, idx)
+    columns = np.array(idx) - 1
+    return code.AB[:, columns], np.delete(code.AB, columns, axis=1)
 
 
 def validate(code: QuantumMdsCode) -> Check:

@@ -27,8 +27,9 @@ int8 ranks, one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
 bounds 2^P, and an m past int8 is refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
-floating point.  ``rref``, and so ``rank`` and ``invert``, eliminate on
-Python ints, which cannot overflow.  The lattice runs on int64 arrays.
+floating point.  ``rref`` (so ``rank`` and ``invert``) and erasure
+decoding run ``_rref_rows`` on lists of Python ints, which cannot
+overflow.  The lattice runs on int64 arrays.
 Y changes at most m times and each change at most multiplies its largest
 entry by 2(q - 1), so while m (q - 1) (2(q - 1))^m < 2^63 no entry or
 partial sum can overflow and only Y x is reduced mod q.  Past that bound
@@ -69,39 +70,40 @@ class SingularMatrixError(ValueError):
 
 
 def rref(a, q: int) -> tuple[NDArray[np.int64], list[int]]:
-    """Reduced row echelon form of ``a`` over GF(q).
-
-    Gauss-Jordan elimination with the first nonzero entry in column order
-    as pivot (the field is exact, so there is no pivot-magnitude concern).
-    The result is the unique RREF; pivot columns are strictly increasing.
-    The rows are eliminated as lists of Python ints, which cannot overflow
-    and, on blocks of a few dozen entries, beat numpy's per-row overhead.
-
-    Returns:
-        (rref array, list of pivot column indices)
-    """
+    """Reduced row echelon form of ``a`` over GF(q): (rref array, pivot columns)."""
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
-    nrows, ncols = a.shape
-    rows = (a % q).tolist()
+    rows, pivots = _rref_rows((a % q).tolist(), q)
+    return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
+
+
+def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """``rref`` in place on lists of residues in [0, q), which beat numpy on a few dozen.
+
+    Gauss-Jordan elimination with the first nonzero entry in column order
+    as pivot (the field is exact): the unique RREF, pivots increasing.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     for col in range(ncols):
         row = len(pivots)
-        if row >= nrows:
+        if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if rows[r][col]), None)
-        if piv is None:
+        for piv in range(row, nrows):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        scale = pow(rows[row][col], -1, q)
-        head = rows[row] = [x * scale % q for x in rows[row]]
-        for r in range(nrows):
-            factor = rows[r][col]
-            if r != row and factor:
-                rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], head)]
+        pivot, rows[piv] = rows[piv], rows[row]
+        scale = pow(pivot[col], -1, q)
+        head = rows[row] = [x * scale % q for x in pivot]
+        for r, other in enumerate(rows):
+            factor = other[col]
+            if factor and r != row:
+                rows[r] = [(x - factor * y) % q for x, y in zip(other, head)]
         pivots.append(col)
-    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), pivots
+    return rows, pivots
 
 
 def rank(a, q: int) -> int:

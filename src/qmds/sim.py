@@ -40,15 +40,14 @@ q**(k+n) basis states) and a 0/1 layout matrix for the decoding target.
 Where a set of registers needs one index per row, its key is their values
 read big-endian, by Horner's rule over columns into int64.  A per-mask
 reduction groups the support rows on their kept and environment keys and
-checks its trace.  Decoding permutes
-the computational basis: one invertible m x m matrix over GF(q) maps the
-surviving registers of each support row, in one float64 product per
-chunk of rows (DECODE_BYTES of float64 at most) that is exact while
-m (q-1)^2 < 2^53; the result is a permutation of a valid
-state, so it is not validated again.  The decoding target is m maximally
-entangled register pairs, so its support is the basis states on which
-every pair agrees: target_fidelity sums the amplitudes of a state's
-agreeing rows, without listing the target.
+checks its trace.  Decoding permutes the computational basis: one
+invertible m x m matrix over GF(q) per surviving set maps the surviving
+registers of each support row, in one float64 product per chunk of rows
+(DECODE_BYTES of float64 at most), exact while m (q-1)^2 < 2^53.  The
+decoding target is m maximally entangled register pairs, so its support
+is the basis states on which every pair agrees: decoded_fidelity decodes
+each chunk and compares every decoded register with its partner in the
+same pass, with neither a decoded copy nor the target listed.
 
 The code module's cell guard bounds the support array at q**m rows x
 (k+n) digits <= 2**24 cells, and any dense reduced block at 2**24
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .code import QuantumMdsCode, _check_cells, _check_index_set, _decoding_blocks
+from .code import QuantumMdsCode, _check_cells, _check_index_set, _decoding_step
 from .entropy import SubsystemSpec
 
 MAX_KEY = np.iinfo(np.int64).max
@@ -77,7 +76,7 @@ EIGENVALUE_CLAMP = 1e-10
 # x 8), unless one mask's keys alone are larger; 512 KiB keeps a chunk's
 # arrays in cache
 KEY_BUDGET = 1 << 19
-# most bytes of one float64 temporary of _decode_block (rows x m x 8): decode
+# most bytes of one float64 block of _decode_rows (m x rows x 8): decoding
 # steps a larger state in row chunks of this size
 DECODE_BYTES = 1 << 22
 
@@ -107,8 +106,8 @@ class StateVector:
     in the narrowest unsigned dtype holding q - 1, with no repeated row, and
     ``amplitudes`` the N matching complex double amplitudes, normalized
     within 1e-12; both are read-only.  The constructor validates and copies
-    its inputs; ``decode`` builds its result without it, sharing the input
-    state's amplitudes.
+    its inputs, refusing non-finite amplitudes; ``decode`` builds its
+    result without it, sharing the input state's amplitudes.
     The first ``num_ref`` registers form the reference block (so subsystem
     specs with include_R resolve to them); the rest are the coded qudits
     Q1..Qn.
@@ -142,7 +141,7 @@ class StateVector:
         if not _distinct(_horner(rows.T, np.arange(num_registers), q)):
             raise ValueError("support rows must be distinct")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         # copied last, so no check's temporaries meet both copies of the digits
         rows = rows.astype(np.min_scalar_type(q - 1))
@@ -414,86 +413,81 @@ def _entropy(psi: StateVector, positions: list[int]) -> float:
     return float(-terms.sum())
 
 
-def _decode_block(code: QuantumMdsCode, idx: list[int], values: np.ndarray) -> np.ndarray:
-    """Both decode steps on joint values of the surviving block ``idx``, one per row.
-
-    Step one relabels the block value y to y . (AB_surviving)^-1, exposing
-    the generator row (a, b); step two maps (a, b) to (a, (a, b) AB_erased),
-    which is invertible because the erased seed block is square Vandermonde.
-    Together they are one m x m matrix, (AB_surviving)^-1 [E | AB_erased].
-
-    It is applied as one float64 product and reduced mod q in float64,
-    returned in the digit dtype.  Every sum is an integer below
-    m (q-1)^2 < 2^53, so the product is exact in any summation order, and
-    floor(s / q) of a correctly rounded quotient is the exact s // q for
-    s < 2^53, so s - q floor(s / q) is the exact residue.
+def _step(code: QuantumMdsCode, idx: list[int]) -> np.ndarray:
+    """code._decoding_step of checked surviving indices ``idx``, float64, transposed.
 
     Raises:
-        ValueError: if m (q-1)^2 >= 2^53, where the float64 sums could round.
+        ValueError: if m (q-1)^2 >= 2^53, where _decode_rows' sums could round.
     """
     q, m = code.params.q, code.params.generator_rank
     if m * (q - 1) ** 2 >= 1 << 53:
-        raise ValueError(
-            f"decoding sums reach m(q-1)^2 = {m * (q - 1) ** 2}, beyond the 2^53 "
-            "that float64 holds exactly"
-        )
-    step = _decoding_blocks(code, idx)[0].astype(np.float64)
-    floats = values.astype(np.float64)
-    sums = floats @ step
+        raise ValueError(f"decoding sums reach m(q-1)^2 = {m * (q - 1) ** 2}, beyond the 2^53 "
+                         "that float64 holds exactly")
+    return np.array(_decoding_step(code, idx), dtype=np.float64).T
+
+
+def _decode_rows(step: np.ndarray, q: int, values: np.ndarray) -> np.ndarray:
+    """``step`` (from _step) times register-major ``values``, mod q, in float64.
+
+    Every sum is an integer below m (q-1)^2 < 2^53, so the product is exact
+    in any summation order, and floor(s / q) of a correctly rounded quotient
+    is the exact s // q, so s - q floor(s / q) is the exact residue.  Both
+    blocks share one buffer, as a second fresh one faults in every chunk.
+    """
+    floats, sums = np.empty((2, *values.shape))
+    floats[...] = values
+    np.matmul(step, floats, out=sums)
     quotients = np.divide(sums, q, out=floats)
     np.floor(quotients, out=quotients)
     quotients *= q
     sums -= quotients
-    return sums.astype(np.min_scalar_type(q - 1))
+    return sums
+
+
+def _target_pairs(psi: StateVector | None, code: QuantumMdsCode, surviving) -> tuple:
+    """(surviving positions, partner positions, checked surviving indices).
+
+    The decoding target pairs the j-th surviving register with reference
+    register j for j < k, and with erased register j - k otherwise, covering
+    every register once.  psi's shape is checked too, unless psi is None.
+    """
+    p, k = code.params, code.params.k
+    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
+    if psi is not None and (psi.q, psi.num_registers, psi.num_ref) != (p.q, p.num_registers, k):
+        raise ValueError(
+            f"state does not match the code's joint state: shapes (q, registers, reference) "
+            f"{(psi.q, psi.num_registers, psi.num_ref)} and {(p.q, p.num_registers, k)}"
+        )
+    erased = [k + i - 1 for i in range(1, p.n + 1) if i not in idx]
+    return [k + i - 1 for i in idx], [*range(k), *erased], idx
 
 
 def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     """Erasure decoding on the surviving registers of the encoded state.
 
-    Applies the basis permutation of _decode_block to the surviving coded
-    registers of every support row, in chunks of rows whose float64 block
-    is at most DECODE_BYTES; the reference block, the erased
-    registers and the amplitudes are untouched.  Norm is preserved exactly
-    (permutations are unitary), and the output matches decode_target with
-    fidelity 1.
-
-    The result skips StateVector's validation, as each invariant holds by
-    construction: the step is invertible (code._decoding_blocks checks
-    both blocks), so it permutes GF(q)^m and rows stay distinct; mod q
-    puts every digit in [0, q), in psi's dtype; and the amplitudes are
-    psi's read-only array.
+    Maps the surviving coded registers of every support row by _step, in
+    chunks of rows whose float64 block is at most DECODE_BYTES; the other
+    registers and the amplitudes are untouched, so the norm is preserved
+    exactly, and the output matches decode_target with fidelity 1.  The
+    result skips StateVector's validation, as each invariant holds by
+    construction: the step is invertible (code._decoding_step checks both
+    blocks), so it permutes GF(q)^m and rows stay distinct; mod q puts
+    every digit in [0, q), in psi's dtype; and the amplitudes are psi's
+    read-only array.
     """
     p = code.params
-    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
-    if psi.q != p.q or psi.num_registers != p.num_registers or psi.num_ref != p.k:
-        raise ValueError("state shape does not match the code's joint state")
-    positions = [p.k + i - 1 for i in idx]
+    survivors, _, idx = _target_pairs(psi, code, surviving)
+    step = _step(code, idx)
     digits = psi.digits.copy()
-    # each chunk derives the step again (an m x 2m elimination and a seed
-    # rank), small beside the chunk's product
     rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
     for start in range(0, len(digits), rows):
-        chunk = digits[start : start + rows]
-        chunk[:, positions] = _decode_block(code, idx, chunk[:, positions])
+        chunk = slice(start, start + rows)
+        digits[chunk, survivors] = _decode_rows(step, p.q, digits[chunk, survivors].T).T
     digits.flags.writeable = False
     out = StateVector.__new__(StateVector)
     out.q, out.num_registers, out.num_ref = p.q, p.num_registers, p.k
     out.digits, out.amplitudes = digits, psi.amplitudes
     return out
-
-
-def _target_pairs(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
-    """The register pairs the decoding target entangles, as (left, right) positions.
-
-    Pair j < k is reference register j and the j-th surviving register;
-    pair k + j is surviving register k + j and the j-th erased register.
-    The m pairs cover every register once.
-    """
-    p, k = code.params, code.params.k
-    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
-    survivors = [k + i - 1 for i in idx]
-    erased = [k + i - 1 for i in range(1, p.n + 1) if i not in idx]
-    return np.array([*range(k), *survivors[k:]]), np.array([*survivors[:k], *erased])
 
 
 def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
@@ -504,31 +498,34 @@ def decode_target(code: QuantumMdsCode, surviving) -> StateVector:
     entangled with the erased registers, all in canonical register order.
     """
     p = code.params
-    left, right = _target_pairs(code, surviving)
+    survivors, partners, _ = _target_pairs(None, code, surviving)
     # row (a, b) holds message a then seed b, big-endian as the encoder lists them
     layout = np.zeros((p.generator_rank, p.num_registers), dtype=np.int64)
-    layout[range(len(left)), left] = 1
-    layout[range(len(right)), right] = 1
+    layout[range(len(survivors)), survivors] = 1
+    layout[range(len(partners)), partners] = 1
     return _row_space(p.q, layout, p.k)
 
 
-def target_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float:
-    """fidelity(psi, decode_target(code, surviving)), without listing the target.
+def decoded_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float:
+    """fidelity(decode(psi, code, surviving), decode_target(code, surviving)), in one pass.
 
-    The target's support is exactly the basis states on which both
-    registers of every target pair agree, each with amplitude q^(-m/2),
-    so the overlap is q^(-m/2) times the sum of psi's amplitudes on its
-    rows whose pairs agree.  When every row agrees, as on any correctly
-    decoded state, the amplitudes are summed in place: the masked copy
-    would hold the same values in the same order.
+    The target's support is the rows on which every pair agrees, each with
+    amplitude q^(-m/2), so the overlap is q^(-m/2) times their amplitude sum.
+    One pass over decode's row chunks, each copied register-major, decodes
+    each surviving register and compares it with its partner: decoding
+    moves no amplitude, so no decoded copy is built and no target listed.
+    When every row agrees, the amplitudes are summed in place, as the
+    masked copy would hold them.
     """
     p = code.params
-    if psi.q != p.q or psi.num_registers != p.num_registers:
-        raise ValueError("states have different shapes")
-    left, right = _target_pairs(code, surviving)
-    agree = np.ones(len(psi.amplitudes), dtype=bool)
-    for i, j in zip(left, right):
-        agree &= psi.digits[:, i] == psi.digits[:, j]
+    survivors, partners, idx = _target_pairs(psi, code, surviving)
+    step = _step(code, idx)
+    agree = np.empty(len(psi.amplitudes), dtype=bool)
+    rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
+    for start in range(0, len(agree), rows):
+        registers = np.ascontiguousarray(psi.digits[start : start + rows].T)
+        values = _decode_rows(step, p.q, registers[survivors])
+        np.logical_and.reduce(values == registers[partners], out=agree[start : start + rows])
     amplitudes = psi.amplitudes if agree.all() else psi.amplitudes[agree]
     overlap = amplitudes.sum() * p.q ** (-p.generator_rank / 2)
     return float(abs(overlap) ** 2)

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from qmds import CodeParams, QuantumMdsCode, SubsystemSpec
+from qmds import CodeParams, QuantumMdsCode, SubsystemSpec, erasure_submatrices, invert
 
 # the three desk-scale reference codes exercised throughout
 REFERENCE_PARAMS = [(3, 1, 2, 3), (4, 2, 2, 5), (5, 1, 3, 5)]
@@ -27,6 +27,13 @@ DESK_PARAMS = [
 
 def make_code(n, k, d, q, alphas=None):
     return QuantumMdsCode(CodeParams(n=n, k=k, d=d, q=q), alphas)
+
+
+def step_one_only(code, idx):
+    """A stand-in for sim._step with only decoding's first step, (AB_surviving)^-1,
+    transposed for register-major values: the state it leaves misses the target."""
+    ab_s, _ = erasure_submatrices(code, idx)
+    return invert(ab_s, code.params.q).T.astype(np.float64)
 
 
 def spec_at(mask, n):

@@ -20,7 +20,7 @@ from qmds.entropy import (
     product_state_checks,
 )
 
-from conftest import DESK_PARAMS, REFERENCE_PARAMS, make_code, non_mds_control
+from conftest import DESK_PARAMS, REFERENCE_PARAMS, make_code, non_mds_control, step_one_only
 
 
 # the two commands that run the state-vector simulator
@@ -603,7 +603,8 @@ class TestDecodeTest:
     def test_undecoded_state_fails_every_pattern(self, capsys, monkeypatch, n, k, d, q):
         from qmds import sim
 
-        monkeypatch.setattr(sim, "decode", lambda psi, code, surviving: psi)
+        # the row transform hands back the surviving registers it was given
+        monkeypatch.setattr(sim, "_decode_rows", lambda step, q, values: values)
         code_exit, out, _ = run_cli(
             capsys, "decode-test", "--n", str(n), "--k", str(k), "--d", str(d),
             "--q", str(q), "--all",
@@ -616,14 +617,8 @@ class TestDecodeTest:
 
     def test_decode_without_its_second_step_fails(self, capsys, monkeypatch):
         from qmds import sim
-        from qmds.code import erasure_submatrices
-        from qmds.linalg import invert
 
-        def step_one_only(code, surviving, values):
-            ab_s, _ = erasure_submatrices(code, surviving)
-            return values @ invert(ab_s, code.params.q) % code.params.q
-
-        monkeypatch.setattr(sim, "_decode_block", step_one_only)
+        monkeypatch.setattr(sim, "_step", step_one_only)
         code_exit, out, _ = run_cli(
             capsys, "decode-test", "--n", "3", "--k", "1", "--d", "2", "--all"
         )
@@ -652,30 +647,33 @@ class TestDecodeTest:
 
     def test_each_pattern_eliminates_two_blocks(self, capsys, monkeypatch):
         # per pattern, one elimination of [AB_surviving | E | AB_erased] and
-        # the rank of the erased seed block; the rest is construction
-        from qmds import linalg
+        # the rank of the erased seed block, in one row chunk or in 14; the
+        # rest is construction
+        from qmds import linalg, sim
 
         calls = []
-        rref = linalg.rref
+        core = linalg._rref_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return rref(*args, **kwargs)
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "rref", counting)
+        monkeypatch.setattr(linalg, "_rref_rows", counting)
         make_code(5, 1, 3, 11)
         construction = len(calls)
-        calls.clear()
-        code_exit, out, _ = run_cli(
-            capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
-        )
-        assert code_exit == 0
-        assert out.count("[ok]") == math.comb(5, 2)
-        assert len(calls) == construction + 2 * math.comb(5, 2)
+        for budget in (sim.DECODE_BYTES, 8 * 3 * 100):
+            monkeypatch.setattr(sim, "DECODE_BYTES", budget)
+            calls.clear()
+            code_exit, out, _ = run_cli(
+                capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
+            )
+            assert code_exit == 0
+            assert out.count("[ok]") == math.comb(5, 2)
+            assert len(calls) == construction + 2 * math.comb(5, 2)
 
-    def test_each_pattern_checks_its_surviving_set_twice(self, capsys, monkeypatch):
-        # decode and target_fidelity each check the set once; the decoding
-        # blocks trust decode's check
+    def test_each_pattern_checks_its_surviving_set_once(self, capsys, monkeypatch):
+        # decoded_fidelity checks the set once, in one row chunk or in 14;
+        # the decoding step trusts it
         import qmds.cli as cli_module
         from qmds import code as code_module, sim
 
@@ -688,12 +686,15 @@ class TestDecodeTest:
 
         for module in (code_module, sim, cli_module):
             monkeypatch.setattr(module, "_check_index_set", counting)
-        code_exit, out, _ = run_cli(
-            capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
-        )
-        assert code_exit == 0
-        assert out.count("[ok]") == math.comb(5, 2)
-        assert len(calls) == 2 * math.comb(5, 2)
+        for budget in (sim.DECODE_BYTES, 8 * 3 * 100):
+            monkeypatch.setattr(sim, "DECODE_BYTES", budget)
+            calls.clear()
+            code_exit, out, _ = run_cli(
+                capsys, "decode-test", "--n", "5", "--k", "1", "--d", "3", "--q", "11", "--all"
+            )
+            assert code_exit == 0
+            assert out.count("[ok]") == math.comb(5, 2)
+            assert len(calls) == math.comb(5, 2)
 
     @pytest.mark.parametrize(
         "argv, golden",

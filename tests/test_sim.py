@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from qmds import (
     CodeParams,
     QuantumMdsCode,
+    SingularMatrixError,
     StateVector,
     SubsystemSpec,
     decode,
     decode_target,
+    decoded_fidelity,
     encode_state,
     erasure_submatrices,
     fidelity,
@@ -21,11 +23,9 @@ from qmds import (
     invert,
     partial_trace,
     subsystem_entropy,
-    target_fidelity,
     von_neumann_entropy,
 )
 from qmds import sim
-from qmds.sim import _decode_block
 from qmds.sim import entropy_table as sim_entropy_table
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     non_mds_control,
     radix_keys,
     spec_at,
+    step_one_only,
 )
 
 
@@ -54,6 +55,13 @@ class TestStateVector:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="normalized"):
             StateVector(3, 1, [[0], [1], [2]], [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)], ids=str)
+    def test_non_finite_amplitudes_refused(self, bad):
+        # a NaN norm is no farther than 1e-12 from 1 by comparison, so the
+        # norm test alone let [nan, 1] through
+        with pytest.raises(ValueError, match="normalized"):
+            StateVector(2, 2, [[0, 0], [1, 1]], [bad, 1.0], num_ref=1)
 
     def test_length_enforced(self):
         # one amplitude per support row, one digit per register
@@ -477,7 +485,7 @@ class TestDecode:
         psi = encode_state(code)
         out = decode(psi, code, [1, 2])
         block = np.array([[a, b] for a in range(3) for b in range(3)])
-        image = radix_keys(_decode_block(code, [1, 2], block), 3)
+        image = radix_keys(sim._decode_rows(sim._step(code, [1, 2]), 3, block.T).T, 3)
         assert sorted(image.tolist()) == list(range(9))
         preimage = block[np.argsort(image)]
         back = preimage[radix_keys(out.digits[:, 1:3], 3)]
@@ -489,25 +497,31 @@ class TestDecode:
     def test_row_chunks_match_one_chunk(self, monkeypatch, rows):
         # [[5,1,3]]_11 has 1331 support rows of m = 3 surviving digits, one
         # chunk at the default budget; a budget of `rows` float64 rows steps
-        # them in ragged chunks
+        # them in ragged chunks, all through the one step derived by two
+        # eliminations
+        from qmds import linalg
+
         code = make_code(5, 1, 3, 11)
         psi = encode_state(code)
-        calls = []
-        block = sim._decode_block
+        calls, eliminations = [], []
+        transform, core = sim._decode_rows, linalg._rref_rows
 
-        def counting(*args):
-            calls.append(len(args[2]))
-            return block(*args)
+        def counting(step, q, values):
+            calls.append(values.shape[1])
+            return transform(step, q, values)
 
-        monkeypatch.setattr(sim, "_decode_block", counting)
+        monkeypatch.setattr(sim, "_decode_rows", counting)
+        monkeypatch.setattr(linalg, "_rref_rows", lambda *a: eliminations.append(a) or core(*a))
         patterns = ([1, 2, 3], [2, 4, 5])
         whole = [decode(psi, code, s).digits for s in patterns]
         assert calls == [1331, 1331]
         monkeypatch.setattr(sim, "DECODE_BYTES", 8 * 3 * rows)
         for surviving, expected in zip(patterns, whole):
             calls.clear()
+            eliminations.clear()
             out = decode(psi, code, surviving)
             assert calls == [rows] * (1331 // rows) + [1331 % rows] * (1331 % rows > 0)
+            assert len(eliminations) == 2
             assert np.array_equal(out.digits, expected)
             assert not out.digits.flags.writeable
 
@@ -577,7 +591,7 @@ class TestDecodeConstruction:
         # m (q-1)^2 = 2 (2^31 - 2)^2 >= 2^53: float64 sums could round
         code = make_code(3, 1, 2, 2**31 - 1)
         with pytest.raises(ValueError, match="2\\^53"):
-            _decode_block(code, [1, 2], np.array([[1, 2]], dtype=np.uint32))
+            sim._step(code, [1, 2])
 
 
 class TestDecodeTarget:
@@ -635,22 +649,31 @@ def step_one_decoded(psi, code, surviving):
 
 
 def assert_both_routes_agree(psi, code, surviving):
-    expected = fidelity(psi, decode_target(code, surviving))
-    assert abs(target_fidelity(psi, code, surviving) - expected) <= 1e-14
+    # the one-pass pair test against the listed target of the decoded state
+    expected = fidelity(decode(psi, code, surviving), decode_target(code, surviving))
+    assert abs(decoded_fidelity(psi, code, surviving) - expected) <= 1e-14
     return expected
 
 
+def short_last_chunk(monkeypatch, psi, code):
+    """Set DECODE_BYTES so psi's N rows take at least 3 full chunks and a short last one."""
+    total = len(psi.amplitudes)
+    rows = (total - 1) // 3
+    assert total // rows >= 3 and total % rows
+    monkeypatch.setattr(sim, "DECODE_BYTES", 8 * code.params.generator_rank * rows)
+    return rows
+
+
 class TestTargetFidelity:
-    """The pair test against the listed target and its matched-row overlap."""
+    """decoded_fidelity's one-pass pair test against the listed target of the decoded state."""
 
     @pytest.mark.parametrize("params", DESK_PARAMS)
     def test_every_pattern_of_the_desk_codes(self, params):
         code = make_code(*params)
         psi = encode_state(code)
         for surviving in patterns(code):
-            decoded = decode(psi, code, surviving)
-            assert assert_both_routes_agree(decoded, code, surviving) >= 1 - 1e-12
-            assert_both_routes_agree(psi, code, surviving)
+            assert assert_both_routes_agree(psi, code, surviving) >= 1 - 1e-12
+            assert_both_routes_agree(decode(psi, code, surviving), code, surviving)
             assert_both_routes_agree(step_one_decoded(psi, code, surviving), code, surviving)
 
     @pytest.mark.parametrize("params", [(7, 1, 4, 11), (8, 2, 4, 11)])
@@ -659,30 +682,34 @@ class TestTargetFidelity:
         # and 3.3e-13 from the pair test here
         code = make_code(*params)
         surviving = list(range(1, code.params.n - code.params.d + 2))
-        decoded = decode(encode_state(code), code, surviving)
-        reference = fidelity(decoded, decode_target(code, surviving))
-        assert abs(reference - target_fidelity(decoded, code, surviving)) <= 1e-15
+        psi = encode_state(code)
+        reference = fidelity(decode(psi, code, surviving), decode_target(code, surviving))
+        assert abs(reference - decoded_fidelity(psi, code, surviving)) <= 1e-15
 
-    def test_step_one_alone_misses_the_target(self):
+    def test_step_one_alone_misses_the_target(self, monkeypatch):
         # the construction behind the CLI's second-step test reads below 1
-        # on some pattern by both routes
+        # on some pattern, as the listed target says of step one's state
         code = make_code(3, 1, 2, 3)
         psi = encode_state(code)
-        values = [assert_both_routes_agree(step_one_decoded(psi, code, s), code, s)
-                  for s in patterns(code)]
+        monkeypatch.setattr(sim, "_step", step_one_only)
+        values = [decoded_fidelity(psi, code, s) for s in patterns(code)]
+        for value, s in zip(values, patterns(code)):
+            expected = fidelity(step_one_decoded(psi, code, s), decode_target(code, s))
+            assert abs(value - expected) <= 1e-14
         assert min(values) < 1 - 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(DESK_PARAMS), st.data())
     def test_random_states_on_the_code_registers(self, params, data):
-        # random rows, some of them drawn from the target's support so the
-        # overlap is not always 0, with random complex amplitudes
+        # random rows, some of them drawn from the encoded support, which
+        # decodes onto the target's, so the overlap is not always 0, with
+        # random complex amplitudes
         code = make_code(*params)
         p = code.params
         surviving = sorted(data.draw(st.permutations(range(1, p.n + 1)))[: p.n - p.d + 1])
-        target_rows = decode_target(code, surviving).digits
-        picked = data.draw(st.sets(st.integers(0, len(target_rows) - 1), max_size=12))
-        keys = set(radix_keys(target_rows[sorted(picked)], p.q).tolist())
+        encoded_rows = encode_state(code).digits
+        picked = data.draw(st.sets(st.integers(0, len(encoded_rows) - 1), max_size=12))
+        keys = set(radix_keys(encoded_rows[sorted(picked)], p.q).tolist())
         keys |= data.draw(st.sets(st.integers(0, p.q**p.num_registers - 1), max_size=12))
         assume(keys)
         digits = np.array([[key // p.q**r % p.q for r in range(p.num_registers - 1, -1, -1)]
@@ -694,20 +721,65 @@ class TestTargetFidelity:
 
     @pytest.mark.parametrize("params", [(3, 1, 2, 3), (6, 2, 3, 7)])
     def test_state_missing_one_target_row_reads_below_one(self, params):
+        # the encoded state without one row decodes to the target without one
         code = make_code(*params)
-        surviving = list(range(1, code.params.n - code.params.d + 2))
-        target = decode_target(code, surviving)
-        rows = len(target.amplitudes)
-        psi = StateVector(target.q, target.num_registers, target.digits[1:],
-                          np.full(rows - 1, (rows - 1) ** -0.5), num_ref=target.num_ref)
+        p = code.params
+        surviving = list(range(1, p.n - p.d + 2))
+        encoded = encode_state(code)
+        rows = len(encoded.amplitudes)
+        psi = StateVector(p.q, p.num_registers, encoded.digits[1:],
+                          np.full(rows - 1, (rows - 1) ** -0.5), num_ref=p.k)
         expected = assert_both_routes_agree(psi, code, surviving)
         assert expected == pytest.approx((rows - 1) / rows, abs=1e-12)
-        assert target_fidelity(psi, code, surviving) < 1 - 1e-12
+        assert decoded_fidelity(psi, code, surviving) < 1 - 1e-12
 
     def test_shape_mismatch_rejected(self):
         psi = encode_state(make_code(4, 2, 2, 5))
         with pytest.raises(ValueError, match="shapes"):
-            target_fidelity(psi, make_code(3, 1, 2, 5), [1, 2])
+            decoded_fidelity(psi, make_code(3, 1, 2, 5), [1, 2])
+        code = make_code(3, 1, 2, 5)
+        with pytest.raises(ValueError, match="n-\\(d-1\\)"):
+            decoded_fidelity(encode_state(code), code, [1])
+
+    @pytest.mark.parametrize("params", DESK_PARAMS + ["non-MDS control"], ids=str)
+    def test_row_chunks_on_every_pattern(self, monkeypatch, params):
+        code = non_mds_control() if isinstance(params, str) else make_code(*params)
+        p = code.params
+        psi = encode_state(code)
+        short_last_chunk(monkeypatch, psi, code)
+        exact = 0
+        for surviving in patterns(code):
+            try:
+                decoded = decode(psi, code, surviving)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    decoded_fidelity(psi, code, surviving)
+                continue
+            value = decoded_fidelity(psi, code, surviving)
+            assert abs(value - fidelity(decoded, decode_target(code, surviving))) <= 1e-15
+            survivors, partners, _ = sim._target_pairs(None, code, surviving)
+            if np.array_equal(decoded.digits[:, survivors], decoded.digits[:, partners]):
+                # every row agrees: the whole amplitude array is summed
+                overlap = psi.amplitudes.sum() * p.q ** (-p.generator_rank / 2)
+                assert value == float(abs(overlap) ** 2)
+                exact += 1
+        assert exact > 0
+
+    def test_undecoded_middle_chunk_reads_below_one(self, monkeypatch):
+        code = make_code(5, 1, 3, 7)
+        psi = encode_state(code)
+        rows = short_last_chunk(monkeypatch, psi, code)
+        calls = []
+        transform = sim._decode_rows
+
+        def skipping_the_second_chunk(step, q, values):
+            calls.append(values.shape[1])
+            return values if len(calls) == 2 else transform(step, q, values)
+
+        assert decoded_fidelity(psi, code, [1, 2, 3]) >= 1 - 1e-12
+        monkeypatch.setattr(sim, "_decode_rows", skipping_the_second_chunk)
+        assert decoded_fidelity(psi, code, [1, 2, 3]) < 1 - 1e-12
+        assert calls == [rows] * 3 + [len(psi.amplitudes) - 3 * rows]
 
 
 def test_statevector_oracle_uses_no_rank_code(monkeypatch):
@@ -725,6 +797,7 @@ def test_statevector_oracle_uses_no_rank_code(monkeypatch):
     for module, name in (
         (qmds.linalg, "rank"),
         (qmds.linalg, "rref"),
+        (qmds.linalg, "_rref_rows"),
         (qmds.linalg, "subset_ranks"),
         (qmds.entropy, "subset_ranks"),
     ):
