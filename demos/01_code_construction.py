@@ -7,7 +7,7 @@ and every maximal square submatrix is invertible, which is exactly what
 erasure decoding needs.
 """
 
-from qmds import CodeParams, QuantumMdsCode, erasure_submatrices, to_descriptor, validate
+from qmds import CodeParams, QuantumMdsCode, to_descriptor, validate
 
 # smallest interesting code: 1 source qudit, corrects any single erasure
 code = QuantumMdsCode(CodeParams(n=3, k=1, d=2, q=3))
@@ -20,7 +20,7 @@ for row in code.G.tolist():
     print("   ", row)
 
 # drop qudit 3: the surviving columns form an invertible square block
-surviving_block, erased_block = erasure_submatrices(code, [1, 2])
+surviving_block, erased_block = code.AB[:, [0, 1]], code.AB[:, [2]]
 print("\nsurviving columns {1,2}:", surviving_block.tolist())
 print("erased column {3}:     ", erased_block.tolist())
 

@@ -9,11 +9,10 @@ verification suites for the size-pyramid entropy characterization.
 """
 
 from .gf import is_prime
-from .linalg import SingularMatrixError, invert, rank, rref, subset_ranks
+from .linalg import SingularMatrixError, rank, subset_ranks
 from .code import (
     CodeParams,
     QuantumMdsCode,
-    erasure_submatrices,
     from_descriptor,
     smallest_prime_at_least,
     to_descriptor,
@@ -49,13 +48,10 @@ __version__ = "0.1.0"
 __all__ = [
     "is_prime",
     "SingularMatrixError",
-    "rref",
     "rank",
     "subset_ranks",
-    "invert",
     "CodeParams",
     "QuantumMdsCode",
-    "erasure_submatrices",
     "validate",
     "to_descriptor",
     "from_descriptor",

@@ -17,10 +17,12 @@ message-plus-seed vector (a, b) lands on the basis state |a, (a, b) AB>.
 
 ``index_groups`` lists every index family the checks run over as the
 bitmasks that index the rank and entropy tables; ``group_indices`` decodes one.
+``subset_layout`` maps a table index to its registers for both entropy oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -217,24 +219,6 @@ def _decoding_step(code: QuantumMdsCode, idx: list[int]) -> list[list[int]]:
     return [row[m:] for row in reduced]
 
 
-def erasure_submatrices(code: QuantumMdsCode, surviving) -> tuple[np.ndarray, np.ndarray]:
-    """Column submatrices of AB for a surviving set and its complement.
-
-    ``surviving`` is the set of n-(d-1) coded-qudit indices (1-based) that
-    were not erased.  Returns (AB_surviving, AB_erased), columns in
-    ascending index order.  The surviving block is a full-size square
-    Vandermonde submatrix and the bottom (d-1)-row block of the erased part
-    is itself square Vandermonde; the decoding unitaries depend on both, so
-    a block that is not (a non-MDS generator) raises
-    ``linalg.SingularMatrixError`` naming its columns.
-    """
-    p = code.params
-    idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
-    _decoding_step(code, idx)
-    columns = np.array(idx) - 1
-    return code.AB[:, columns], np.delete(code.AB, columns, axis=1)
-
-
 def validate(code: QuantumMdsCode) -> Check:
     """Exhaustively check the code invariants; the title counts the checks,
     and only a failing check gets a line.
@@ -283,6 +267,53 @@ def group_indices(mask: int) -> tuple[int, ...]:
     """The 1-based indices of the group with bitmask ``mask``, ascending."""
     mask = int(mask)
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class SubsetLayout:
+    """The unions of the disjoint register groups ``parts`` by bitmask, part j at bit j;
+    combinatorics only.  Its read-only arrays are built on first use, so a caller
+    builds only what it reads: ``registers[mask]``, the union's register bitmask
+    (register r at bit r), ``counts[mask]``, its int8 register count, and
+    ``of_size(s)``, the masks of s registers, ascending, with their (B, s) register
+    positions.  A union's complement is ``full - mask``."""
+
+    def __init__(self, parts: tuple[tuple[int, ...], ...]):
+        self.parts, self.full, self._sizes = parts, (1 << len(parts)) - 1, {}
+
+    def _by_union(self, dtype, combine, values) -> np.ndarray:
+        # the unions with part j are those without it, combined with its value
+        table = np.zeros(self.full + 1, dtype=dtype)
+        for j, value in enumerate(values):
+            combine(table[: 1 << j], value, out=table[1 << j : 2 << j])
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def registers(self) -> NDArray[np.int64]:
+        return self._by_union(np.int64, np.bitwise_or, [sum(1 << r for r in p) for p in self.parts])
+
+    @functools.cached_property
+    def counts(self) -> NDArray[np.int8]:
+        return self._by_union(np.int8, np.add, list(map(len, self.parts)))
+
+    def of_size(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        if size not in self._sizes:
+            masks = np.flatnonzero(self.counts == size)
+            bits = self.registers[masks, None] >> np.arange(sum(map(len, self.parts))) & 1
+            positions = np.nonzero(bits)[1].reshape(masks.size, size)
+            masks.flags.writeable = positions.flags.writeable = False
+            self._sizes[size] = masks, positions
+        return self._sizes[size]
+
+
+@functools.cache
+def subset_layout(k: int, n: int, split_R: bool = False) -> SubsetLayout:
+    """The R-atomic layout (Q_i at bit i - 1, R's k registers at bit n), or with
+    ``split_R`` the all-register one (register r at bit r), registers R1..Rk
+    then Q1..Qn; built once per (k, n, split_R)."""
+    if split_R:
+        return SubsetLayout(tuple((r,) for r in range(k + n)))
+    return SubsetLayout(tuple((k + i,) for i in range(n)) + (tuple(range(k)),))
 
 
 # JSON code descriptor: {"q":, "n":, "k":, "d":, "alphas": [...]} -- accepted

@@ -14,19 +14,21 @@ one table of ranks, one per union of atomic parts, indexed by bitmask.
 
 With R atomic there are n + 1 parts, and the table has 2^(n+1) entries
 in the order R * 2^n + Q-bitmask (Q_i is bit i - 1, R is bit n), which is
-``SubsystemSpec.sort_key`` order.  The ranks come from the GF(q) rank
+``SubsystemSpec.sort_key`` order, the parts of ``code.subset_layout``,
+which the state-vector oracle reads too.  The ranks come from the GF(q) rank
 lattice ``linalg.subset_ranks``, which cuts each union's left kernel down
 from the kernel of the union without its highest part, so every added
 column costs one matrix-vector product and one rank-one update instead of
 an elimination, and a kernel already at rank m costs nothing; its memory
 is bounded by ``linalg.BASIS_BUDGET`` kernels per level, and
-``linalg.MAX_MASKS`` bounds the table itself.  The lattice takes R, the
-one part of k columns, as its root (part 0), so R's columns extend one
-kernel where as the last part they would extend 2^n; the lattice-order
-table (index 2 * Q-bitmask + R) is put in R * 2^n + Q-bitmask order by
-one reshape-transpose.  The table's last rank is rank(G) and must equal
-m.  The profile is that table, one int8 per subsystem; sizes, expected
-values and JSON rows are derived from its masks on demand.  Every entry
+``linalg.MAX_MASKS`` bounds the table itself.  The lattice takes those
+parts with R, the one part of k columns, moved to the root (part 0), so
+R's columns extend one kernel where as the last part they would extend
+2^n; the lattice-order table (index 2 * Q-bitmask + R) is put in
+R * 2^n + Q-bitmask order by one reshape-transpose.  The table's last
+rank is rank(G) and must equal m.  The profile is that table, one int8
+per subsystem; sizes are the layout's counts, and expected values and
+JSON rows are derived on demand.  Every entry
 lies in [0, m], and m <= n, which MAX_MASKS bounds.  A profile stores
 any integer table as int8 when every entry lies in [-42, 42], and as
 int64 otherwise, so the suites' sums and differences of two or three
@@ -51,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .code import CodeParams, QuantumMdsCode, _as_int, group_indices, index_groups, to_descriptor
+from .code import (CodeParams, QuantumMdsCode, _as_int, group_indices, index_groups,
+                   subset_layout, to_descriptor)
 from .linalg import subset_ranks
 from .reporting import Check, status_line
 
@@ -134,7 +137,8 @@ def entropy_table(code: QuantumMdsCode) -> NDArray[np.int8]:
     transposed from that order, 2 * Q-bitmask + R, into R * 2^n + Q-bitmask.
     """
     k, n = code.params.k, code.params.n
-    table = _entropy_table(code, [list(range(k))] + [[k + i] for i in range(n)])
+    parts = subset_layout(k, n).parts
+    table = _entropy_table(code, parts[-1:] + parts[:-1])
     return table.reshape(1 << n, 2).T.ravel()
 
 
@@ -194,15 +198,8 @@ class EntropyProfile:
         self.table = table.astype(np.int8 if -42 <= low and high <= 42 else np.int64, copy=False)
 
     def sizes(self) -> NDArray[np.int8]:
-        """Qudit count per table index: k * R + popcount(Q-bitmask), in int8.
-
-        The popcounts of 2^(j+1) masks are those of 2^j masks, then the same
-        plus one, so n doublings of one byte per mask build them.
-        """
-        counts = np.zeros(1, dtype=np.int8)
-        for _ in range(self.params.n):
-            counts = np.concatenate((counts, counts + 1))
-        return np.concatenate((counts, counts + self.params.k))
+        """Qudit count per table index, in int8: the layout's read-only counts."""
+        return subset_layout(self.params.k, self.params.n).counts
 
     def expected(self) -> NDArray[np.int8]:
         """The size pyramid min(size, (k + n) - size) per table index."""
@@ -254,18 +251,16 @@ def full_profile(code: QuantumMdsCode) -> EntropyProfile:
 def extended_profile(code: QuantumMdsCode) -> EntropyProfile:
     """full_profile plus the subsets that split the reference block (k > 1).
 
-    Ranks one table over all 2^(k+n) register subsets and reads the
-    R-atomic table off it: index R * 2^n + qmask is register mask
-    (R ? 2^k - 1 : 0) | qmask << k.  Nothing is asserted for proper
-    subsets of R; the size-pyramid formula treats R as atomic.
+    Ranks one table over the all-register layout and reads the R-atomic
+    table off it at the R-atomic layout's register masks.  Nothing is
+    asserted for proper subsets of R; the pyramid treats R as atomic.
     """
     k, n = code.params.k, code.params.n
     if k == 1:
         return full_profile(code)
-    registers = _entropy_table(code, [[r] for r in range(k + n)])
-    masks = np.arange(1 << (n + 1))
-    atomic = (masks >> n) * ((1 << k) - 1) | (masks & ((1 << n) - 1)) << k
-    return EntropyProfile(code.params, code.alphas, registers[atomic], registers)
+    registers = _entropy_table(code, subset_layout(k, n, split_R=True).parts)
+    atomic = registers[subset_layout(k, n).registers]
+    return EntropyProfile(code.params, code.alphas, atomic, registers)
 
 
 def check_decoding_condition(profile: EntropyProfile) -> Check:

@@ -2,11 +2,12 @@
 
 A matrix over GF(q) is a 2-D int64 array of residues, with ``q`` passed
 alongside; every routine reduces its input mod q on entry.  Everything
-here is exact: Gauss-Jordan elimination, rank, inverse, and the ranks of
-every union of given column groups of one matrix (``subset_ranks``),
-which the entropy oracle and code validation's minors run on.  ``rank``
-checks single matrices (construction, erasure blocks, single subsystems)
-and is the reference that ``subset_ranks`` is tested against.
+here is exact: Gauss-Jordan elimination, rank, and the ranks of every
+union of given column groups of one matrix (``subset_ranks``), which the
+entropy oracle and code validation's minors run on; the entropy oracle's
+groups are the parts of ``code.subset_layout``.  ``rank`` checks single
+matrices (the ranks of AB and G in validation) and is the reference that
+``subset_ranks`` is tested against.
 
 ``subset_ranks`` is a rank lattice of left kernels.  Each union S keeps
 one m x m matrix Y_S whose nonzero rows (mod q) span {y : y G_S = 0}, so
@@ -27,9 +28,8 @@ int8 ranks, one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
 bounds 2^P, and an m past int8 is refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
-floating point.  ``rref`` (so ``rank`` and ``invert``) and erasure
-decoding run ``_rref_rows`` on lists of Python ints, which cannot
-overflow.  The lattice runs on int64 arrays.
+floating point.  ``rank`` and erasure decoding run ``_rref_rows`` on
+lists of Python ints, which cannot overflow.  The lattice runs on int64 arrays.
 Y changes at most m times and each change at most multiplies its largest
 entry by 2(q - 1), so while m (q - 1) (2(q - 1))^m < 2^63 no entry or
 partial sum can overflow and only Y x is reduced mod q.  Past that bound
@@ -69,17 +69,9 @@ class SingularMatrixError(ValueError):
         )
 
 
-def rref(a, q: int) -> tuple[NDArray[np.int64], list[int]]:
-    """Reduced row echelon form of ``a`` over GF(q): (rref array, pivot columns)."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
-    rows, pivots = _rref_rows((a % q).tolist(), q)
-    return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
-
-
 def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """``rref`` in place on lists of residues in [0, q), which beat numpy on a few dozen.
+    """Reduced row echelon form, in place, of lists of residues in [0, q), which beat
+    numpy on a few dozen: (rows, pivot columns).
 
     Gauss-Jordan elimination with the first nonzero entry in column order
     as pivot (the field is exact): the unique RREF, pivots increasing.
@@ -107,25 +99,11 @@ def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int
 
 
 def rank(a, q: int) -> int:
-    """Rank of ``a`` over GF(q) (number of RREF pivots)."""
-    return len(rref(a, q)[1])
-
-
-def invert(a, q: int) -> NDArray[np.int64]:
-    """Inverse of a square matrix over GF(q).
-
-    Raises:
-        ValueError: if ``a`` is not square.
-        SingularMatrixError: if ``a`` is rank-deficient (reports the deficit).
-    """
+    """Rank of the 2-D array ``a`` over GF(q) (number of RREF pivots)."""
     a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square to invert, got shape {a.shape}")
-    n = a.shape[0]
-    reduced, pivots = rref(np.hstack((a, np.eye(n, dtype=np.int64))), q)
-    if not np.array_equal(reduced[:, :n], np.eye(n, dtype=np.int64)):
-        raise SingularMatrixError(n, sum(1 for p in pivots if p < n))
-    return reduced[:, n:]
+    if a.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
+    return len(_rref_rows((a % q).tolist(), q)[1])
 
 
 def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:

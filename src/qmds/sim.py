@@ -11,7 +11,9 @@ larger than its complement is reduced once, and the larger side reads its
 entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
-The table's reduction is batched by register count, in chunks whose
+The table reads the masks of each register count and their register
+positions from ``code.subset_layout``, as the exact oracle does, so no
+rank code runs.  Its reduction is batched by register count, in chunks whose
 kept-key arrays (masks x rows x 8 bytes) stay within KEY_BUDGET, or hold
 one mask where that alone is larger; its other temporaries are no
 larger.  Kept keys come by Horner's rule over a register-major copy of
@@ -63,7 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .code import QuantumMdsCode, _check_cells, _check_index_set, _decoding_step
+from .code import QuantumMdsCode, _check_cells, _check_index_set, _decoding_step, subset_layout
 from .entropy import SubsystemSpec
 
 MAX_KEY = np.iinfo(np.int64).max
@@ -325,13 +327,9 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     if k == 0:
         raise ValueError("state has no reference block, so R-atomic subsystems are undefined")
     q, rows = psi.q, len(psi.amplitudes)
-    full = (2 << (total - k)) - 1
-    bits = np.array([total - k] * k + list(range(total - k)))
-    member = (np.arange(full + 1)[:, None] >> bits & 1).astype(bool)
-    sizes = member.sum(axis=1)
-    groups = [np.flatnonzero(sizes == size) for size in range(1, total // 2 + 1)]
-    kept = [np.nonzero(member[masks])[1].reshape(masks.size, size)
-            for size, masks in enumerate(groups, start=1)]
+    layout = subset_layout(k, total - k)
+    full = layout.full
+    groups, kept = zip(*map(layout.of_size, range(1, total // 2 + 1)))
     table = np.zeros(full + 1)
     flat = np.zeros(full + 1, dtype=bool)
     injective = np.zeros(full + 1, dtype=bool)

@@ -3,7 +3,7 @@ import types
 import numpy as np
 import pytest
 
-from qmds import CodeParams, QuantumMdsCode, SubsystemSpec, erasure_submatrices, invert
+from qmds import CodeParams, QuantumMdsCode, SubsystemSpec
 
 # the three desk-scale reference codes exercised throughout
 REFERENCE_PARAMS = [(3, 1, 2, 3), (4, 2, 2, 5), (5, 1, 3, 5)]
@@ -29,11 +29,39 @@ def make_code(n, k, d, q, alphas=None):
     return QuantumMdsCode(CodeParams(n=n, k=k, d=d, q=q), alphas)
 
 
+def erasure_blocks(code, surviving):
+    """(AB_surviving, AB_erased): the columns of AB at the 1-based surviving
+    indices and at the rest, each ascending, sliced from AB alone."""
+    columns = [i - 1 for i in sorted(surviving)]
+    rest = [c for c in range(code.params.n) if c not in columns]
+    return code.AB[:, columns], code.AB[:, rest]
+
+
+def inverse_mod(matrix, q: int) -> np.ndarray:
+    """The inverse of a square matrix over GF(q) by plain Gauss-Jordan elimination
+    on [matrix | I], in Python ints; a singular matrix raises ValueError."""
+    size = len(matrix)
+    rows = [[int(x) % q for x in row] + [int(r == c) for c in range(size)]
+            for r, row in enumerate(np.asarray(matrix).tolist())]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = pow(rows[col][col], -1, q)
+        rows[col] = [x * scale % q for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], rows[col])]
+    return np.array([row[size:] for row in rows], dtype=np.int64).reshape(size, size)
+
+
 def step_one_only(code, idx):
     """A stand-in for sim._step with only decoding's first step, (AB_surviving)^-1,
     transposed for register-major values: the state it leaves misses the target."""
-    ab_s, _ = erasure_submatrices(code, idx)
-    return invert(ab_s, code.params.q).T.astype(np.float64)
+    ab_s, _ = erasure_blocks(code, idx)
+    return inverse_mod(ab_s, code.params.q).T.astype(np.float64)
 
 
 def spec_at(mask, n):

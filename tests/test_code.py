@@ -9,7 +9,8 @@ from qmds import (
     CodeParams,
     QuantumMdsCode,
     SingularMatrixError,
-    erasure_submatrices,
+    decoded_fidelity,
+    encode_state,
     from_descriptor,
     rank,
     smallest_prime_at_least,
@@ -17,10 +18,10 @@ from qmds import (
     validate,
 )
 from qmds import code as code_module, linalg
-from qmds.code import _check_index_set, group_indices, index_groups
+from qmds.code import _check_index_set, group_indices, index_groups, subset_layout
 from qmds.reporting import Check, status_line
 
-from conftest import DESK_PARAMS, make_code, non_mds_control
+from conftest import DESK_PARAMS, erasure_blocks, inverse_mod, make_code, non_mds_control
 
 
 class TestCodeParams:
@@ -172,8 +173,8 @@ class TestConstruction:
         # distinct points make every m columns of AB a Vandermonde matrix,
         # so building a code takes no rank
         calls = []
-        rref = linalg.rref
-        monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(args) or rref(*args))
+        core = linalg._rref_rows
+        monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append(args) or core(*args))
         for params in DESK_PARAMS:
             QuantumMdsCode(CodeParams(*params))
         assert calls == []
@@ -188,28 +189,34 @@ class TestConstruction:
 
 
 class TestErasureSubmatrices:
+    """The erasure blocks decoding inverts, the surviving columns of AB and the
+    erased seed block, reached through decoded_fidelity."""
+
     def test_hand_worked_3_1_2(self):
         code = make_code(3, 1, 2, 3)
-        surviving_block, erased_block = erasure_submatrices(code, [1, 2])
+        surviving_block, erased_block = erasure_blocks(code, [1, 2])
         assert surviving_block.tolist() == [[0, 1], [1, 1]]
         # bottom d-1 rows of the erased block form the seed-facing square
         assert erased_block.tolist() == [[2], [1]]
-        assert erased_block[1:].tolist() == [[1]]
+        # the step AB_surviving^-1 [E | AB_erased] by hand over GF(3):
+        # [[2, 1], [1, 0]] @ [[1, 2], [0, 1]] = [[2, 2], [1, 2]]
+        assert inverse_mod(surviving_block, 3).tolist() == [[2, 1], [1, 0]]
+        assert code_module._decoding_step(code, [1, 2]) == [[2, 2], [1, 2]]
 
     def test_wrong_size_rejected(self):
         code = make_code(3, 1, 2, 3)
         with pytest.raises(ValueError, match="n-\\(d-1\\)=2"):
-            erasure_submatrices(code, [1])
+            decoded_fidelity(encode_state(code), code, [1])
 
     def test_out_of_range_rejected(self):
         code = make_code(3, 1, 2, 3)
         with pytest.raises(ValueError, match="1..3"):
-            erasure_submatrices(code, [1, 4])
+            decoded_fidelity(encode_state(code), code, [1, 4])
 
     def test_duplicates_rejected(self):
         code = make_code(5, 1, 3, 5)
         with pytest.raises(ValueError, match="duplicate"):
-            erasure_submatrices(code, [1, 2, 2])
+            decoded_fidelity(encode_state(code), code, [1, 2, 2])
 
     @pytest.mark.parametrize(
         "surviving, what, rank_found",
@@ -219,17 +226,23 @@ class TestErasureSubmatrices:
     )
     def test_singular_block_raises_typed_error(self, surviving, what, rank_found):
         # the control repeats Q4's column in Q5
+        control = non_mds_control()
         with pytest.raises(SingularMatrixError, match=re.escape(what)) as excinfo:
-            erasure_submatrices(non_mds_control(), surviving)
+            decoded_fidelity(encode_state(control), control, surviving)
         assert excinfo.value.rank == rank_found
         assert excinfo.value.size == rank_found + 1
+        assert str(excinfo.value) == (
+            f"{what} is singular: rank {rank_found} < size {rank_found + 1} (deficit 1)"
+        )
 
     def test_all_blocks_invertible_4_2_2(self):
         code = make_code(4, 2, 2, 5)
+        psi = encode_state(code)
         for surviving in itertools.combinations(range(1, 5), 3):
-            block, _ = erasure_submatrices(code, surviving)
+            block, _ = erasure_blocks(code, surviving)
             assert block.shape == (3, 3)
             assert rank(block, 5) == 3
+            assert decoded_fidelity(psi, code, surviving) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestIndexSetCheck:
@@ -389,6 +402,64 @@ class TestIndexGroups:
                 assert all(type(i) is int and 1 <= i <= n for i in indices)
             groups = [g for size in range(n + 1) for g in itertools.combinations(range(1, n + 1), size)]
             assert [group_indices(mask) for mask in index_groups(n, range(n + 1))] == groups
+
+
+# (k, n) pairs, k + n up to 12, for the layout against bit formulas
+LAYOUT_LADDER = [(1, 2), (2, 2), (1, 4), (3, 2), (2, 4), (4, 3), (1, 8), (4, 6), (2, 10)]
+
+
+class TestSubsetLayout:
+    @pytest.mark.parametrize("k, n", LAYOUT_LADDER)
+    def test_r_atomic_masks_and_counts_match_bit_formulas(self, k, n):
+        # index R * 2^n + qmask holds registers (R ? 2^k - 1 : 0) | qmask << k
+        layout = subset_layout(k, n)
+        assert layout.full == (2 << n) - 1
+        assert layout.parts == tuple((k + i,) for i in range(n)) + (tuple(range(k)),)
+        for index in range(layout.full + 1):
+            include_R, qmask = divmod(index, 1 << n)
+            assert layout.registers[index] == include_R * ((1 << k) - 1) | qmask << k
+            assert layout.counts[index] == k * include_R + bin(qmask).count("1")
+        assert layout.counts.dtype == np.int8
+        assert layout.registers.dtype == np.int64
+
+    @pytest.mark.parametrize("k, n", LAYOUT_LADDER)
+    def test_all_register_masks_and_counts_match_bit_formulas(self, k, n):
+        # register r is bit r, so each union's register mask is its index
+        layout = subset_layout(k, n, split_R=True)
+        assert layout.full == (1 << (k + n)) - 1
+        assert layout.parts == tuple((r,) for r in range(k + n))
+        masks = np.arange(layout.full + 1)
+        assert np.array_equal(layout.registers, masks)
+        assert layout.counts.tolist() == [bin(mask).count("1") for mask in range(layout.full + 1)]
+
+    @pytest.mark.parametrize("split_R", [False, True])
+    @pytest.mark.parametrize("k, n", [(1, 4), (2, 4), (3, 5)])
+    def test_unions_of_one_size_list_their_registers(self, k, n, split_R):
+        layout = subset_layout(k, n, split_R=split_R)
+        for size in range(k + n + 1):
+            masks, positions = layout.of_size(size)
+            expected = [m for m in range(layout.full + 1) if layout.counts[m] == size]
+            assert masks.tolist() == expected
+            assert positions.shape == (len(expected), size)
+            for mask, registers in zip(masks.tolist(), positions.tolist()):
+                register_mask = int(layout.registers[mask])
+                assert registers == [r for r in range(k + n) if register_mask >> r & 1]
+                # the complement holds every other register
+                assert int(layout.registers[layout.full - mask]) == (1 << (k + n)) - 1 - register_mask
+
+    def test_arrays_are_read_only(self):
+        layout = subset_layout(2, 4)
+        arrays = (layout.registers, layout.counts, *layout.of_size(3))
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_one_layout_per_shape(self):
+        assert subset_layout(2, 4) is subset_layout(2, 4)
+        assert subset_layout(2, 4, split_R=True) is subset_layout(2, 4, split_R=True)
+        assert subset_layout(2, 4) is not subset_layout(2, 4, split_R=True)
+        layout = subset_layout(3, 5)
+        assert layout.of_size(2)[0] is layout.of_size(2)[0]
 
 
 class TestDescriptor:

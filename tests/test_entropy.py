@@ -21,8 +21,8 @@ from qmds import (
     full_profile,
     decode,
     decode_target,
+    decoded_fidelity,
     encode_state,
-    erasure_submatrices,
     product_state_checks,
     subsystem_entropy,
     von_neumann_entropy,
@@ -711,6 +711,20 @@ class TestTableWidth:
         with pytest.raises(ValueError, match=message):
             EntropyProfile(params, (), table)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_table_bound_is_a_third_of_int64_exactly(self, sign):
+        # (2^63 - 1) // 3 is held, as int64; one past it is refused
+        params = make_code(3, 1, 2, 3).params
+        bound = ((1 << 63) - 1) // 3
+        table = np.zeros(16, dtype=np.int64)
+        table[5] = sign * bound
+        stored = EntropyProfile(params, (), table).table
+        assert stored.dtype == np.int64
+        assert int(stored[5]) == sign * bound
+        table[5] += sign
+        with pytest.raises(ValueError, match=f"must lie within \\+-{bound}"):
+            EntropyProfile(params, (), table)
+
     def test_wrapped_mutual_information_fails_recovery(self):
         # I(R;Q_I) = 100 + 100 + 58 = 258 on every recovery set, which int8
         # would wrap to 2 = 2k; each no-leakage set gives 100 + 0 - 100 = 0
@@ -825,7 +839,7 @@ INDEX_TAKERS = {
     "SubsystemSpec": lambda code, bad: SubsystemSpec(False, [bad]),
     "decode": lambda code, bad: decode(encode_state(code), code, [bad, 2]),
     "decode_target": lambda code, bad: decode_target(code, [bad, 2]),
-    "erasure_submatrices": lambda code, bad: erasure_submatrices(code, [bad, 2]),
+    "decoded_fidelity": lambda code, bad: decoded_fidelity(encode_state(code), code, [bad, 2]),
 }
 
 

@@ -4,33 +4,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmds import SingularMatrixError, invert, linalg, rank, rref, subset_ranks
+from qmds import linalg, rank, subset_ranks
 
-from conftest import brute_force_subspace_dim, make_code, span_vectors
+from conftest import brute_force_subspace_dim, inverse_mod, make_code, span_vectors
+
+
+def rref(rows, q):
+    """linalg._rref_rows on a copy of ``rows``, entries reduced mod q first."""
+    return linalg._rref_rows([[x % q for x in row] for row in np.asarray(rows).tolist()], q)
 
 
 def test_rref_identity_fixed_point():
     reduced, pivots = rref(np.eye(2, dtype=np.int64), 3)
-    assert reduced.tolist() == [[1, 0], [0, 1]]
+    assert reduced == [[1, 0], [0, 1]]
     assert pivots == [0, 1]
 
 
 def test_rref_zero_fixed_point():
     reduced, pivots = rref(np.zeros((2, 2), dtype=np.int64), 3)
-    assert reduced.tolist() == [[0, 0], [0, 0]]
+    assert reduced == [[0, 0], [0, 0]]
     assert pivots == []
 
 
 def test_rref_refuses_a_vector():
+    # rank row-reduces 2-D arrays only
     with pytest.raises(ValueError, match="2-dimensional, got ndim=1"):
-        rref(np.arange(3), 5)
+        rank(np.arange(3), 5)
 
 
 def test_rref_hand_worked_example():
     # row-reduce [[0,1,2],[1,1,1]] over GF(3) by hand: swap rows, then
     # subtract the second row from the first -> [[1,0,2],[0,1,2]]
     reduced, pivots = rref([[0, 1, 2], [1, 1, 1]], 3)
-    assert reduced.tolist() == [[1, 0, 2], [0, 1, 2]]
+    assert reduced == [[1, 0, 2], [0, 1, 2]]
     assert pivots == [0, 1]
 
 
@@ -94,18 +100,21 @@ def test_matrix_entries_reduced_and_immutable():
     # entries are reduced mod q on entry, and the input is never written
     a = np.array([[4, -1], [3, 7]], dtype=np.int64)
     a.flags.writeable = False
-    assert rref(a[:1], 3)[0].tolist() == [[1, 2]]
+    assert rank(a[:1], 3) == 1
     assert rank([[3, 6], [0, 9]], 3) == 0
-    assert invert(a, 3).tolist() == [[1, 1], [0, 1]]
+    assert rank(a, 3) == 2
     assert a.tolist() == [[4, -1], [3, 7]]
 
 
+# the test-local inverse is the reference the decoding-step tests trust
+
+
 def test_invert_identity():
-    assert invert(np.eye(3, dtype=np.int64), 3).tolist() == np.eye(3).tolist()
+    assert inverse_mod(np.eye(3, dtype=np.int64), 3).tolist() == np.eye(3).tolist()
 
 
 def test_invert_unipotent_example():
-    assert invert([[1, 1], [0, 1]], 3).tolist() == [[1, 2], [0, 1]]
+    assert inverse_mod([[1, 1], [0, 1]], 3).tolist() == [[1, 2], [0, 1]]
 
 
 def test_invert_round_trip_random():
@@ -116,23 +125,12 @@ def test_invert_round_trip_random():
         while found < 10:
             m = rng.integers(0, q, size=(4, 4))
             if rank(m, q) < 4:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse_mod(m, q)
                 continue
             found += 1
-            assert np.array_equal(invert(m, q) @ m % q, identity)
-            assert np.array_equal(m @ invert(m, q) % q, identity)
-
-
-def test_invert_singular_reports_deficit():
-    with pytest.raises(SingularMatrixError) as excinfo:
-        invert([[1, 2, 0], [2, 4, 0], [0, 0, 1]], 5)
-    assert excinfo.value.size == 3
-    assert excinfo.value.rank == 2
-    assert str(excinfo.value) == "matrix is singular: rank 2 < size 3 (deficit 1)"
-
-
-def test_invert_requires_square():
-    with pytest.raises(ValueError):
-        invert(np.zeros((2, 3), dtype=np.int64), 3)
+            assert np.array_equal(inverse_mod(m, q) @ m % q, identity)
+            assert np.array_equal(m @ inverse_mod(m, q) % q, identity)
 
 
 BIG_Q = 2**31 - 1
@@ -144,7 +142,11 @@ def test_products_exact_at_largest_q():
     rng = np.random.default_rng(7)
     m = rng.integers(BIG_Q - 1000, BIG_Q, size=(3, 3))
     assert rank(m, BIG_Q) == 3
-    product = invert(m, BIG_Q).astype(object) @ m.astype(object) % BIG_Q
+    # the RREF of [m | I] is [I | m^-1]
+    reduced, pivots = rref(np.hstack((m, np.eye(3, dtype=np.int64))), BIG_Q)
+    assert pivots == [0, 1, 2]
+    inverse = np.array([row[3:] for row in reduced], dtype=object)
+    product = inverse @ m.astype(object) % BIG_Q
     assert product.tolist() == np.eye(3, dtype=np.int64).tolist()
 
 
@@ -286,3 +288,20 @@ def test_subset_ranks_refuses_ranks_past_int8():
     assert ranks.tolist() == [0, 1, 1, 2]
     with pytest.raises(ValueError, match="int8"):
         subset_ranks(np.zeros((128, 2), dtype=np.int64), 5, [[0], [1]])
+
+
+def test_subset_ranks_admits_exactly_max_masks(monkeypatch):
+    # 18 one-column parts give 2^18 = MAX_MASKS masks, the R-atomic table of
+    # an n = 17 code; a 19th part is refused before any kernel is allocated
+    assert 1 << 18 == linalg.MAX_MASKS
+    G = np.eye(2, 19, dtype=np.int64)
+    ranks = subset_ranks(G[:, :18], 5, [[c] for c in range(18)])
+    assert ranks.size == linalg.MAX_MASKS
+    assert ranks[[0, 1, 2, 3, -1]].tolist() == [0, 1, 1, 2, 2]
+
+    def unreachable(*args):
+        raise AssertionError("a kernel was allocated")
+
+    monkeypatch.setattr(linalg, "_kernels", unreachable)
+    with pytest.raises(ValueError, match="2\\^19 column subsets is beyond the 262144-mask guard"):
+        subset_ranks(G, 5, [[c] for c in range(19)])

@@ -16,11 +16,9 @@ from qmds import (
     decode_target,
     decoded_fidelity,
     encode_state,
-    erasure_submatrices,
     fidelity,
     full_profile,
     hermitian_eigenvalues,
-    invert,
     partial_trace,
     subsystem_entropy,
     von_neumann_entropy,
@@ -34,6 +32,8 @@ from conftest import (
     dense_decode,
     dense_entropy,
     dense_partial_trace,
+    erasure_blocks,
+    inverse_mod,
     make_code,
     non_mds_control,
     radix_keys,
@@ -545,9 +545,9 @@ class TestDecode:
 def reference_step(code, surviving):
     """AB_surviving^-1 [E | AB_erased] as exact Python ints (object dtype)."""
     p = code.params
-    ab_s, ab_e = erasure_submatrices(code, surviving)
+    ab_s, ab_e = erasure_blocks(code, surviving)
     right = np.hstack((code.G[:, : p.k], ab_e)).astype(object)
-    return invert(ab_s, p.q).astype(object) @ right % p.q
+    return inverse_mod(ab_s, p.q).astype(object) @ right % p.q
 
 
 class TestDecodeConstruction:
@@ -641,10 +641,10 @@ def patterns(code):
 def step_one_decoded(psi, code, surviving):
     """psi with only decoding's first step, y -> y . (AB_surviving)^-1, applied."""
     p = code.params
-    ab_s, _ = erasure_submatrices(code, surviving)
+    ab_s, _ = erasure_blocks(code, surviving)
     positions = [p.k + i - 1 for i in surviving]
     digits = psi.digits.astype(np.int64)
-    digits[:, positions] = digits[:, positions] @ invert(ab_s, p.q) % p.q
+    digits[:, positions] = digits[:, positions] @ inverse_mod(ab_s, p.q) % p.q
     return StateVector(p.q, p.num_registers, digits, psi.amplitudes, num_ref=p.k)
 
 
@@ -783,32 +783,39 @@ class TestTargetFidelity:
 
 
 def test_statevector_oracle_uses_no_rank_code(monkeypatch):
-    # the two oracles must stay independent: entropies from the simulator
-    # may not go through any GF(q) rank routine
+    # the two oracles must stay independent: entropies from the simulator,
+    # per mask and through the table verify reads, may not go through any
+    # GF(q) rank routine, and neither may the subset layout the table reads;
+    # a k = 1 and a k = 2 code
+    import qmds.code
     import qmds.entropy
     import qmds.linalg
 
-    code = make_code(4, 2, 2, 5)
-    expected = full_profile(code).table
+    codes = [make_code(5, 1, 3, 5), make_code(4, 2, 2, 5)]
+    profiles = [full_profile(code).table for code in codes]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the state-vector oracle called GF(q) rank code")
 
     for module, name in (
         (qmds.linalg, "rank"),
-        (qmds.linalg, "rref"),
         (qmds.linalg, "_rref_rows"),
         (qmds.linalg, "subset_ranks"),
+        (qmds.code, "rank"),
+        (qmds.code, "subset_ranks"),
         (qmds.entropy, "subset_ranks"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     # every exact entropy comes from subset_ranks
     assert not hasattr(qmds.entropy, "rank")
-    psi = encode_state(code)
-    for mask, h in enumerate(expected):
-        spec = SubsystemSpec(mask >> 4, [i + 1 for i in range(4) if mask >> i & 1])
-        assert von_neumann_entropy(psi, spec) == pytest.approx(h, abs=1e-9)
-    assert np.max(np.abs(sim_entropy_table(psi) - expected)) <= 1e-9
+    qmds.code.subset_layout.cache_clear()
+    for code, expected in zip(codes, profiles):
+        n = code.params.n
+        psi = encode_state(code)
+        assert np.max(np.abs(sim_entropy_table(psi) - expected)) <= 1e-9
+        for mask, h in enumerate(expected):
+            spec = SubsystemSpec(mask >> n, [i + 1 for i in range(n) if mask >> i & 1])
+            assert von_neumann_entropy(psi, spec) == pytest.approx(h, abs=1e-9)
 
 
 # the desk codes small enough for the dense reference in conftest
