@@ -17,7 +17,7 @@ message-plus-seed vector (a, b) lands on the basis state |a, (a, b) AB>.
 
 ``index_groups`` lists every index family the checks run over as the
 bitmasks that index the rank and entropy tables; ``group_indices`` decodes one.
-``subset_layout`` maps a table index to its registers for both entropy oracles.
+``subset_layout`` is the one register map: it places and names every union of parts.
 """
 
 from __future__ import annotations
@@ -194,8 +194,9 @@ def _check_index_set(n: int, indices, what: str, formula: str, size: int) -> lis
     return idx
 
 
-def _decoding_step(code: QuantumMdsCode, idx: list[int]) -> list[list[int]]:
-    """AB_surviving^-1 [E | AB_erased] of checked surviving indices ``idx``, as lists.
+def _decoding_step(code: QuantumMdsCode, survivors, partners, mask: int) -> list[list[int]]:
+    """AB_surviving^-1 [E | AB_erased] as lists, for the surviving Q-bitmask ``mask``,
+    its registers ``survivors`` and the complement's, R's then the erased, ``partners``.
 
     Decoding maps the surviving value y to y . AB_surviving^-1 = (a, b), a
     generator row, and then to (a, (a, b) AB_erased): this m x m matrix, read
@@ -205,16 +206,16 @@ def _decoding_step(code: QuantumMdsCode, idx: list[int]) -> list[list[int]]:
     last d - 1 rows of AB_erased), invertible exactly when the step is.
     """
     p, m = code.params, code.params.generator_rank
-    erased = [i for i in range(1, p.n + 1) if i not in idx]
-    rows = [[row[p.k + i - 1] for i in idx] + row[:p.k] + [row[p.k + i - 1] for i in erased]
-            for row in code.G.tolist()]
+    columns = survivors + partners
+    rows = [[row[c] for c in columns] for row in code.G.tolist()]
     seed = [row[m + p.k:] for row in rows[p.k:]]
     reduced, pivots = linalg._rref_rows(rows, p.q)
     r = sum(1 for c in pivots if c < m)
     if r != m:
-        raise SingularMatrixError(m, r, f"surviving-column block {idx}")
+        raise SingularMatrixError(m, r, f"surviving-column block {list(group_indices(mask))}")
     r = len(linalg._rref_rows(seed, p.q)[1])
     if r != len(seed):
+        erased = list(group_indices((1 << p.n) - 1 - mask))
         raise SingularMatrixError(len(seed), r, f"erased-column seed block {erased}")
     return [row[m:] for row in reduced]
 
@@ -270,15 +271,24 @@ def group_indices(mask: int) -> tuple[int, ...]:
 
 
 class SubsetLayout:
-    """The unions of the disjoint register groups ``parts`` by bitmask, part j at bit j;
-    combinatorics only.  Its read-only arrays are built on first use, so a caller
-    builds only what it reads: ``registers[mask]``, the union's register bitmask
-    (register r at bit r), ``counts[mask]``, its int8 register count, and
-    ``of_size(s)``, the masks of s registers, ascending, with their (B, s) register
-    positions.  A union's complement is ``full - mask``."""
+    """The unions of the disjoint register groups ``parts``, named ``names``, by bitmask,
+    part j at bit j; combinatorics only.  ``positions`` and ``labels`` walk the parts, and
+    the read-only arrays are built on first use, so a caller builds only what it reads:
+    ``registers[mask]``, the union's register bitmask (register r at bit r), ``counts[mask]``,
+    its int8 register count, and ``of_size(s)``, the masks of s registers, ascending, with
+    their (B, s) register positions.  A union's complement is ``full - mask``."""
 
-    def __init__(self, parts: tuple[tuple[int, ...], ...]):
-        self.parts, self.full, self._sizes = parts, (1 << len(parts)) - 1, {}
+    def __init__(self, parts: tuple[tuple[int, ...], ...], names: tuple[str, ...]):
+        self.parts, self.names, self.full, self._sizes = parts, names, (1 << len(parts)) - 1, {}
+        self._order = sorted(range(len(parts)), key=lambda j: parts[j][:1])  # empty part first
+
+    def positions(self, mask: int) -> list[int]:
+        """The registers of the union ``mask``, ascending."""
+        return sorted(r for j, part in enumerate(self.parts) if mask >> j & 1 for r in part)
+
+    def labels(self, mask: int) -> tuple[str, ...]:
+        """The names of the parts in the union ``mask``, in register order."""
+        return tuple(self.names[j] for j in self._order if mask >> j & 1)
 
     def _by_union(self, dtype, combine, values) -> np.ndarray:
         # the unions with part j are those without it, combined with its value
@@ -310,10 +320,12 @@ class SubsetLayout:
 def subset_layout(k: int, n: int, split_R: bool = False) -> SubsetLayout:
     """The R-atomic layout (Q_i at bit i - 1, R's k registers at bit n), or with
     ``split_R`` the all-register one (register r at bit r), registers R1..Rk
-    then Q1..Qn; built once per (k, n, split_R)."""
+    then Q1..Qn; each part named as listed.  Built once per (k, n, split_R)."""
+    coded = tuple(f"Q{i}" for i in range(1, n + 1))
     if split_R:
-        return SubsetLayout(tuple((r,) for r in range(k + n)))
-    return SubsetLayout(tuple((k + i,) for i in range(n)) + (tuple(range(k)),))
+        return SubsetLayout(tuple((r,) for r in range(k + n)),
+                            tuple(f"R{i}" for i in range(1, k + 1)) + coded)
+    return SubsetLayout(tuple((k + i,) for i in range(n)) + (tuple(range(k)),), coded + ("R",))
 
 
 # JSON code descriptor: {"q":, "n":, "k":, "d":, "alphas": [...]} -- accepted

@@ -14,8 +14,8 @@ one table of ranks, one per union of atomic parts, indexed by bitmask.
 
 With R atomic there are n + 1 parts, and the table has 2^(n+1) entries
 in the order R * 2^n + Q-bitmask (Q_i is bit i - 1, R is bit n), which is
-``SubsystemSpec.sort_key`` order, the parts of ``code.subset_layout``,
-which the state-vector oracle reads too.  The ranks come from the GF(q) rank
+``SubsystemSpec.mask``, the mask order of ``code.subset_layout``'s parts,
+which names them and the state-vector oracle reads too.  The ranks come from the GF(q) rank
 lattice ``linalg.subset_ranks``, which cuts each union's left kernel down
 from the kernel of the union without its highest part, so every added
 column costs one matrix-vector product and one rank-one update instead of
@@ -69,54 +69,50 @@ BLOCK_DIGITS = 8
 class SubsystemSpec:
     """A subsystem of the k + n registers, with R atomic (all k or none).
 
-    q_indices holds 1-based coded-qudit indices; bounds against a concrete
-    code are checked where the spec is used.
+    q_indices holds distinct 1-based coded-qudit indices, checked against n
+    by ``mask``; include_R is a bool, or the integer 0 or 1.
     """
 
     include_R: bool
     q_indices: frozenset[int]
 
     def __init__(self, include_R: bool, q_indices=()):
+        if not (isinstance(include_R, (int, np.integer, np.bool_)) and include_R in (0, 1)):
+            raise ValueError(f"include_R must be a bool, 0 or 1: got {include_R!r}")
         object.__setattr__(self, "include_R", bool(include_R))
-        idx = frozenset(_as_int(i, "coded-qudit index") for i in q_indices)
-        if idx and min(idx) < 1:
-            raise ValueError(f"coded-qudit indices are 1-based: got {sorted(idx)}")
-        object.__setattr__(self, "q_indices", idx)
+        idx = sorted(_as_int(i, "coded-qudit index") for i in q_indices)
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"coded-qudit index set has duplicate indices: {idx}")
+        if idx and idx[0] < 1:
+            raise ValueError(f"coded-qudit indices are 1-based: got {idx}")
+        object.__setattr__(self, "q_indices", frozenset(idx))
 
     def size(self, k: int) -> int:
         """Qudit count: R contributes k, each Q_i contributes 1."""
         return (k if self.include_R else 0) + len(self.q_indices)
 
-    def registers(self, k: int) -> tuple[int, ...]:
-        """0-based register positions (R block first, then coded qudits)."""
-        positions = list(range(k)) if self.include_R else []
-        positions += [k + i - 1 for i in sorted(self.q_indices)]
-        return tuple(positions)
+    def mask(self, n: int) -> int:
+        """The table index R * 2^n + Q-bitmask; every index must lie in 1..n."""
+        bad = sorted(i for i in self.q_indices if i > n)
+        if bad:
+            raise ValueError(f"subsystem indices out of range 1..{n}: {bad}")
+        return self.include_R << n | sum(1 << (i - 1) for i in self.q_indices)
+
+    def registers(self, k: int, n: int) -> list[int]:
+        """The subset layout's register positions, ascending (R's k first, then Q1..Qn)."""
+        if self.include_R and k == 0:
+            raise ValueError("no reference block but include_R was requested")
+        return subset_layout(k, n).positions(self.mask(n))
 
     def complement(self, n: int) -> "SubsystemSpec":
-        return SubsystemSpec(
-            not self.include_R,
-            frozenset(range(1, n + 1)) - self.q_indices,
-        )
+        """The spec at table index full - mask, so an index above n is refused."""
+        include_R, qmask = divmod((2 << n) - 1 - self.mask(n), 1 << n)
+        return SubsystemSpec(include_R, group_indices(qmask))
 
     def labels(self) -> tuple[str, ...]:
-        return _key_labels(*self.sort_key())
-
-    def sort_key(self) -> tuple[int, int]:
-        """Canonical subset encoding: (R flag, bitmask with Q1 = bit 0)."""
-        return (int(self.include_R), sum(1 << (i - 1) for i in self.q_indices))
-
-
-def _key_labels(include_R: int, qmask: int) -> tuple[str, ...]:
-    """Labels of the subsystem with sort key (include_R, qmask)."""
-    return ("R",) * include_R + tuple(f"Q{i}" for i in group_indices(qmask))
-
-
-def _check_spec(code: QuantumMdsCode, sub: SubsystemSpec) -> None:
-    n = code.params.n
-    bad = [i for i in sub.q_indices if i > n]
-    if bad:
-        raise ValueError(f"subsystem indices out of range 1..{n}: {sorted(bad)}")
+        """The layout's names, which for R atomic depend on neither k nor n."""
+        n = max(self.q_indices, default=0)
+        return subset_layout(1, n).labels(self.mask(n))
 
 
 def _entropy_table(code: QuantumMdsCode, parts) -> NDArray[np.int8]:
@@ -150,9 +146,8 @@ def subsystem_entropy(code: QuantumMdsCode, sub: SubsystemSpec) -> int:
     Read off the rank lattice over two parts, the subsystem and its
     complement.
     """
-    _check_spec(code, sub)
     k, n = code.params.k, code.params.n
-    return int(_entropy_table(code, [sub.registers(k), sub.complement(n).registers(k)])[1])
+    return int(_entropy_table(code, [sub.registers(k, n), sub.complement(n).registers(k, n)])[1])
 
 
 def expected_subsystem_entropy(sizes, k: int, d: int) -> NDArray[np.int64]:
@@ -207,7 +202,7 @@ class EntropyProfile:
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """Labels of the R-atomic subsystem at a table index."""
-        return _key_labels(*divmod(int(mask), 1 << self.params.n))
+        return subset_layout(self.params.k, self.params.n).labels(int(mask))
 
     @property
     def all_match(self) -> bool:
@@ -227,11 +222,12 @@ class EntropyProfile:
         ]
         if self.register_table is not None:
             k, n = self.params.k, self.params.n
-            # register mask: Ri is bit i - 1 and Qi is bit k + i - 1
+            # each proper R subset with each coded set's R-atomic register mask
             r_masks, q_masks = index_groups(k, range(1, k)), index_groups(n, range(n + 1))
-            masks = (r_masks[:, None] | q_masks << k).ravel()
+            masks = (r_masks[:, None] | subset_layout(k, n).registers[q_masks]).ravel()
+            layout = subset_layout(k, n, split_R=True)
             for mask, h in zip(masks.tolist(), self.register_table[masks].tolist()):
-                labels = [f"R{i}" if i <= k else f"Q{i - k}" for i in group_indices(mask)]
+                labels = list(layout.labels(mask))
                 rows.append(dict(zip(_ROW_KEYS, (labels, len(labels), h, None, None))))
         return {"code": to_descriptor(self), "entries": rows}
 

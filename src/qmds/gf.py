@@ -15,7 +15,7 @@ import math
 # int64; above it the reduced updates could wrap and return wrong ranks
 # without any error.  The Gauss-Jordan routines run on Python ints and
 # need no bound; decoding's float64 pass has its own, far lower one
-# (sim._decode_block).
+# (sim._step).
 MAX_Q = 1 << 31
 
 

@@ -11,9 +11,9 @@ larger than its complement is reduced once, and the larger side reads its
 entry.  The two entropy paths share no machinery beyond the generator
 matrix itself, which is used only to list the support.
 
-The table reads the masks of each register count and their register
-positions from ``code.subset_layout``, as the exact oracle does, so no
-rank code runs.  Its reduction is batched by register count, in chunks whose
+The table, a spec's registers and the decoder's register pairs all come
+from ``code.subset_layout``, the one register map the exact oracle reads
+too, so no rank code runs.  Its reduction is batched by register count, in chunks whose
 kept-key arrays (masks x rows x 8 bytes) stay within KEY_BUDGET, or hold
 one mask where that alone is larger; its other temporaries are no
 larger.  Kept keys come by Horner's rule over a register-major copy of
@@ -195,17 +195,6 @@ def encode_state(code: QuantumMdsCode) -> StateVector:
     return _row_space(code.params.q, code.G, code.params.k)
 
 
-def _positions_of(psi: StateVector, sub: SubsystemSpec) -> list[int]:
-    """The subsystem's register positions, ascending."""
-    if sub.include_R and psi.num_ref == 0:
-        raise ValueError("state has no reference block but include_R was requested")
-    positions = list(sub.registers(psi.num_ref))
-    beyond = [p - psi.num_ref + 1 for p in positions if p >= psi.num_registers]
-    if beyond:
-        raise ValueError(f"coded qudit Q{beyond[0]} out of range for {psi.num_registers} registers")
-    return positions
-
-
 def _reduce(psi: StateVector, positions: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The reduced state of ``positions`` on the kept keys the state reaches.
 
@@ -246,7 +235,7 @@ def partial_trace(psi: StateVector, keep: SubsystemSpec) -> np.ndarray:
     support never reaches.  The kept set must be nonempty and proper:
     the entropy of an empty or full one is 0 by purity.
     """
-    positions = _positions_of(psi, keep)
+    positions = keep.registers(psi.num_ref, psi.num_registers - psi.num_ref)
     if len(positions) == 0:
         raise ValueError("keep set is empty; its entropy is 0 by convention")
     if len(positions) == psi.num_registers:
@@ -303,7 +292,7 @@ def von_neumann_entropy(psi: StateVector, sub: SubsystemSpec) -> float:
     are all equal has entropy log_q of their count, as in the table's
     batch; any other gives -sum(lam log_q lam) over its nonzero entries.
     """
-    positions = _positions_of(psi, sub)
+    positions = sub.registers(psi.num_ref, psi.num_registers - psi.num_ref)
     if 2 * len(positions) > psi.num_registers:
         positions = [p for p in range(psi.num_registers) if p not in positions]
     if not positions:
@@ -411,8 +400,8 @@ def _entropy(psi: StateVector, positions: list[int]) -> float:
     return float(-terms.sum())
 
 
-def _step(code: QuantumMdsCode, idx: list[int]) -> np.ndarray:
-    """code._decoding_step of checked surviving indices ``idx``, float64, transposed.
+def _step(code: QuantumMdsCode, survivors, partners, mask: int) -> np.ndarray:
+    """code._decoding_step of _target_pairs' columns, float64, transposed.
 
     Raises:
         ValueError: if m (q-1)^2 >= 2^53, where _decode_rows' sums could round.
@@ -421,7 +410,7 @@ def _step(code: QuantumMdsCode, idx: list[int]) -> np.ndarray:
     if m * (q - 1) ** 2 >= 1 << 53:
         raise ValueError(f"decoding sums reach m(q-1)^2 = {m * (q - 1) ** 2}, beyond the 2^53 "
                          "that float64 holds exactly")
-    return np.array(_decoding_step(code, idx), dtype=np.float64).T
+    return np.array(_decoding_step(code, survivors, partners, mask), dtype=np.float64).T
 
 
 def _decode_rows(step: np.ndarray, q: int, values: np.ndarray) -> np.ndarray:
@@ -443,11 +432,12 @@ def _decode_rows(step: np.ndarray, q: int, values: np.ndarray) -> np.ndarray:
 
 
 def _target_pairs(psi: StateVector | None, code: QuantumMdsCode, surviving) -> tuple:
-    """(surviving positions, partner positions, checked surviving indices).
+    """(surviving positions, partner positions, Q-bitmask of the surviving indices).
 
-    The decoding target pairs the j-th surviving register with reference
-    register j for j < k, and with erased register j - k otherwise, covering
-    every register once.  psi's shape is checked too, unless psi is None.
+    The decoding target pairs the j-th surviving register with the j-th of
+    the complement's, R's then the erased ones, ascending, so every register
+    is covered once; ``code.subset_layout`` places both.  psi's shape is
+    checked too, unless psi is None.
     """
     p, k = code.params, code.params.k
     idx = _check_index_set(p.n, surviving, "surviving", "n-(d-1)", p.n - (p.d - 1))
@@ -456,8 +446,8 @@ def _target_pairs(psi: StateVector | None, code: QuantumMdsCode, surviving) -> t
             f"state does not match the code's joint state: shapes (q, registers, reference) "
             f"{(psi.q, psi.num_registers, psi.num_ref)} and {(p.q, p.num_registers, k)}"
         )
-    erased = [k + i - 1 for i in range(1, p.n + 1) if i not in idx]
-    return [k + i - 1 for i in idx], [*range(k), *erased], idx
+    layout, mask = subset_layout(k, p.n), sum(1 << (i - 1) for i in idx)
+    return layout.positions(mask), layout.positions(layout.full - mask), mask
 
 
 def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
@@ -474,8 +464,8 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     read-only array.
     """
     p = code.params
-    survivors, _, idx = _target_pairs(psi, code, surviving)
-    step = _step(code, idx)
+    survivors, partners, mask = _target_pairs(psi, code, surviving)
+    step = _step(code, survivors, partners, mask)
     digits = psi.digits.copy()
     rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
     for start in range(0, len(digits), rows):
@@ -516,8 +506,8 @@ def decoded_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float
     masked copy would hold them.
     """
     p = code.params
-    survivors, partners, idx = _target_pairs(psi, code, surviving)
-    step = _step(code, idx)
+    survivors, partners, mask = _target_pairs(psi, code, surviving)
+    step = _step(code, survivors, partners, mask)
     agree = np.empty(len(psi.amplitudes), dtype=bool)
     rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
     for start in range(0, len(agree), rows):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qmds import CodeParams, QuantumMdsCode, SubsystemSpec
+from qmds.code import group_indices
 
 # the three desk-scale reference codes exercised throughout
 REFERENCE_PARAMS = [(3, 1, 2, 3), (4, 2, 2, 5), (5, 1, 3, 5)]
@@ -57,10 +58,10 @@ def inverse_mod(matrix, q: int) -> np.ndarray:
     return np.array([row[size:] for row in rows], dtype=np.int64).reshape(size, size)
 
 
-def step_one_only(code, idx):
+def step_one_only(code, survivors, partners, mask):
     """A stand-in for sim._step with only decoding's first step, (AB_surviving)^-1,
     transposed for register-major values: the state it leaves misses the target."""
-    ab_s, _ = erasure_blocks(code, idx)
+    ab_s, _ = erasure_blocks(code, group_indices(mask))
     return inverse_mod(ab_s, code.params.q).T.astype(np.float64)
 
 

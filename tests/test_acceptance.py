@@ -182,7 +182,7 @@ def test_criterion_7_flat_spectra(capsys):
         total = code.params.num_registers
         n, k = code.params.n, code.params.k
         for spec in _all_specs(n):
-            regs = len(spec.registers(k))
+            regs = len(spec.registers(k, n))
             if regs in (0, total):
                 continue
             keep = spec if 2 * regs <= total else spec.complement(n)

@@ -18,7 +18,7 @@ from qmds import (
     validate,
 )
 from qmds import code as code_module, linalg
-from qmds.code import _check_index_set, group_indices, index_groups, subset_layout
+from qmds.code import SubsetLayout, _check_index_set, group_indices, index_groups, subset_layout
 from qmds.reporting import Check, status_line
 
 from conftest import DESK_PARAMS, erasure_blocks, inverse_mod, make_code, non_mds_control
@@ -201,7 +201,8 @@ class TestErasureSubmatrices:
         # the step AB_surviving^-1 [E | AB_erased] by hand over GF(3):
         # [[2, 1], [1, 0]] @ [[1, 2], [0, 1]] = [[2, 2], [1, 2]]
         assert inverse_mod(surviving_block, 3).tolist() == [[2, 1], [1, 0]]
-        assert code_module._decoding_step(code, [1, 2]) == [[2, 2], [1, 2]]
+        # k = 1: Q1 and Q2 are registers 1 and 2, their partners R and Q3 are 0 and 3
+        assert code_module._decoding_step(code, [1, 2], [0, 3], 0b011) == [[2, 2], [1, 2]]
 
     def test_wrong_size_rejected(self):
         code = make_code(3, 1, 2, 3)
@@ -446,6 +447,57 @@ class TestSubsetLayout:
                 assert registers == [r for r in range(k + n) if register_mask >> r & 1]
                 # the complement holds every other register
                 assert int(layout.registers[layout.full - mask]) == (1 << (k + n)) - 1 - register_mask
+
+    @pytest.mark.parametrize("split_R", [False, True])
+    @pytest.mark.parametrize("k, n", LAYOUT_LADDER)
+    def test_positions_and_labels_match_register_masks(self, k, n, split_R):
+        layout = subset_layout(k, n, split_R=split_R)
+        names = [f"R{i}" for i in range(1, k + 1)] + [f"Q{i}" for i in range(1, n + 1)]
+        for mask in range(layout.full + 1):
+            register_mask = int(layout.registers[mask])
+            registers = [r for r in range(k + n) if register_mask >> r & 1]
+            assert layout.positions(mask) == registers
+            expected = [names[r] for r in registers]
+            if not split_R and mask >> n:
+                # R is one part: its k registers carry the one name R
+                expected = ["R"] + expected[k:]
+            assert list(layout.labels(mask)) == expected
+
+    @pytest.mark.parametrize("parts", [
+        ((0, 1), (2,), (3, 4, 5)),
+        ((3, 4, 5), (0, 1), (2,)),
+        ((2, 5), (0,), (1, 3, 4)),
+    ], ids=["in order", "out of order", "interleaved"])
+    def test_parts_of_several_registers_match_brute_force(self, parts):
+        names = ("A", "B", "C")
+        layout = SubsetLayout(parts, names)
+        assert layout.full == 7
+        unions = []
+        for mask in range(8):
+            chosen = [j for j in range(3) if mask >> j & 1]
+            registers = sorted(r for j in chosen for r in parts[j])
+            unions.append(registers)
+            assert layout.positions(mask) == registers
+            assert layout.registers[mask] == sum(1 << r for r in registers)
+            assert layout.counts[mask] == len(registers)
+            # part names in the order of each part's first register
+            chosen.sort(key=lambda j: min(parts[j]))
+            assert layout.labels(mask) == tuple(names[j] for j in chosen)
+        for size in range(7):
+            masks, positions = layout.of_size(size)
+            expected = [mask for mask in range(8) if len(unions[mask]) == size]
+            assert masks.tolist() == expected
+            assert positions.tolist() == [unions[mask] for mask in expected]
+            assert positions.shape == (len(expected), size)
+
+    def test_union_reads_build_no_table(self):
+        # 61 coded qudits: a table per layout would hold 2^62 entries
+        layout = subset_layout(1, 61)
+        mask = 1 << 61 | 1 << 60 | 1
+        assert layout.positions(mask) == [0, 1, 61]
+        assert layout.labels(mask) == ("R", "Q1", "Q61")
+        assert layout.positions(layout.full - mask) == list(range(2, 61))
+        assert "registers" not in vars(layout) and "counts" not in vars(layout)
 
     def test_arrays_are_read_only(self):
         layout = subset_layout(2, 4)

@@ -23,8 +23,10 @@ from qmds import (
     decode_target,
     decoded_fidelity,
     encode_state,
+    partial_trace,
     product_state_checks,
     subsystem_entropy,
+    StateVector,
     von_neumann_entropy,
 )
 
@@ -58,14 +60,17 @@ class TestSubsystemSpec:
 
     def test_registers_canonical_order(self):
         spec = SubsystemSpec(True, [3, 1])
-        assert spec.registers(k=2) == (0, 1, 2, 4)
-        assert SubsystemSpec(False, [2]).registers(k=2) == (3,)
+        assert spec.registers(k=2, n=3) == [0, 1, 2, 4]
+        assert SubsystemSpec(False, [2]).registers(k=2, n=2) == [3]
 
     def test_complement(self):
         spec = SubsystemSpec(True, [1])
         comp = spec.complement(n=3)
         assert comp.include_R is False
         assert comp.q_indices == frozenset({2, 3})
+        # an index above n is refused, not dropped from the complement
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3: \[5\]"):
+            SubsystemSpec(False, [5]).complement(n=3)
 
     def test_labels(self):
         assert SubsystemSpec(True, [2, 1]).labels() == ("R", "Q1", "Q2")
@@ -74,6 +79,38 @@ class TestSubsystemSpec:
     def test_indices_one_based(self):
         with pytest.raises(ValueError):
             SubsystemSpec(False, [0])
+
+    def test_duplicate_indices_rejected(self):
+        # a set would otherwise fold [1, 1] into {1}
+        with pytest.raises(ValueError, match=r"duplicate indices: \[1, 1\]"):
+            SubsystemSpec(False, [1, 1])
+
+    @pytest.mark.parametrize("flag", ["no", "", 2, -1, 1.0, None], ids=repr)
+    def test_include_R_must_be_a_flag(self, flag):
+        # bool() would read each of these as a flag
+        with pytest.raises(ValueError, match="include_R must be a bool, 0 or 1"):
+            SubsystemSpec(flag, [1])
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_, 0, 1, np.int64(1)],
+                             ids=repr)
+    def test_include_R_flags_accepted(self, flag):
+        # divmod of a table index gives the int 0 or 1
+        spec = SubsystemSpec(flag, [1])
+        assert spec.include_R is bool(flag)
+
+    def test_mask_is_the_table_index(self):
+        assert SubsystemSpec(True, [3, 1]).mask(3) == 0b1101
+        assert SubsystemSpec(False, []).mask(0) == 0
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2: \[3\]"):
+            SubsystemSpec(False, [3]).mask(2)
+
+    def test_labels_do_not_depend_on_k_or_n(self):
+        spec = SubsystemSpec(True, [4, 2])
+        assert spec.labels() == ("R", "Q2", "Q4")
+        for k, n in ((2, 4), (1, 5), (3, 9)):
+            profile = EntropyProfile(CodeParams(n=n, k=k, d=(n - k) // 2 + 1, q=11), (),
+                                     np.zeros(2 << n, dtype=np.int8))
+            assert profile.labels(spec.mask(n)) == spec.labels()
 
 
 class TestOracle:
@@ -113,7 +150,8 @@ class TestOracle:
             for size in range(5):
                 for combo in itertools.combinations(range(1, 5), size):
                     spec = SubsystemSpec(inc, combo)
-                    assert subsystem_entropy(code, spec) == rank_identity(code, spec.registers(2))
+                    expected = rank_identity(code, spec.registers(2, 4))
+                    assert subsystem_entropy(code, spec) == expected
 
 
 class TestRankIdentityBruteForce:
@@ -190,7 +228,7 @@ class TestProfiles:
                           [int(lbl[1:]) for lbl in row["subsystem"] if lbl != "R"])
             for row in rows
         ]
-        assert [spec.sort_key() for spec in specs] == [divmod(i, 8) for i in range(16)]
+        assert [spec.mask(3) for spec in specs] == list(range(16))
         assert [row["entropy"] for row in rows] == profile.table.tolist()
         assert rows[0]["subsystem"] == []
         assert rows[-1]["subsystem"] == ["R", "Q1", "Q2", "Q3"]
@@ -382,13 +420,13 @@ class TestTable:
             assert row["entropy"] == rank_identity(code, registers)
         assert profile.table.tolist() == full_profile(code).table.tolist()
 
-    def test_table_is_indexed_by_sort_key(self):
+    def test_table_is_indexed_by_spec_mask(self):
         code = make_code(5, 1, 3, 5)
         table = entropy_table(code)
         n = code.params.n
         for mask in range(2 ** (n + 1)):
             spec = spec_at(mask, n)
-            assert spec.sort_key() == divmod(mask, 2**n)
+            assert spec.mask(n) == mask
             assert table[mask] == subsystem_entropy(code, spec)
 
     def test_chunk_size_does_not_change_table(self, monkeypatch):
@@ -849,3 +887,33 @@ def test_index_coercion_rejected(taker, bad):
     # each would otherwise be read as index 1 (or fail with a TypeError)
     with pytest.raises(ValueError, match="integer"):
         INDEX_TAKERS[taker](make_code(3, 1, 2, 3), bad)
+
+
+# the entry points that take a subsystem spec, each given a code and its
+# state; all three read the spec's registers through one range check
+SPEC_TAKERS = {
+    "subsystem_entropy": lambda code, psi, spec: subsystem_entropy(code, spec),
+    "partial_trace": lambda code, psi, spec: partial_trace(psi, spec),
+    "von_neumann_entropy": lambda code, psi, spec: von_neumann_entropy(psi, spec),
+}
+# (reference registers, spec, message) against n = 3 coded qudits
+SPEC_REFUSALS = {
+    "out of range": (1, SubsystemSpec(False, [4]), r"subsystem indices out of range 1\.\.3: \[4\]"),
+    "no reference block": (0, SubsystemSpec(True, [1]), "no reference block but include_R"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(SPEC_REFUSALS))
+@pytest.mark.parametrize("taker", sorted(SPEC_TAKERS))
+def test_spec_refusals_shared(taker, refusal):
+    k, spec, message = SPEC_REFUSALS[refusal]
+    if k:
+        code = make_code(3, 1, 2, 3)
+        psi = encode_state(code)
+    else:
+        # a hand-built state of three qutrits, and a stand-in code of its
+        # shape, which no CodeParams admits
+        psi = StateVector(3, 3, [[0, 0, 0]], [1.0])
+        code = types.SimpleNamespace(params=types.SimpleNamespace(k=0, n=3))
+    with pytest.raises(ValueError, match=message):
+        SPEC_TAKERS[taker](code, psi, spec)

@@ -412,8 +412,16 @@ class TestVonNeumannEntropy:
     def test_coded_qudit_out_of_range(self):
         # one reference register and Q1, Q2: Q3 would be register 3 of 0..2
         psi = basis_state(3, (0, 0, 0), num_ref=1)
-        with pytest.raises(ValueError, match="coded qudit Q3 out of range for 3 registers"):
+        with pytest.raises(ValueError, match=r"subsystem indices out of range 1\.\.2: \[3\]"):
             von_neumann_entropy(psi, SubsystemSpec(False, [3]))
+
+    def test_sixty_two_qubits_read_their_registers(self):
+        # q = 2 admits 62 registers; a spec's registers come from the layout's
+        # parts, with no table of 2^62 unions
+        psi = basis_state(2, (1,) + (0,) * 61)
+        assert von_neumann_entropy(psi, SubsystemSpec(False, [1, 62])) == 0.0
+        rho = partial_trace(psi, SubsystemSpec(False, [1]))
+        assert rho.tolist() == [[0, 0], [0, 1]]
 
 
 class TestOracleAgreement:
@@ -441,7 +449,7 @@ class TestOracleAgreement:
                 for size in range(n + 1):
                     for combo in itertools.combinations(range(1, n + 1), size):
                         spec = SubsystemSpec(inc, combo)
-                        regs = len(spec.registers(code.params.k))
+                        regs = len(spec.registers(code.params.k, n))
                         if regs in (0, total):
                             continue
                         keep = spec if 2 * regs <= total else spec.complement(n)
@@ -485,7 +493,8 @@ class TestDecode:
         psi = encode_state(code)
         out = decode(psi, code, [1, 2])
         block = np.array([[a, b] for a in range(3) for b in range(3)])
-        image = radix_keys(sim._decode_rows(sim._step(code, [1, 2]), 3, block.T).T, 3)
+        step = sim._step(code, *sim._target_pairs(None, code, [1, 2]))
+        image = radix_keys(sim._decode_rows(step, 3, block.T).T, 3)
         assert sorted(image.tolist()) == list(range(9))
         preimage = block[np.argsort(image)]
         back = preimage[radix_keys(out.digits[:, 1:3], 3)]
@@ -591,7 +600,7 @@ class TestDecodeConstruction:
         # m (q-1)^2 = 2 (2^31 - 2)^2 >= 2^53: float64 sums could round
         code = make_code(3, 1, 2, 2**31 - 1)
         with pytest.raises(ValueError, match="2\\^53"):
-            sim._step(code, [1, 2])
+            sim._step(code, *sim._target_pairs(None, code, [1, 2]))
 
 
 class TestDecodeTarget:
@@ -840,7 +849,7 @@ class TestAgainstDenseReference:
             data.draw(st.booleans()),
             data.draw(st.sets(st.integers(1, n))),
         )
-        positions = spec.registers(code.params.k)
+        positions = spec.registers(code.params.k, n)
         assert von_neumann_entropy(psi, spec) == pytest.approx(
             dense_entropy(psi, positions), abs=1e-12
         )
@@ -976,7 +985,7 @@ def per_mask_path_entropies(psi):
     n, total = psi.num_registers - psi.num_ref, psi.num_registers
     values = []
     for mask in range(2 << n):
-        positions = list(spec_at(mask, n).registers(psi.num_ref))
+        positions = spec_at(mask, n).registers(psi.num_ref, n)
         if 2 * len(positions) > total:
             positions = [p for p in range(total) if p not in positions]
         values.append(sim._entropy(psi, positions) if positions else 0.0)
@@ -1040,7 +1049,7 @@ class TestBatchAgainstPerMaskPath:
 def smaller_sides(psi):
     """Register positions of every R-atomic subsystem no larger than its complement."""
     n, total = psi.num_registers - psi.num_ref, psi.num_registers
-    sides = [tuple(spec_at(mask, n).registers(psi.num_ref)) for mask in range(2 << n)]
+    sides = [tuple(spec_at(mask, n).registers(psi.num_ref, n)) for mask in range(2 << n)]
     return [side for side in sides if 0 < 2 * len(side) <= total]
 
 
