@@ -257,11 +257,18 @@ def index_groups(n: int, sizes) -> NDArray[np.int64]:
     Groups run by size, then lexicographically; index i is bit i - 1 of an
     int64 mask (n <= 62), and size 0 gives the empty group.  Recovery sets
     (size n - (d-1)), erasure sets (size d - 1) and product-state groups
-    all come from here.
+    all come from here.  The array is read-only, built once per (n, sizes).
     """
+    return _index_groups(n, tuple(sorted(sizes)))
+
+
+@functools.cache
+def _index_groups(n: int, sizes: tuple[int, ...]) -> NDArray[np.int64]:
     bits = [1 << i for i in range(n)]
-    groups = itertools.chain.from_iterable(itertools.combinations(bits, s) for s in sorted(sizes))
-    return np.fromiter(map(sum, groups), dtype=np.int64)
+    groups = itertools.chain.from_iterable(itertools.combinations(bits, s) for s in sizes)
+    masks = np.fromiter(map(sum, groups), dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
 
 
 def group_indices(mask: int) -> tuple[int, ...]:
@@ -272,11 +279,12 @@ def group_indices(mask: int) -> tuple[int, ...]:
 
 class SubsetLayout:
     """The unions of the disjoint register groups ``parts``, named ``names``, by bitmask,
-    part j at bit j; combinatorics only.  ``positions`` and ``labels`` walk the parts, and
-    the read-only arrays are built on first use, so a caller builds only what it reads:
-    ``registers[mask]``, the union's register bitmask (register r at bit r), ``counts[mask]``,
-    its int8 register count, and ``of_size(s)``, the masks of s registers, ascending, with
-    their (B, s) register positions.  A union's complement is ``full - mask``."""
+    part j at bit j; combinatorics only.  ``positions`` and ``labels`` walk the parts and
+    refuse a mask outside 0..full, and the read-only arrays are built on first use, so a
+    caller builds only what it reads: ``registers[mask]``, the union's register bitmask
+    (register r at bit r), ``counts[mask]``, its int8 register count, and ``of_size(s)``,
+    the masks of s registers, ascending, with their (B, s) register positions.  A union's
+    complement is ``full - mask``."""
 
     def __init__(self, parts: tuple[tuple[int, ...], ...], names: tuple[str, ...]):
         self.parts, self.names, self.full, self._sizes = parts, names, (1 << len(parts)) - 1, {}
@@ -284,11 +292,17 @@ class SubsetLayout:
 
     def positions(self, mask: int) -> list[int]:
         """The registers of the union ``mask``, ascending."""
+        self._check(mask)
         return sorted(r for j, part in enumerate(self.parts) if mask >> j & 1 for r in part)
 
     def labels(self, mask: int) -> tuple[str, ...]:
         """The names of the parts in the union ``mask``, in register order."""
+        self._check(mask)
         return tuple(self.names[j] for j in self._order if mask >> j & 1)
+
+    def _check(self, mask: int) -> None:
+        if not 0 <= mask <= self.full:
+            raise ValueError(f"union mask {mask} lies outside 0..{self.full}")
 
     def _by_union(self, dtype, combine, values) -> np.ndarray:
         # the unions with part j are those without it, combined with its value

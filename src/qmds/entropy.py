@@ -16,15 +16,16 @@ With R atomic there are n + 1 parts, and the table has 2^(n+1) entries
 in the order R * 2^n + Q-bitmask (Q_i is bit i - 1, R is bit n), which is
 ``SubsystemSpec.mask``, the mask order of ``code.subset_layout``'s parts,
 which names them and the state-vector oracle reads too.  The ranks come from the GF(q) rank
-lattice ``linalg.subset_ranks``, which cuts each union's left kernel down
-from the kernel of the union without its highest part, so every added
-column costs one matrix-vector product and one rank-one update instead of
-an elimination, and a kernel already at rank m costs nothing; its memory
-is bounded by ``linalg.BASIS_BUDGET`` kernels per level, and
-``linalg.MAX_MASKS`` bounds the table itself.  The lattice takes those
-parts with R, the one part of k columns, moved to the root (part 0), so
-R's columns extend one kernel where as the last part they would extend
-2^n; the lattice-order table (index 2 * Q-bitmask + R) is put in
+lattice ``linalg.subset_ranks``, which keeps each union's columns still
+to come reduced against it: the union with its highest part eliminates
+that part's columns from the union without it, one row operation per
+column instead of a fresh elimination, and the union without a part
+drops that part's columns as a slice; its memory is bounded by
+``linalg.BASIS_BUDGET`` unions per level, and ``linalg.MAX_MASKS``
+bounds the table itself.  The lattice takes those parts with R, the one
+part of k columns, moved to the root (part 0), so R's columns are
+eliminated in one union where as the last part they would be eliminated
+in 2^n; the lattice-order table (index 2 * Q-bitmask + R) is put in
 R * 2^n + Q-bitmask order by one reshape-transpose.  The table's last
 rank is rank(G) and must equal m.  The profile is that table, one int8
 per subsystem; sizes are the layout's counts, and expected values and

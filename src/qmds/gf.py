@@ -10,9 +10,9 @@ import math
 
 
 # Largest modulus plus one.  Below it a product of two residues is below
-# 2^62, so the rank lattice (linalg.subset_ranks), which keeps its kernels
-# reduced mod q where m (q - 1) (2(q - 1))^m reaches 2^63, never overflows
-# int64; above it the reduced updates could wrap and return wrong ranks
+# 2^62, so the rank lattice (linalg.subset_ranks), which keeps every entry
+# reduced mod q and subtracts one such product from another, never
+# overflows int64; above it the updates could wrap and return wrong ranks
 # without any error.  The Gauss-Jordan routines run on Python ints and
 # need no bound; decoding's float64 pass has its own, far lower one
 # (sim._step).

@@ -9,32 +9,31 @@ groups are the parts of ``code.subset_layout``.  ``rank`` checks single
 matrices (the ranks of AB and G in validation) and is the reference that
 ``subset_ranks`` is tested against.
 
-``subset_ranks`` is a rank lattice of left kernels.  Each union S keeps
-one m x m matrix Y_S whose nonzero rows (mod q) span {y : y G_S = 0}, so
-rank(G_S) = m - their number.  The kernel of a union is the kernel of the
-union without its highest group, cut down by that group's columns: one
-matrix-vector product and one rank-one update per added column, for all
-kernels of one lattice level in lockstep, and the child without a group
-keeps its parent's kernel in place.  Part 0 is the root, so its columns
-extend one kernel and the last part's extend half the table: a caller
-lists its widest part first.  A kernel at rank m is Y = 0 and stays at
-rank m in every superset, so it is never updated: a level of at least
-COMPACT_KERNELS kernels returns at once when all of them are at rank m,
-and updates only the others, gathered, when any of them is.
-Memory is bounded: a lattice holds at most BASIS_BUDGET kernels of m x m
-int64, and a wider one is finished chunk by chunk from a level of
-BASIS_BUDGET kernels, so one table needs two such buffers beside its 2^P
-int8 ranks, one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS
-bounds 2^P, and an m past int8 is refused.
+``subset_ranks`` is a rank lattice of reduced columns.  Each union S
+keeps W_S: the columns of G not yet added, reduced against the columns of
+S, with entries in [0, q).  The root is G mod q with its columns in part
+order.  The child of S without part j drops part j's columns, a slice;
+the child with part j eliminates them one at a time, for all unions of a
+lattice level in lockstep: for the next column c of W, it pivots on the
+largest entry c_i, sets W <- (c_i W - c (x) W_i) mod q on the later
+columns, and adds 1 to the rank when c != 0.  That is the row operation
+which zeroes row i, with c_i a unit, so W_S is Y G_rest for a matrix Y
+whose nonzero rows span {y : y G_S = 0}: a column of W_S is zero exactly
+when that column of G lies in the span of G_S.  The last column needs
+only the test c != 0, so the widest level, the last part's when it has
+one column, does no update.  Part j is level j, so its columns are
+eliminated in 2^j unions: a caller lists its widest part first.
+Memory is bounded: a lattice level holds at most BASIS_BUDGET unions of
+m x (columns still to come) int64, and a wider one is finished chunk by
+chunk from a level of BASIS_BUDGET unions, beside the 2^P int8 ranks,
+one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS bounds 2^P,
+and an m past int8 is refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  ``rank`` and erasure decoding run ``_rref_rows`` on
-lists of Python ints, which cannot overflow.  The lattice runs on int64 arrays.
-Y changes at most m times and each change at most multiplies its largest
-entry by 2(q - 1), so while m (q - 1) (2(q - 1))^m < 2^63 no entry or
-partial sum can overflow and only Y x is reduced mod q.  Past that bound
-(e.g. q = 23 with m = 11, or q near gf.MAX_Q with m >= 2) Y is reduced
-mod q after every update and Y x is summed in runs that stay below 2^63.
+lists of Python ints, which cannot overflow.  The lattice runs on int64
+arrays of residues below q < gf.MAX_Q = 2^31, so each product c_i W or
+c W_i is below 2^62 and their difference fits in int64.
 """
 
 from __future__ import annotations
@@ -42,16 +41,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-# most left kernels one buffer of ``subset_ranks`` may hold; a table uses
-# two such buffers, 2.7 MB in all at m = 9
+# most unions one lattice level of ``subset_ranks`` holds before it is
+# finished chunk by chunk
 BASIS_BUDGET = 1 << 11
 # most masks one rank table may have: the R-atomic profile admits n <= 17,
 # the split-R profile k + n <= 18 and ``code.validate`` n <= 18
 MAX_MASKS = 1 << 18
-# narrowest lattice level that skips its kernels at rank m; a narrower level
-# (every level of a table of at most 256 masks) makes no numpy call for the
-# skip
-COMPACT_KERNELS = 256
 
 
 class SingularMatrixError(ValueError):
@@ -111,15 +106,15 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
 
     ``parts`` lists column groups of G; part j is bit j, so the result has
     2^len(parts) entries, one int8 each.  The ranks come from a lattice
-    over the parts: level j holds a left kernel for each of the 2^j unions
-    of parts 0..j-1.  Level j + 1 keeps those kernels in place as the
-    children without part j, and extends a copy of each by part j's
-    columns for the child with it, at index t + 2^j, so part j's columns
-    cost 2^j updates each: list the widest part first.  A lattice holds at
-    most BASIS_BUDGET kernels: past that, it is built at full width down to
-    a level of BASIS_BUDGET kernels, and chunks of that level then run the
-    remaining levels one after another, each writing its ranks at the
-    level's stride.
+    over the parts: level j holds, for each of the 2^j unions of parts
+    0..j-1, the columns of parts j.. reduced against the union.  Level
+    j + 1 slices part j's columns off each for the child without part j,
+    and eliminates them for the child with it, at index t + 2^j, so part
+    j's columns are eliminated in 2^j unions: list the widest part first.
+    A level holds at most BASIS_BUDGET unions: past that, the lattice is
+    built at full width down to a level of BASIS_BUDGET unions, and chunks
+    of that level then run the remaining levels one after another, each
+    writing its ranks at the level's stride.
 
     Raises:
         ValueError: if there are more than MAX_MASKS masks, if ``G`` is not
@@ -137,108 +132,58 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
     m = g.shape[0]
     if m > np.iinfo(np.int8).max:
         raise ValueError(f"ranks of a matrix of {m} rows do not fit the int8 rank table")
-    g = g % q
     levels, spare = len(parts), BASIS_BUDGET.bit_length() - 1
     if not m:
         return np.zeros(1 << levels, dtype=np.int8)
-    columns = [g[:, list(part)].T for part in parts]
-    # past the unreduced bound (module docstring), the kernels stay reduced
-    # and Y x is summed in runs of products of two residues
-    run = None
-    if m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63:
-        run = max(1, ((1 << 63) - 1) // (q - 1) ** 2)
+    widths = [len(part) for part in parts]
+    root = g[None, :, [c for part in parts for c in part]] % q
     if levels <= spare:
         top, width = 0, 1
     else:
         top = max(spare, levels - spare)
         width = max(1, BASIS_BUDGET >> (levels - top))
-    level = _grow(_kernels(m, 1 << top), columns[:top], q, run)
+    level, level_ranks = _grow(root, np.zeros(1, dtype=np.int8), widths[:top], q)
     ranks = np.empty(1 << levels, dtype=np.int8)
     by_chunk = ranks.reshape(-1, 1 << top)
-    # every chunk overwrites all of the buffer past its first width kernels
-    chunk = _kernels(m, width << (levels - top))
     for start in range(0, 1 << top, width):
-        for part, source in zip(chunk, level):
-            part[:width] = source[start : start + width]
-        _grow(chunk, columns[top:], q, run, width)
-        by_chunk[:, start : start + width] = chunk[1].reshape(-1, width)
+        chunk = slice(start, start + width)
+        _, chunk_ranks = _grow(level[chunk], level_ranks[chunk], widths[top:], q)
+        by_chunk[:, chunk] = chunk_ranks.reshape(-1, width)
     return ranks
 
 
-def _kernels(m: int, capacity: int):
-    """Room for ``capacity`` left kernels in GF(q)^m; the first is all of it.
+def _grow(w, ranks, widths, q: int):
+    """The lattice below the unions (``w``, ``ranks``), one level per part of ``widths`` columns.
 
-    A set of kernels is (Y, ranks): the nonzero rows of the m x m matrix
-    Y[t] (mod q) are a basis of {y : y G_S = 0} for the union S at slot t,
-    and ranks[t] = rank(G_S) = m - their number, in int8.  Slots past the
-    first are left for ``_grow`` to write.
+    ``w[t]`` holds union t's columns still to come, reduced, and ``ranks[t]``
+    its rank; union t with the parts of subset u of ``widths`` lands at
+    t + len(ranks) * u.  Returns the last level's (w, ranks).
     """
-    y = np.empty((capacity, m, m), dtype=np.int64)
-    y[0] = np.eye(m, dtype=np.int64)
-    return y, np.zeros(capacity, dtype=np.int8)
+    for width in widths:
+        reduced, gained = _eliminate(w, width, q)
+        w = np.concatenate([w[:, :, width:], reduced])
+        ranks = np.concatenate([ranks, ranks + gained])
+    return w, ranks
 
 
-def _grow(kernels, column_sets, q: int, run: int | None, count: int = 1):
-    """Extend the first ``count`` kernels by every subset of ``column_sets``.
+def _eliminate(w, width: int, q: int):
+    """Add each union's first ``width`` columns of ``w`` to it: (the later columns
+    reduced against them, each union's rank gain), leaving ``w`` unchanged.
 
-    Works in place: kernel t extended by subset u lands at t + count * u, so
-    ``kernels`` needs room for count * 2^len(column_sets) kernels.
+    For the column c, i = argmax c is nonzero unless c = 0, and
+    W <- (c_i W - c (x) W_i) mod q zeroes row i of the later columns; when
+    c = 0 the factor max(c_i, 1) = 1 and the term c (x) W_i = 0 keep W.
     """
-    for columns in column_sets:
-        for part in kernels:
-            part[count : 2 * count] = part[:count]
-        _extend(*(part[count : 2 * count] for part in kernels), columns, q, run)
-        count *= 2
-    return kernels
-
-
-def _extend(y, ranks, columns, q: int, run: int | None) -> None:
-    """Extend every kernel of (``y``, ``ranks``) below rank m by the same ``columns``, in place.
-
-    For a column x, c = Y x mod q.  If c = 0, x lies in the span of G_S
-    and Y is kept.  Otherwise, for i with c_i != 0, Y <- c_i Y - c (x) Y_i
-    zeroes row i, and keeps every other row in the kernel of x:
-    c_i c_j - c_j c_i = 0.  The rows stay independent, because c_i is a
-    unit, so the kernel loses one dimension and the rank gains one.  This
-    is one matrix-vector product and one rank-one update for all kernels,
-    with no inverse.  A zeroed row stays exactly 0, so a kernel at rank m
-    is Y = 0, and its update would change nothing: a level of at least
-    COMPACT_KERNELS kernels returns at once when every kernel is at rank
-    m, and when any is, it updates a gathered copy of the others and
-    scatters it back.
-
-    Y changes only when its rank grows, so at most m times, and each change
-    at most multiplies max |Y| by 2(q - 1): every entry and partial sum of
-    Y x stays below m (q - 1) (2(q - 1))^m.  Where that is below 2^63
-    (``run`` None) only c is reduced.  Otherwise Y is reduced mod q after
-    every update, so the update multiplies residues, each product below
-    (q - 1)^2 < 2^62 (q < gf.MAX_Q), and Y x is summed in runs of ``run``
-    such products, each run reduced.
-    """
-    whole = None
-    if ranks.size >= COMPACT_KERNELS:
-        live = np.flatnonzero(ranks < y.shape[1])
-        if not live.size:
-            return
-        if live.size < ranks.size:
-            whole, y, ranks = (y, ranks), y[live], ranks[live]
-    batch = np.arange(ranks.size)
-    for column in columns:
-        if run is None:
-            c = y @ column
-        else:
-            c = np.zeros(y.shape[:2], dtype=np.int64)
-            for start in range(0, column.size, run):
-                c += y[:, :, start : start + run] @ column[start : start + run] % q
-        c %= q
-        # the largest entry of c is nonzero unless all of c is zero
+    batch = np.arange(w.shape[0])
+    gained = np.zeros(w.shape[0], dtype=np.int8)
+    for _ in range(width):
+        c, w = w[:, :, 0], w[:, :, 1:]
         pivot = c.argmax(axis=1)
         head = c[batch, pivot]
-        row = y[batch, pivot]
-        y *= np.maximum(head, 1)[:, None, None]
-        y -= c[:, :, None] * row[:, None, :]
-        if run is not None:
-            y %= q
-        ranks += head > 0
-    if whole is not None:
-        whole[0][live], whole[1][live] = y, ranks
+        gained += head > 0
+        if w.shape[2]:
+            update = w * np.maximum(head, 1)[:, None, None]
+            update -= c[:, :, None] * w[batch, pivot][:, None, :]
+            update %= q
+            w = update
+    return w, gained

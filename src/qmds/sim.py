@@ -177,7 +177,8 @@ def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
     for row in g:
         multiples = (np.arange(q)[:, None] * row % q).astype(digit)
         sums = np.add(rows[:, None], multiples, dtype=np.min_scalar_type(2 * q - 2))
-        sums %= q
+        # a sum of two residues is below 2q - 1, so one subtraction of q reduces it
+        sums -= (sums >= q) * sums.dtype.type(q)
         rows = sums.reshape(-1, total).astype(digit, copy=False)
     # one amplitude broadcast over the rows; StateVector copies it once
     amps = np.broadcast_to(np.complex128(q ** (-m / 2)), (q**m,))

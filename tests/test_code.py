@@ -389,6 +389,13 @@ class TestIndexGroups:
         # every subset of 1..n exactly once
         assert sorted(masks.tolist()) == list(range(2**n))
 
+    def test_masks_are_read_only_and_built_once(self):
+        masks = index_groups(6, [3, 1])
+        assert not masks.flags.writeable
+        assert index_groups(6, (1, 3)) is masks
+        with pytest.raises(ValueError, match="read-only"):
+            masks[0] = 0
+
     def test_size_past_n_lists_nothing(self):
         masks = index_groups(3, [4])
         assert masks.dtype == np.int64
@@ -432,6 +439,17 @@ class TestSubsetLayout:
         masks = np.arange(layout.full + 1)
         assert np.array_equal(layout.registers, masks)
         assert layout.counts.tolist() == [bin(mask).count("1") for mask in range(layout.full + 1)]
+
+    @pytest.mark.parametrize("split_R", [False, True])
+    @pytest.mark.parametrize("method", ["positions", "labels"])
+    def test_mask_outside_the_unions_is_refused(self, method, split_R):
+        layout = subset_layout(2, 3, split_R=split_R)
+        full = layout.full
+        for mask in (-1, full + 1, 2 * full + 1):
+            with pytest.raises(ValueError, match=f"union mask {mask} lies outside 0..{full}"):
+                getattr(layout, method)(mask)
+        assert len(getattr(layout, method)(0)) == 0
+        assert len(getattr(layout, method)(full)) == (5 if method == "positions" else len(layout.parts))
 
     @pytest.mark.parametrize("split_R", [False, True])
     @pytest.mark.parametrize("k, n", [(1, 4), (2, 4), (3, 5)])

@@ -288,6 +288,15 @@ class TestCharacterization:
             profile = full_profile(code)
             assert profile.all_match, f"mismatch for {code}"
 
+    def test_chunked_lattice_past_2_18_masks(self, monkeypatch):
+        # [[20,2,10]]_23 has 2^21 masks at m = 11, past the guard, which is
+        # raised here: a full-width lattice down to 2^11 unions, then 1024
+        # chunks of two unions each run the last ten levels
+        monkeypatch.setattr(linalg, "MAX_MASKS", 1 << 21)
+        profile = full_profile(make_code(20, 2, 10, 23))
+        assert profile.table.size == 1 << 21
+        assert profile.all_match
+
     def test_purity_complement_symmetry(self, desk_codes):
         for code in desk_codes:
             n = code.params.n
@@ -917,3 +926,28 @@ def test_spec_refusals_shared(taker, refusal):
         code = types.SimpleNamespace(params=types.SimpleNamespace(k=0, n=3))
     with pytest.raises(ValueError, match=message):
         SPEC_TAKERS[taker](code, psi, spec)
+
+
+# masks and indices past the 16-entry table of [[3,1,2]]_3, one per entry
+# point that reaches the subset layout; the layout refuses a mask outside
+# 0..full, and the spec and the decoder refuse an index above n before
+UNION_REFUSALS = {
+    "profile labels 16": (lambda code: full_profile(code).labels(16), "union mask 16 lies outside 0..15"),
+    "profile labels 17": (lambda code: full_profile(code).labels(17), "union mask 17 lies outside 0..15"),
+    "profile labels -1": (lambda code: full_profile(code).labels(-1), "union mask -1 lies outside 0..15"),
+    "layout positions -1": (lambda code: entropy.subset_layout(1, 3).positions(-1),
+                            "union mask -1 lies outside 0..15"),
+    "spec registers": (lambda code: SubsystemSpec(True, [4]).registers(1, 3),
+                       r"subsystem indices out of range 1\.\.3: \[4\]"),
+    "decode_target": (lambda code: decode_target(code, [2, 4]), r"surviving indices must lie in 1\.\.3"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(UNION_REFUSALS))
+def test_unions_past_the_table_are_refused(refusal):
+    taker, message = UNION_REFUSALS[refusal]
+    code = make_code(3, 1, 2, 3)
+    with pytest.raises(ValueError, match=message):
+        taker(code)
+    # the table's last entry still answers
+    assert full_profile(code).labels(15) == ("R", "Q1", "Q2", "Q3")

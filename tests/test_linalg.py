@@ -217,13 +217,11 @@ def test_subset_ranks_edge_shapes():
 )
 @pytest.mark.parametrize("budget", [1, linalg.BASIS_BUDGET])
 def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, budget):
-    # the lattice keeps its kernels unreduced while m (q-1) (2(q-1))^m < 2^63;
-    # q = 2^31 - 1 with m >= 2 and q = 23 with m = 11 are past that bound,
-    # q = 23 with m = 10 and q = 3 with m = 6 below it
-    reduced = m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63
-    assert reduced == (q == BIG_Q or m == 11)
+    # a lattice whose entries grew unreduced would wrap past
+    # m (q-1) (2(q-1))^m = 2^63: q = 2^31 - 1 with m >= 2 and q = 23 with
+    # m = 11 are past it, q = 23 with m = 10 and q = 3 with m = 6 below it
     rng = np.random.default_rng(q + m)
-    # at q = 2^31 - 1, entries near q make every product of Y x near 2^62
+    # at q = 2^31 - 1, entries near q make every product near 2^62
     low = q - 1000 if q == BIG_Q else 0
     G = rng.integers(low, q, size=(m, m + 2)).astype(object)
     # a repeated column, a zero column and a combination of two others
@@ -238,31 +236,13 @@ def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, bu
     assert ranks[-1] == m
 
 
-def dead_kernel_levels(monkeypatch):
-    """Record, for each lattice level ``_extend`` is handed, its kernel count
-    and how many of them are already at rank m."""
-    levels = []
-    extend = linalg._extend
-
-    def recording(y, ranks, *rest):
-        levels.append((ranks.size, int(np.count_nonzero(ranks == y.shape[1]))))
-        extend(y, ranks, *rest)
-
-    monkeypatch.setattr(linalg, "_extend", recording)
-    return levels
-
-
 @pytest.mark.parametrize("q", [3, 13, 4093, BIG_Q])
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("budget", [1, 512, linalg.BASIS_BUDGET])
 def test_subset_ranks_skips_kernels_at_full_rank(monkeypatch, q, m, budget):
     # ten parts and m <= 4: most unions of the wide levels already have rank
-    # m, so those levels are compacted; part 8 alone spans GF(q)^m, so at
-    # budget 512 the second chunk starts at rank m and its 256-kernel level
-    # returns at once.  q = 4093 is past the unreduced bound only at m = 4,
-    # and q = 2^31 - 1 at every m
-    reduced = m * (q - 1) * (2 * (q - 1)) ** m >= 1 << 63
-    assert reduced == (q == BIG_Q or (q, m) == (4093, 4))
+    # m, so their reduced columns are all zero; part 8 alone spans GF(q)^m,
+    # so at budget 512 the second chunk starts at rank m
     rng = np.random.default_rng(10 * q + m)
     low = q - 1000 if q == BIG_Q else 0
     G = rng.integers(low, q, size=(m, 9)).astype(object)
@@ -271,14 +251,8 @@ def test_subset_ranks_skips_kernels_at_full_rank(monkeypatch, q, m, budget):
     triangle = np.triu(rng.integers(low, q, size=(m, m)), 1) + np.eye(m, dtype=np.int64)
     G = np.column_stack([G, *extra, triangle]).astype(np.int64)
     parts = [[0], [1, 9], [2], [10], [3], [4, 11], [5], [6], list(range(12, 12 + m)), [7, 8]]
-    levels = dead_kernel_levels(monkeypatch)
     monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
-    ranks = subset_ranks(G, q, parts).tolist()
-    assert ranks == ranks_by_slicing(G, q, parts)
-    wide = [(size, dead) for size, dead in levels if size >= linalg.COMPACT_KERNELS]
-    # a compacted level: some of its kernels at rank m, not all
-    assert any(0 < dead < size for size, dead in wide)
-    assert ((256, 256) in wide) == (budget == 512)
+    assert subset_ranks(G, q, parts).tolist() == ranks_by_slicing(G, q, parts)
 
 
 def test_subset_ranks_refuses_ranks_past_int8():
@@ -292,16 +266,18 @@ def test_subset_ranks_refuses_ranks_past_int8():
 
 def test_subset_ranks_admits_exactly_max_masks(monkeypatch):
     # 18 one-column parts give 2^18 = MAX_MASKS masks, the R-atomic table of
-    # an n = 17 code; a 19th part is refused before any kernel is allocated
+    # an n = 17 code; a 19th part is refused before numpy is called at all,
+    # so before the root or any table is allocated
     assert 1 << 18 == linalg.MAX_MASKS
     G = np.eye(2, 19, dtype=np.int64)
     ranks = subset_ranks(G[:, :18], 5, [[c] for c in range(18)])
     assert ranks.size == linalg.MAX_MASKS
     assert ranks[[0, 1, 2, 3, -1]].tolist() == [0, 1, 1, 2, 2]
 
-    def unreachable(*args):
-        raise AssertionError("a kernel was allocated")
+    class Unreachable:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} was called")
 
-    monkeypatch.setattr(linalg, "_kernels", unreachable)
+    monkeypatch.setattr(linalg, "np", Unreachable())
     with pytest.raises(ValueError, match="2\\^19 column subsets is beyond the 262144-mask guard"):
         subset_ranks(G, 5, [[c] for c in range(19)])
