@@ -20,10 +20,10 @@ lattice ``linalg.subset_ranks``, which keeps each union's columns still
 to come reduced against it: the union with its highest part eliminates
 that part's columns from the union without it, one row operation per
 column instead of a fresh elimination, and the union without a part
-drops that part's columns as a slice; its memory is bounded by
-``linalg.BASIS_BUDGET`` unions per level, and ``linalg.MAX_MASKS``
-bounds the table itself.  The lattice takes those parts with R, the one
-part of k columns, moved to the root (part 0), so R's columns are
+drops that part's columns as a slice; filled depth first, its levels
+hold at most ``linalg.BASIS_BUDGET`` / 2 unions at any part count, and
+``linalg.MAX_MASKS`` bounds the table itself.  The lattice takes those
+parts with R, the one part of k columns, moved to the root (part 0), so R's columns are
 eliminated in one union where as the last part they would be eliminated
 in 2^n; the lattice-order table (index 2 * Q-bitmask + R) is put in
 R * 2^n + Q-bitmask order by one reshape-transpose.  The table's last

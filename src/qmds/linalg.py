@@ -23,11 +23,11 @@ when that column of G lies in the span of G_S.  The last column needs
 only the test c != 0, so the widest level, the last part's when it has
 one column, does no update.  Part j is level j, so its columns are
 eliminated in 2^j unions: a caller lists its widest part first.
-Memory is bounded: a lattice level holds at most BASIS_BUDGET unions of
-m x (columns still to come) int64, and a wider one is finished chunk by
-chunk from a level of BASIS_BUDGET unions, beside the 2^P int8 ranks,
-one byte per union (P <= 2 * log2(BASIS_BUDGET)); MAX_MASKS bounds 2^P,
-and an m past int8 is refused.
+Filled depth first, the lattice's memory is bounded at any part count P:
+a level holds at most max(1, BASIS_BUDGET / 2) unions of m x (columns
+still to come) int64, a work list at most one waiting level per part,
+beside the 2^P int8 ranks; MAX_MASKS bounds 2^P, and an m past int8 is
+refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  ``rank`` and erasure decoding run ``_rref_rows`` on
@@ -41,8 +41,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-# most unions one lattice level of ``subset_ranks`` holds before it is
-# finished chunk by chunk
+# one elimination of the ``subset_ranks`` lattice runs on at most half this
+# many unions, or on one
 BASIS_BUDGET = 1 << 11
 # most masks one rank table may have: the R-atomic profile admits n <= 17,
 # the split-R profile k + n <= 18 and ``code.validate`` n <= 18
@@ -106,20 +106,23 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
 
     ``parts`` lists column groups of G; part j is bit j, so the result has
     2^len(parts) entries, one int8 each.  The ranks come from a lattice
-    over the parts: level j holds, for each of the 2^j unions of parts
-    0..j-1, the columns of parts j.. reduced against the union.  Level
-    j + 1 slices part j's columns off each for the child without part j,
-    and eliminates them for the child with it, at index t + 2^j, so part
-    j's columns are eliminated in 2^j unions: list the widest part first.
-    A level holds at most BASIS_BUDGET unions: past that, the lattice is
-    built at full width down to a level of BASIS_BUDGET unions, and chunks
-    of that level then run the remaining levels one after another, each
-    writing its ranks at the level's stride.
+    over the parts: a level before part j holds unions of parts 0..j-1,
+    each with the columns of parts j.. reduced against it.  Part j slices
+    its columns off for the child without it, and eliminates them for the
+    child with it, at table position + 2^j, so part j's columns are
+    eliminated in 2^j unions: list the widest part first.  A work list of
+    (columns, ranks, table position, next part) fills the lattice depth
+    first: a level's two children are concatenated while that holds at
+    most BASIS_BUDGET / 2 unions, and are otherwise kept apart, the child
+    with the part waiting on the list.  Kept apart once, the levels below
+    are too, as they keep its size: only the lowest parts are ever
+    concatenated, and a level's unions sit at consecutive table positions.
 
     Raises:
         ValueError: if there are more than MAX_MASKS masks, if ``G`` is not
-            2-dimensional, or if it has more rows than int8 holds, each
-            before any table is allocated.
+            2-dimensional, if it has more rows than int8 holds, or if a
+            column index is not an int in [0, columns of G), each before
+            any table is allocated.
     """
     if 1 << len(parts) > MAX_MASKS:
         raise ValueError(
@@ -132,38 +135,28 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
     m = g.shape[0]
     if m > np.iinfo(np.int8).max:
         raise ValueError(f"ranks of a matrix of {m} rows do not fit the int8 rank table")
-    levels, spare = len(parts), BASIS_BUDGET.bit_length() - 1
+    columns = [c for part in parts for c in part]
+    for c in columns:
+        if type(c) is bool or not isinstance(c, (int, np.integer)) or not 0 <= c < g.shape[1]:
+            raise ValueError(f"column index {c!r} is not an int in [0, {g.shape[1]})")
+    levels, widths = len(parts), [len(part) for part in parts]
     if not m:
         return np.zeros(1 << levels, dtype=np.int8)
-    widths = [len(part) for part in parts]
-    root = g[None, :, [c for part in parts for c in part]] % q
-    if levels <= spare:
-        top, width = 0, 1
-    else:
-        top = max(spare, levels - spare)
-        width = max(1, BASIS_BUDGET >> (levels - top))
-    level, level_ranks = _grow(root, np.zeros(1, dtype=np.int8), widths[:top], q)
     ranks = np.empty(1 << levels, dtype=np.int8)
-    by_chunk = ranks.reshape(-1, 1 << top)
-    for start in range(0, 1 << top, width):
-        chunk = slice(start, start + width)
-        _, chunk_ranks = _grow(level[chunk], level_ranks[chunk], widths[top:], q)
-        by_chunk[:, chunk] = chunk_ranks.reshape(-1, width)
+    # (reduced columns, ranks, table position of the first union, next part)
+    work = [(g[None, :, columns] % q, np.zeros(1, dtype=np.int8), 0, 0)]
+    while work:
+        w, level, at, start = work.pop()
+        for j in range(start, levels):
+            reduced, gained = _eliminate(w, widths[j], q)
+            w = w[:, :, widths[j]:]
+            if 4 * len(level) > BASIS_BUDGET:
+                work.append((reduced, level + gained, at + (1 << j), j + 1))
+            else:
+                w = np.concatenate([w, reduced])
+                level = np.concatenate([level, level + gained])
+        ranks[at : at + len(level)] = level
     return ranks
-
-
-def _grow(w, ranks, widths, q: int):
-    """The lattice below the unions (``w``, ``ranks``), one level per part of ``widths`` columns.
-
-    ``w[t]`` holds union t's columns still to come, reduced, and ``ranks[t]``
-    its rank; union t with the parts of subset u of ``widths`` lands at
-    t + len(ranks) * u.  Returns the last level's (w, ranks).
-    """
-    for width in widths:
-        reduced, gained = _eliminate(w, width, q)
-        w = np.concatenate([w[:, :, width:], reduced])
-        ranks = np.concatenate([ranks, ranks + gained])
-    return w, ranks
 
 
 def _eliminate(w, width: int, q: int):

@@ -288,10 +288,10 @@ class TestCharacterization:
             profile = full_profile(code)
             assert profile.all_match, f"mismatch for {code}"
 
-    def test_chunked_lattice_past_2_18_masks(self, monkeypatch):
+    def test_depth_first_lattice_past_2_18_masks(self, monkeypatch):
         # [[20,2,10]]_23 has 2^21 masks at m = 11, past the guard, which is
-        # raised here: a full-width lattice down to 2^11 unions, then 1024
-        # chunks of two unions each run the last ten levels
+        # raised here: a lattice of 21 parts, filled depth first from part
+        # 10 on, in 2057 eliminations of at most 2^10 unions
         monkeypatch.setattr(linalg, "MAX_MASKS", 1 << 21)
         profile = full_profile(make_code(20, 2, 10, 23))
         assert profile.table.size == 1 << 21
@@ -438,9 +438,9 @@ class TestTable:
             assert spec.mask(n) == mask
             assert table[mask] == subsystem_entropy(code, spec)
 
-    def test_chunk_size_does_not_change_table(self, monkeypatch):
-        # budgets below the 2^7 bases of the whole lattice split it into
-        # chunks, down to one basis per chunk
+    def test_basis_budget_does_not_change_table(self, monkeypatch):
+        # budgets below the 2^7 unions of the whole lattice fill it depth
+        # first, down to one union per elimination
         code = make_code(6, 2, 3, 7, alphas=[6, 0, 3, 1, 5, 2])
         expected = entropy_table(code)
         for budget in (1, 2, 4, 16):

@@ -210,6 +210,42 @@ def test_subset_ranks_edge_shapes():
     assert subset_ranks([[5, 10], [0, 1]], 5, [[0], [1]]).tolist() == [0, 0, 1, 1]
     with pytest.raises(ValueError, match="2-dimensional"):
         subset_ranks(np.zeros((2, 3, 4), dtype=np.int64), 5, [[0]])
+    # a column index is an int in [0, columns of G): a negative one would
+    # rank a column counted from the end, and a bool would be read as a mask
+    for bad in ([[-3], [1]], [[-1]], [[3]], [[5]], [[1.5]], [[True]], [[np.float64(1)]]):
+        with pytest.raises(ValueError, match="column index .* is not an int in \\[0, 3\\)"):
+            subset_ranks(np.eye(2, 3, dtype=np.int64), 5, bad)
+    with pytest.raises(ValueError, match="column index"):
+        subset_ranks(np.zeros((0, 3), dtype=np.int64), 5, [[3]])
+    assert subset_ranks(np.eye(2, 3, dtype=np.int64), 5, [[np.int64(2)], [1]]).tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("count", [12, 13, 14])
+def test_subset_ranks_keeps_the_basis_budget(monkeypatch, count):
+    # past BASIS_BUDGET / 2 unions the lattice is filled depth first, so no
+    # elimination runs on more than max(1, BASIS_BUDGET // 2) unions at any
+    # part count, and the largest on more than half that, where a full-width
+    # level would reach 2^(count - 1); part j is still eliminated in 2^j
+    # unions, 2^count - 1 in all
+    rng = np.random.default_rng(count)
+    G = rng.integers(0, 13, size=(4, count + 2))
+    G[:, count] = G[:, 1]
+    G[:, count + 1] = 0
+    parts = [[0, 3, count, count + 1]] + [[c] for c in range(1, count) if c != 3] + [[]]
+    expected = ranks_by_slicing(G, 13, parts)
+    batches, eliminate = [], linalg._eliminate
+
+    def recording(w, width, q):
+        batches.append(len(w))
+        return eliminate(w, width, q)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    for budget in (1, 2, 3, 8, 12, 16):
+        monkeypatch.setattr(linalg, "BASIS_BUDGET", budget)
+        batches.clear()
+        assert subset_ranks(G, 13, parts).tolist() == expected
+        assert max(batches) <= max(1, budget // 2) < 2 * max(batches)
+        assert sum(batches) == (1 << count) - 1
 
 
 @pytest.mark.parametrize(
@@ -217,9 +253,12 @@ def test_subset_ranks_edge_shapes():
 )
 @pytest.mark.parametrize("budget", [1, linalg.BASIS_BUDGET])
 def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, budget):
-    # a lattice whose entries grew unreduced would wrap past
-    # m (q-1) (2(q-1))^m = 2^63: q = 2^31 - 1 with m >= 2 and q = 23 with
-    # m = 11 are past it, q = 23 with m = 10 and q = 3 with m = 6 below it
+    # the name is the bound m (q-1) (2(q-1))^m = 2^63 that entries left
+    # unreduced would wrap past: q = 2^31 - 1 with m >= 2 and q = 23 with
+    # m = 11 are past it, q = 23 with m = 10 and q = 3 with m = 6 below it.
+    # The lattice reduces every entry below q, so each case checks full
+    # rank through planted dependencies, with every product near 2^62 at
+    # the largest q, filled one union at a time and as one level
     rng = np.random.default_rng(q + m)
     # at q = 2^31 - 1, entries near q make every product near 2^62
     low = q - 1000 if q == BIG_Q else 0
@@ -241,8 +280,9 @@ def test_subset_ranks_on_both_sides_of_the_unreduced_bound(monkeypatch, q, m, bu
 @pytest.mark.parametrize("budget", [1, 512, linalg.BASIS_BUDGET])
 def test_subset_ranks_skips_kernels_at_full_rank(monkeypatch, q, m, budget):
     # ten parts and m <= 4: most unions of the wide levels already have rank
-    # m, so their reduced columns are all zero; part 8 alone spans GF(q)^m,
-    # so at budget 512 the second chunk starts at rank m
+    # m, so their reduced columns are all zero, which the name's kernels
+    # once skipped; part 8 alone spans GF(q)^m, so at budget 512 the child
+    # with part 8 waits on the work list at rank m
     rng = np.random.default_rng(10 * q + m)
     low = q - 1000 if q == BIG_Q else 0
     G = rng.integers(low, q, size=(m, 9)).astype(object)
