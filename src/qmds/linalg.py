@@ -24,10 +24,10 @@ only the test c != 0, so the widest level, the last part's when it has
 one column, does no update.  Part j is level j, so its columns are
 eliminated in 2^j unions: a caller lists its widest part first.
 Filled depth first, the lattice's memory is bounded at any part count P:
-a level holds at most max(1, BASIS_BUDGET / 2) unions of m x (columns
-still to come) int64, a work list at most one waiting level per part,
-beside the 2^P int8 ranks; MAX_MASKS bounds 2^P, and an m past int8 is
-refused.
+a level holds at most max(1, BASIS_BUDGET / 2) unions, in one int64 array
+(columns still to come, m, unions) with the unions contiguous; a work list
+holds at most one waiting level per part, beside the 2^P int8 ranks;
+MAX_MASKS bounds 2^P, and an m past int8 or a q outside [2, 2^31) is refused.
 
 Desk-scale dimensions only (tens of rows/columns); no sparsity, no
 floating point.  ``rank`` and erasure decoding run ``_rref_rows`` on
@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .gf import MAX_Q
 
 # one elimination of the ``subset_ranks`` lattice runs on at most half this
 # many unions, or on one
@@ -94,7 +96,9 @@ def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int
 
 
 def rank(a, q: int) -> int:
-    """Rank of the 2-D array ``a`` over GF(q) (number of RREF pivots)."""
+    """Rank of the 2-D array ``a`` over GF(q) (number of RREF pivots); q < 2 is refused."""
+    if q < 2:
+        raise ValueError(f"modulus q={q} is below 2")
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
@@ -112,23 +116,25 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
     child with it, at table position + 2^j, so part j's columns are
     eliminated in 2^j unions: list the widest part first.  A work list of
     (columns, ranks, table position, next part) fills the lattice depth
-    first: a level's two children are concatenated while that holds at
-    most BASIS_BUDGET / 2 unions, and are otherwise kept apart, the child
-    with the part waiting on the list.  Kept apart once, the levels below
-    are too, as they keep its size: only the lowest parts are ever
-    concatenated, and a level's unions sit at consecutive table positions.
+    first: a level's two children are concatenated on the union axis while
+    that holds at most BASIS_BUDGET / 2 unions, and are otherwise kept
+    apart, the child with the part waiting on the list.  Kept apart once,
+    the levels below are too, as they keep its size: only the lowest parts
+    are ever joined, and a level's unions sit at consecutive table positions.
 
     Raises:
-        ValueError: if there are more than MAX_MASKS masks, if ``G`` is not
-            2-dimensional, if it has more rows than int8 holds, or if a
-            column index is not an int in [0, columns of G), each before
-            any table is allocated.
+        ValueError: if there are more than MAX_MASKS masks, if q is outside
+            [2, gf.MAX_Q), if ``G`` is not 2-dimensional, if it has more
+            rows than int8 holds, or if a column index is not an int in
+            [0, columns of G), each before any table is allocated.
     """
     if 1 << len(parts) > MAX_MASKS:
         raise ValueError(
             f"a rank table over 2^{len(parts)} column subsets is beyond the "
             f"{MAX_MASKS}-mask guard"
         )
+    if not 2 <= q < MAX_Q:
+        raise ValueError(f"modulus q={q} is outside [2, {MAX_Q})")
     g = np.asarray(G, dtype=np.int64)
     if g.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")
@@ -144,16 +150,16 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
         return np.zeros(1 << levels, dtype=np.int8)
     ranks = np.empty(1 << levels, dtype=np.int8)
     # (reduced columns, ranks, table position of the first union, next part)
-    work = [(g[None, :, columns] % q, np.zeros(1, dtype=np.int8), 0, 0)]
+    work = [((g.T[columns] % q)[:, :, None], np.zeros(1, dtype=np.int8), 0, 0)]
     while work:
         w, level, at, start = work.pop()
         for j in range(start, levels):
             reduced, gained = _eliminate(w, widths[j], q)
-            w = w[:, :, widths[j]:]
+            w = w[widths[j]:]
             if 4 * len(level) > BASIS_BUDGET:
                 work.append((reduced, level + gained, at + (1 << j), j + 1))
             else:
-                w = np.concatenate([w, reduced])
+                w = np.concatenate([w, reduced], axis=2)
                 level = np.concatenate([level, level + gained])
         ranks[at : at + len(level)] = level
     return ranks
@@ -166,17 +172,17 @@ def _eliminate(w, width: int, q: int):
     For the column c, i = argmax c is nonzero unless c = 0, and
     W <- (c_i W - c (x) W_i) mod q zeroes row i of the later columns; when
     c = 0 the factor max(c_i, 1) = 1 and the term c (x) W_i = 0 keep W.
+    ``w`` is (columns, m, unions), so c_i and W_i are each one flat take.
     """
-    batch = np.arange(w.shape[0])
-    gained = np.zeros(w.shape[0], dtype=np.int8)
+    unions = np.arange(w.shape[2])
+    gained = np.zeros(len(unions), dtype=np.int8)
     for _ in range(width):
-        c, w = w[:, :, 0], w[:, :, 1:]
-        pivot = c.argmax(axis=1)
-        head = c[batch, pivot]
+        c, w = w[0], w[1:]
+        index = c.argmax(axis=0) * len(unions) + unions
+        head = c.take(index)
         gained += head > 0
-        if w.shape[2]:
-            update = w * np.maximum(head, 1)[:, None, None]
-            update -= c[:, :, None] * w[batch, pivot][:, None, :]
-            update %= q
-            w = update
+        if len(w):
+            update = w * np.maximum(head, 1)
+            update -= c * w.reshape(len(w), -1).take(index, axis=1)[:, None]
+            w = np.remainder(update, q, out=update)
     return w, gained

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmds import linalg, rank, subset_ranks
+from qmds import gf, linalg, rank, subset_ranks
 
 from conftest import brute_force_subspace_dim, inverse_mod, make_code, span_vectors
 
@@ -218,6 +218,21 @@ def test_subset_ranks_edge_shapes():
     with pytest.raises(ValueError, match="column index"):
         subset_ranks(np.zeros((0, 3), dtype=np.int64), 5, [[3]])
     assert subset_ranks(np.eye(2, 3, dtype=np.int64), 5, [[np.int64(2)], [1]]).tolist() == [0, 0, 1, 1]
+    # q outside [2, gf.MAX_Q) is refused: at q = 2^61 - 1 the int64 products
+    # would wrap and rank a column and its double as 2; q < 2 is no field
+    G = np.random.default_rng(5).integers(2**60, 2**61 - 1, size=(5, 5))
+    G[:, 4] = 2 * G[:, 3] % (2**61 - 1)
+    for bad in (2**61 - 1, gf.MAX_Q, 1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus q={bad} is outside \\[2, 2147483648\\)"):
+            subset_ranks(G, bad, [[c] for c in range(5)])
+    for bad in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"modulus q={bad} is below 2"):
+            rank(G, bad)
+    # the edges admitted: the same dependency at q = 2^31 - 1, and q = 2
+    H = G % BIG_Q
+    H[:, 4] = 2 * H[:, 3] % BIG_Q
+    assert subset_ranks(H, BIG_Q, [[3], [4]]).tolist() == [0, 1, 1, 1]
+    assert subset_ranks(np.eye(2, dtype=np.int64), 2, [[0], [1]]).tolist() == [0, 1, 1, 2]
 
 
 @pytest.mark.parametrize("count", [12, 13, 14])
@@ -236,7 +251,7 @@ def test_subset_ranks_keeps_the_basis_budget(monkeypatch, count):
     batches, eliminate = [], linalg._eliminate
 
     def recording(w, width, q):
-        batches.append(len(w))
+        batches.append(w.shape[-1])
         return eliminate(w, width, q)
 
     monkeypatch.setattr(linalg, "_eliminate", recording)
@@ -307,7 +322,8 @@ def test_subset_ranks_refuses_ranks_past_int8():
 def test_subset_ranks_admits_exactly_max_masks(monkeypatch):
     # 18 one-column parts give 2^18 = MAX_MASKS masks, the R-atomic table of
     # an n = 17 code; a 19th part is refused before numpy is called at all,
-    # so before the root or any table is allocated
+    # so before the root or any table is allocated, and before the modulus
+    # is checked, which also happens before numpy is called
     assert 1 << 18 == linalg.MAX_MASKS
     G = np.eye(2, 19, dtype=np.int64)
     ranks = subset_ranks(G[:, :18], 5, [[c] for c in range(18)])
@@ -321,3 +337,7 @@ def test_subset_ranks_admits_exactly_max_masks(monkeypatch):
     monkeypatch.setattr(linalg, "np", Unreachable())
     with pytest.raises(ValueError, match="2\\^19 column subsets is beyond the 262144-mask guard"):
         subset_ranks(G, 5, [[c] for c in range(19)])
+    with pytest.raises(ValueError, match="mask guard"):
+        subset_ranks(G, 0, [[c] for c in range(19)])
+    with pytest.raises(ValueError, match="modulus q=1 is outside"):
+        subset_ranks(G, 1, [[0]])
