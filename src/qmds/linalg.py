@@ -96,13 +96,15 @@ def _rref_rows(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int
 
 
 def rank(a, q: int) -> int:
-    """Rank of the 2-D array ``a`` over GF(q) (number of RREF pivots); q < 2 is refused."""
-    if q < 2:
-        raise ValueError(f"modulus q={q} is below 2")
-    a = np.asarray(a, dtype=np.int64)
+    """Rank of the 2-D array ``a`` over GF(q) (number of RREF pivots), both integers; q >= 2."""
+    if type(q) is bool or not hasattr(q, "__index__") or q < 2:
+        raise ValueError(f"modulus q={q!r} is below 2 or not an int")
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu" or not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"matrix entries must be integers that int64 holds: got dtype {a.dtype}")
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={a.ndim}")
-    return len(_rref_rows((a % q).tolist(), q)[1])
+    return len(_rref_rows((a.astype(np.int64) % int(q)).tolist(), int(q))[1])
 
 
 def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
@@ -123,19 +125,22 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
     are ever joined, and a level's unions sit at consecutive table positions.
 
     Raises:
-        ValueError: if there are more than MAX_MASKS masks, if q is outside
-            [2, gf.MAX_Q), if ``G`` is not 2-dimensional, if it has more
-            rows than int8 holds, or if a column index is not an int in
-            [0, columns of G), each before any table is allocated.
+        ValueError: if there are more than MAX_MASKS masks, if q is not an int
+            in [2, gf.MAX_Q), if ``G`` is not a 2-dimensional integer array
+            int64 holds or has more rows than int8 holds, or if a column index
+            is not an int in [0, columns of G), each before any table is allocated.
     """
     if 1 << len(parts) > MAX_MASKS:
         raise ValueError(
             f"a rank table over 2^{len(parts)} column subsets is beyond the "
             f"{MAX_MASKS}-mask guard"
         )
-    if not 2 <= q < MAX_Q:
-        raise ValueError(f"modulus q={q} is outside [2, {MAX_Q})")
-    g = np.asarray(G, dtype=np.int64)
+    if type(q) is bool or not hasattr(q, "__index__") or not 2 <= q < MAX_Q:
+        raise ValueError(f"modulus q={q!r} is outside [2, {MAX_Q}) or not an int")
+    q = int(q)
+    g = np.asarray(G)
+    if g.dtype.kind not in "iu" or not np.can_cast(g.dtype, np.int64):
+        raise ValueError(f"matrix entries must be integers that int64 holds: got dtype {g.dtype}")
     if g.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={g.ndim}")
     m = g.shape[0]
@@ -150,7 +155,7 @@ def subset_ranks(G, q: int, parts) -> NDArray[np.int8]:
         return np.zeros(1 << levels, dtype=np.int8)
     ranks = np.empty(1 << levels, dtype=np.int8)
     # (reduced columns, ranks, table position of the first union, next part)
-    work = [((g.T[columns] % q)[:, :, None], np.zeros(1, dtype=np.int8), 0, 0)]
+    work = [((g.T[columns].astype(np.int64) % q)[:, :, None], np.zeros(1, dtype=np.int8), 0, 0)]
     while work:
         w, level, at, start = work.pop()
         for j in range(start, levels):

@@ -13,38 +13,37 @@ matrix itself, which is used only to list the support.
 
 The table, a spec's registers and the decoder's register pairs all come
 from ``code.subset_layout``, the one register map the exact oracle reads
-too, so no rank code runs.  Its reduction is batched by register count, in chunks whose
-kept-key arrays (masks x rows x 8 bytes) stay within KEY_BUDGET, or hold
-one mask where that alone is larger; its other temporaries are no
-larger.  Kept keys come by Horner's rule over a register-major copy of
-the digits, and a chunk's diagonals from one offset bincount that counts
-rows.  It runs only on a state with one weight per row, as encode_state
-builds, so the trace N w is checked once and exactly, and a flat
-diagonal (one count in every bin) has entropy s, no log per entry.  No
-environment key is built: a diagonal with one row per bin shows its
-register set injective, so is any register set holding it, and a side is
-diagonal when its complement is injective, as on every side of an MDS
-state (each R-atomic set of half the registers is maximally mixed, so
-injective).  Any other side, and every side of a state without a common
-weight, takes the per-mask path, which sorts its environment keys to
-test them distinct; so does von_neumann_entropy, which has no table to
-certify from.
+too, so no rank code runs.  Its reduction is batched by register count,
+in chunks whose kept-key arrays (masks x rows x 8 bytes) stay within
+KEY_BUDGET, or hold one mask where that alone is larger; its other
+temporaries are no larger.  Kept keys come by Horner's rule over whole
+registers, each contiguous, and a chunk's diagonals from one offset
+bincount that counts rows.  It runs only on a state with one weight per
+row, as encode_state builds, so the trace N w is checked once and
+exactly, and a flat diagonal (one count in every bin) has entropy s, no
+log per entry.  No environment key is built: a diagonal with one row per
+bin shows its register set injective, so is any register set holding it,
+and a side is diagonal when its complement is injective, as on every
+side of an MDS state (each R-atomic set of half the registers is
+maximally mixed, so injective).  Any other side, and every side of a
+state without a common weight, takes the per-mask path, which sorts its
+environment keys to test them distinct; so does von_neumann_entropy,
+which has no table to certify from.
 
 Conventions: a state of r registers with local dimension q is stored on
 its support, the basis states it touches: ``digits`` has one row of
 register values per support basis state, in canonical register order
 (reference qudits first, then Q1..Qn) and the narrowest unsigned dtype
-holding q - 1, and ``amplitudes`` the matching complex amplitudes; every
-other basis state has amplitude 0.  Both simulated states are row spaces,
-listed by one builder: x . g for every x in GF(q)^m, m = k+d-1, by
-Horner's rule over x's digits, with g = G for the code state (q**m of its
-q**(k+n) basis states) and a 0/1 layout matrix for the decoding target.
-Where a set of registers needs one index per row, its key is their values
-read big-endian, by Horner's rule over columns into int64.  A per-mask
-reduction groups the support rows on their kept and environment keys and
-checks its trace.  Decoding permutes the computational basis: one
-invertible m x m matrix over GF(q) per surviving set maps the surviving
-registers of each support row, in one float64 product per chunk of rows
+holding q - 1, stored column-major so each register is contiguous, and
+``amplitudes`` the matching complex amplitudes; every other basis state
+has amplitude 0.  Both simulated states are row spaces, listed by one
+builder: x . g for every x in GF(q)^m, m = k+d-1, by Horner's rule over
+x's digits, with g = G for the code state (q**m of its q**(k+n) basis
+states) and a 0/1 layout matrix for the decoding target.  A register
+set's key on each row is its values read big-endian, by Horner's rule
+into int64.  Decoding permutes the computational basis: one invertible
+m x m matrix over GF(q) per surviving set maps the surviving registers
+of each support row, in one float64 product per chunk of rows
 (DECODE_BYTES of float64 at most), exact while m (q-1)^2 < 2^53.  The
 decoding target is m maximally entangled register pairs, so its support
 is the basis states on which every pair agrees: decoded_fidelity decodes
@@ -105,14 +104,14 @@ class StateVector:
     """Pure state over q-ary registers, stored on its support.
 
     ``digits`` is an (N, num_registers) array of register values in [0, q),
-    in the narrowest unsigned dtype holding q - 1, with no repeated row, and
+    in the narrowest unsigned dtype holding q - 1, with no repeated row,
+    column-major so ``digits.T`` is one contiguous register per row, and
     ``amplitudes`` the N matching complex double amplitudes, normalized
     within 1e-12; both are read-only.  The constructor validates and copies
-    its inputs, refusing non-finite amplitudes; ``decode`` builds its
-    result without it, sharing the input state's amplitudes.
-    The first ``num_ref`` registers form the reference block (so subsystem
-    specs with include_R resolve to them); the rest are the coded qudits
-    Q1..Qn.
+    its inputs, refusing non-finite amplitudes; ``decode`` builds its result
+    without it, sharing the input state's amplitudes.  The first ``num_ref``
+    registers form the reference block (so subsystem specs with include_R
+    resolve to them); the rest are the coded qudits Q1..Qn.
     """
 
     __slots__ = ("q", "num_registers", "num_ref", "digits", "amplitudes")
@@ -145,8 +144,8 @@ class StateVector:
         norm = float(np.sum(np.abs(amps) ** 2))
         if not np.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
-        # copied last, so no check's temporaries meet both copies of the digits
-        rows = rows.astype(np.min_scalar_type(q - 1))
+        # copied last, so no check's temporaries meet two copies; each register contiguous
+        rows = rows.astype(np.min_scalar_type(q - 1), order="F")
         rows.flags.writeable = False
         amps.flags.writeable = False
         self.q = q
@@ -173,16 +172,16 @@ def _row_space(q: int, g: np.ndarray, num_ref: int) -> StateVector:
     m, total = g.shape
     _check_cells(f"state vector support of {q}^{m} rows", q**m, total, statevec=True)
     digit = np.min_scalar_type(q - 1)
-    rows = np.zeros((1, total), dtype=digit)
+    registers = np.zeros((total, 1), dtype=digit)
     for row in g:
-        multiples = (np.arange(q)[:, None] * row % q).astype(digit)
-        sums = np.add(rows[:, None], multiples, dtype=np.min_scalar_type(2 * q - 2))
+        multiples = (row[:, None, None] * np.arange(q) % q).astype(digit)
+        sums = np.add(registers[..., None], multiples, dtype=np.min_scalar_type(2 * q - 2))
         # a sum of two residues is below 2q - 1, so one subtraction of q reduces it
         sums -= (sums >= q) * sums.dtype.type(q)
-        rows = sums.reshape(-1, total).astype(digit, copy=False)
+        registers = sums.reshape(total, -1).astype(digit, copy=False)
     # one amplitude broadcast over the rows; StateVector copies it once
     amps = np.broadcast_to(np.complex128(q ** (-m / 2)), (q**m,))
-    return StateVector(q, total, rows, amps, num_ref=num_ref)
+    return StateVector(q, total, registers.T, amps, num_ref=num_ref)
 
 
 def encode_state(code: QuantumMdsCode) -> StateVector:
@@ -321,14 +320,10 @@ def entropy_table(psi: StateVector) -> np.ndarray:
     full = layout.full
     groups, kept = zip(*map(layout.of_size, range(1, total // 2 + 1)))
     table = np.zeros(full + 1)
-    flat = np.zeros(full + 1, dtype=bool)
-    injective = np.zeros(full + 1, dtype=bool)
+    flat, injective = np.zeros((2, full + 1), dtype=bool)
     # one weight per row: the batch counts rows, and the trace is N w
     if np.ptp(np.abs(psi.amplitudes) ** 2) == 0:
         _check_trace(rows * abs(psi.amplitudes[0]) ** 2)
-        # one register per row: keys gather whole registers, which a strided
-        # view of the row-major digits makes about 1.5 times as slow
-        registers = np.ascontiguousarray(psi.digits.T)
         per_chunk = max(1, KEY_BUDGET // (8 * rows))
         for masks, positions in zip(groups, kept):
             # a diagonal over fewer rows than q^s kept keys cannot reach them all
@@ -337,7 +332,7 @@ def entropy_table(psi: StateVector) -> np.ndarray:
             for start in range(0, len(masks), per_chunk):
                 chunk = slice(start, start + per_chunk)
                 flat[masks[chunk]], injective[masks[chunk]] = _diagonal_counts(
-                    q, registers, positions[chunk]
+                    q, psi.digits.T, positions[chunk]
                 )
     # a register set holding an injective one is injective
     for bit in range(total - k + 1):
@@ -467,7 +462,7 @@ def decode(psi: StateVector, code: QuantumMdsCode, surviving) -> StateVector:
     p = code.params
     survivors, partners, mask = _target_pairs(psi, code, surviving)
     step = _step(code, survivors, partners, mask)
-    digits = psi.digits.copy()
+    digits = psi.digits.copy(order="F")
     rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
     for start in range(0, len(digits), rows):
         chunk = slice(start, start + rows)
@@ -500,11 +495,11 @@ def decoded_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float
 
     The target's support is the rows on which every pair agrees, each with
     amplitude q^(-m/2), so the overlap is q^(-m/2) times their amplitude sum.
-    One pass over decode's row chunks, each copied register-major, decodes
-    each surviving register and compares it with its partner: decoding
-    moves no amplitude, so no decoded copy is built and no target listed.
-    When every row agrees, the amplitudes are summed in place, as the
-    masked copy would hold them.
+    One pass over decode's row chunks, each read register-major as a view
+    of ``digits.T``, decodes each surviving register and compares it with
+    its partner: decoding moves no amplitude, so no decoded copy is built
+    and no target listed.  When every row agrees, the amplitudes are summed
+    in place, as the masked copy would hold them.
     """
     p = code.params
     survivors, partners, mask = _target_pairs(psi, code, surviving)
@@ -512,7 +507,7 @@ def decoded_fidelity(psi: StateVector, code: QuantumMdsCode, surviving) -> float
     agree = np.empty(len(psi.amplitudes), dtype=bool)
     rows = max(1, DECODE_BYTES // (8 * p.generator_rank))
     for start in range(0, len(agree), rows):
-        registers = np.ascontiguousarray(psi.digits[start : start + rows].T)
+        registers = psi.digits[start : start + rows].T
         values = _decode_rows(step, p.q, registers[survivors])
         np.logical_and.reduce(values == registers[partners], out=agree[start : start + rows])
     amplitudes = psi.amplitudes if agree.all() else psi.amplitudes[agree]

@@ -106,6 +106,34 @@ def test_matrix_entries_reduced_and_immutable():
     assert a.tolist() == [[4, -1], [3, 7]]
 
 
+@pytest.mark.parametrize("bad", [7.5, np.float64(5), True, "5", None], ids=repr)
+def test_rank_refuses_a_modulus_that_is_not_an_int(bad):
+    # a float q would make pow() raise TypeError; a bool is not a modulus
+    with pytest.raises(ValueError, match="is below 2 or not an int"):
+        rank([[1, 2], [3, 6]], bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[0.5, 1.0]], [[1.5]], [[2**70]], np.array([[2**63]], dtype=np.uint64), [[True]]],
+    ids=["float", "fraction", "object", "uint64", "bool"],
+)
+def test_rank_refuses_a_matrix_that_is_not_integer(bad):
+    # 0.5 was truncated to 0 and 2**70 overflowed int64; a uint64 entry past
+    # 2**63 would wrap in the int64 cast
+    with pytest.raises(ValueError, match="matrix entries must be integers that int64 holds"):
+        rank(bad, 5)
+
+
+def test_rank_admits_numpy_integers():
+    # numpy integer moduli and narrow integer matrices are ranked as ints
+    a = np.array([[1, 2], [3, 7]], dtype=np.uint8)
+    for q in (np.int64(5), np.uint64(5), np.uint8(5), 5):
+        assert rank(a, q) == 2
+        assert rank(a.astype(np.int16) * 2, q) == 2
+    assert rank(np.array([[3, 6]], dtype=np.int8), np.int32(3)) == 0
+
+
 # the test-local inverse is the reference the decoding-step tests trust
 
 
@@ -233,6 +261,19 @@ def test_subset_ranks_edge_shapes():
     H[:, 4] = 2 * H[:, 3] % BIG_Q
     assert subset_ranks(H, BIG_Q, [[3], [4]]).tolist() == [0, 1, 1, 1]
     assert subset_ranks(np.eye(2, dtype=np.int64), 2, [[0], [1]]).tolist() == [0, 1, 1, 2]
+    # q is an int and G an integer array that int64 holds: a float q made
+    # the lattice float64, and a float entry 1.5 was ranked as 1
+    for bad in (7.5, np.float64(7), True, "7", None):
+        with pytest.raises(ValueError, match="is outside \\[2, 2147483648\\) or not an int"):
+            subset_ranks([[1, 2], [3, 6]], bad, [[0], [1]])
+    for bad in ([[1.5]], [[0.5]], [[2**70]], np.array([[2**63]], dtype=np.uint64), [[True]]):
+        with pytest.raises(ValueError, match="matrix entries must be integers that int64 holds"):
+            subset_ranks(bad, 5, [[0]])
+    # numpy integers are admitted, and the lattice stays int64 for each
+    G = np.array([[1, 2], [3, 7]], dtype=np.uint8)
+    for q in (np.int64(5), np.uint64(5), np.uint8(5), np.int32(5)):
+        assert subset_ranks(G, q, [[0], [1]]).tolist() == [0, 1, 1, 2]
+    assert subset_ranks(np.array([[100, 100]], dtype=np.int8), 131, [[0], [1]]).tolist() == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("count", [12, 13, 14])

@@ -128,6 +128,31 @@ class TestStateVector:
         with pytest.raises(ValueError, match="reference block cannot exceed"):
             StateVector(2, 1, [[0]], [1.0], num_ref=2)
 
+    def test_registers_are_contiguous(self):
+        # digits is stored column-major, so digits.T, the (registers, N) array
+        # every reader gathers whole registers from, is a C-contiguous view;
+        # digits keeps its (N, registers) shape, narrow dtype, values and
+        # read-only flag, whether built by encode_state, by hand from
+        # C-ordered digits, or by decode without the constructor
+        code = make_code(5, 1, 3, 7)
+        q = code.params.q
+        xs = np.indices((q,) * 3, dtype=np.int64).reshape(3, -1).T
+        encoded = encode_state(code)
+        hand = np.array([[0, 6, 2], [5, 1, 0]], dtype=np.int64)
+        decoded = encoded.digits.astype(object)
+        decoded[:, 1:4] = decoded[:, 1:4] @ reference_step(code, [1, 2, 3]) % q
+        states = [
+            (encoded, xs @ code.G % q),
+            (StateVector(q, 3, hand, [0.6, 0.8]), hand),
+            (decode(encoded, code, [1, 2, 3]), decoded),
+        ]
+        for psi, expected in states:
+            assert psi.digits.T.flags.c_contiguous
+            assert psi.digits.shape == expected.shape
+            assert psi.digits.dtype == np.uint8
+            assert np.array_equal(psi.digits, expected)
+            assert not psi.digits.flags.writeable
+
 
 class TestEncodeState:
     def test_3_1_2_superposition(self):
